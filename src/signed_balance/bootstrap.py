@@ -14,7 +14,7 @@ of scheduling.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,9 +24,11 @@ from .errors import ConfigError, DegenerateBootstrapError, DegenerateError
 from .graph import SignedAdjacency
 from .inference import (
     InferenceReport,
+    Pipeline,
     _named_nulls,
     _pipeline,
     baselines,
+    check_level,
     projections,
     sample_moments,
     variance_estimator,
@@ -48,6 +50,7 @@ class BootstrapDistribution:
     seed: int
     target: str
     degenerate_count: int
+    observed: Pipeline = field(repr=False, compare=False)  # for bootstrap_report
 
     def save_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -90,7 +93,8 @@ def _studentized(adj, target):
 def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1):
     if B < 100:
         raise ConfigError(f"need B >= 100 bootstrap replicates, got {B}")
-    ratio_obs, s_obs = _studentized(adj, target)
+    observed = _pipeline(adj, target)
+    ratio_obs = observed.moments.estimate(target)
     eg = EmpiricalGraphon(adj)
 
     def one(r):
@@ -114,7 +118,8 @@ def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1):
             f"{degenerate}/{B} bootstrap replicates degenerate"
         )
     return BootstrapDistribution(
-        draws=draws, B=B, seed=seed, target=target, degenerate_count=degenerate
+        draws=draws, B=B, seed=seed, target=target, degenerate_count=degenerate,
+        observed=observed,
     )
 
 
@@ -133,16 +138,22 @@ def _bootstrap_p(draws, t_null):
 
 
 def bootstrap_ci(adj, level=0.95, target="balanced", B=1000, seed=0, threads=1):
-    """Full InferenceReport with method='bootstrap'.
+    """Full InferenceReport with method='bootstrap'; see bootstrap_report."""
+    check_level(level)
+    dist = bootstrap_distribution(adj, target=target, B=B, seed=seed, threads=threads)
+    return bootstrap_report(adj, dist, level)
+
+
+def bootstrap_report(adj, dist, level=0.95):
+    """InferenceReport with method='bootstrap' from a distribution of `adj`.
 
     Edgeworth coefficients of the observed network are included for
     reference; the interval and p-values come from the resampling
     distribution (with the observed S_hat as the scale).
     """
-    if not 0.0 < level < 1.0:
-        raise ConfigError(f"level must be in (0,1), got {level}")
-    dist = bootstrap_distribution(adj, target=target, B=B, seed=seed, threads=threads)
-    pipe = _pipeline(adj, target)
+    check_level(level)
+    pipe = dist.observed
+    target = dist.target
     estimate = pipe.moments.estimate(target)
     lo, hi = ci_from_draws(estimate, pipe.S_hat, dist.draws, level)
     summary = adj.summarize()

@@ -4,32 +4,47 @@ Triangle types are keyed by the number of negative edges: type 1 has none,
 type 2 one, type 3 two, type 4 three.  Types 1 and 3 are the balanced ones
 (sign product +1).
 
-Counting is done with matrix products of the indicator matrices P and N
-(M = P + N):
+Counting takes two products of the signed matrix A and its support M = |A|,
+kept on the support (o is the entrywise product): (M o M^2)_ij counts the
+triangles on edge (i,j) and (A o A^2)_ij sums their sign products.  So the
+pair totals are M o M^2, the balanced pair counts (M o M^2 + A o A^2)/2,
+t_i = rowsum(M o M^2)/2 and b_i = (rowsum(M o M^2) + rowsum(A o A^2))/4.
+The type counts solve a 4x4 integer system, c = K s / 8 as K K = 8 I, over
+four traces, each a masked sum since A o A = M (tr(M^2 A) = sum M o M^2 o A,
+tr(A^2 M) = sum A o A^2 o A):
 
-    total = tr(M^3)/6      c1 = tr(P^3)/6       c2 = tr(PPN)/2
-    c3 = tr(NNP)/2         c4 = tr(N^3)/6
+    tr(M^2 M)/6 =  c1 + c2 + c3 + c4     tr(M^2 A)/2 = 3c1 + c2 - c3 - 3c4
+    tr(A^2 M)/2 = 3c1 - c2 - c3 + 3c4    tr(A^2 A)/6 =  c1 - c2 + c3 - c4
 
-plus the per-node diagonals and per-pair Hadamard forms of the same
-products.  Two execution paths give identical integers:
+Per-type node and pair counts need P^2 and N^2 apart (P, N the positive and
+negative indicators): P^2 + N^2 = (M^2 + A^2)/2, PN + NP = (M^2 - A^2)/2 and
+P^2 - N^2 = (MA + AM)/2.  That third product, M A, runs only when a per-type
+count is read, and no n x n pair matrix is formed unless a caller reads one:
+inference takes its quadratic form from the masked products
+(`PairProjection.quadratic`).
 
-* dense: float64 BLAS products.  Products of 0/1 matrices stay integral and
-  below 2^53 for any feasible n, so float64 arithmetic is exact and every
-  result is checked to be integral before casting back to int64.
-* sparse (n above the storage threshold): scipy CSR products in int64.
+Dense and sparse storage differ only in how the products are formed: float32
+BLAS products when dense (each partial sum is an integer of size at most
+n - 2, so float32 is exact while n - 2 < 2^24, and 4(n - 2) < 2^24 once the
+per-type sums are formed), int64 CSR products when sparse.  Every reduction
+runs in int64 or float64; the type counts and node arrays are checked to be
+exact multiples of their divisors (CensusExactnessError otherwise).
 
 A brute-force O(n^3) enumeration is provided as the oracle.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError
+from .errors import CensusExactnessError, ConfigError
 
 BRUTE_FORCE_CAP = 64
+
+_SIGN_SUMS = np.array([[1, 1, 1, 1], [3, 1, -1, -3], [3, -1, -1, 3], [1, -1, 1, -1]])
 
 
 @dataclass(frozen=True)
@@ -61,32 +76,28 @@ class TriangleCensus:
         }
 
 
-@dataclass(frozen=True)
-class NodeProjection:
+class _Counts:
+    def __init__(self, triangles, balanced, by_type):
+        self.triangles = triangles
+        self.balanced = balanced
+        self.by_type = tuple(by_type)
+
+    def for_target(self, target):
+        if target == "balanced":
+            return self.balanced
+        return self.by_type[_type_index(target)]
+
+
+class NodeProjection(_Counts):
     """Per-node triangle counts: t_i, b_i, and the four per-type arrays."""
 
-    triangles: np.ndarray
-    balanced: np.ndarray
-    by_type: tuple
 
-    def for_target(self, target):
-        if target == "balanced":
-            return self.balanced
-        return self.by_type[_type_index(target)]
-
-
-@dataclass(frozen=True)
-class PairProjection:
+class PairProjection(_Counts):
     """Per-pair counts over third nodes; entry (i,j) is 0 unless A_ij != 0."""
 
-    triangles: object
-    balanced: object
-    by_type: tuple
-
-    def for_target(self, target):
-        if target == "balanced":
-            return self.balanced
-        return self.by_type[_type_index(target)]
+    def quadratic(self, target, x):
+        """(x' T x, x' B x) for the pair totals T and the target's pair counts B."""
+        return _quad(self.triangles, x), _quad(self.for_target(target), x)
 
 
 @dataclass(frozen=True)
@@ -105,126 +116,105 @@ def _type_index(target):
     return int(target[-1]) - 1
 
 
-def _as_count(x):
-    """Exactness guard for the float64 path."""
-    f = float(x)
-    if not f.is_integer():
-        raise ArithmeticError(f"census value {f} is not integral")
-    return int(f)
+def _exact(x, d):
+    """x / d in int64; raises unless d divides every entry of x exactly."""
+    q, r = np.divmod(x, d)
+    if r.any():
+        raise CensusExactnessError(
+            f"census values are not exact multiples of {d}: the products lost precision")
+    return q.astype(np.int64)
 
 
-def _dense_bundle(a, with_pairs):
-    n = a.shape[0]
-    p = (a == 1).astype(np.float64)
-    nn = (a == -1).astype(np.float64)
-    p2 = p @ p
-    n2 = nn @ nn
-    pn = p @ nn
-    pnnp = pn + pn.T
-    m = p + nn
-    m2 = p2 + n2 + pnnp
-
-    census = TriangleCensus(
-        n=n,
-        total=_as_count(np.einsum("ij,ij->", m2, m) / 6),
-        c1=_as_count(np.einsum("ij,ij->", p2, p) / 6),
-        c2=_as_count(np.einsum("ij,ij->", p2, nn) / 2),
-        c3=_as_count(np.einsum("ij,ij->", n2, p) / 2),
-        c4=_as_count(np.einsum("ij,ij->", n2, nn) / 6),
-    )
-
-    def diag(x, y):
-        return np.einsum("ij,ij->i", x, y)
-
-    t_i = diag(m2, m) / 2
-    n1 = diag(p2, p) / 2
-    n2_ = (diag(pnnp, p) + diag(p2, nn)) / 2
-    n3 = (diag(pnnp, nn) + diag(n2, p)) / 2
-    n4 = diag(n2, nn) / 2
-    node = NodeProjection(
-        triangles=_int_array(t_i),
-        balanced=_int_array(n1 + n3),
-        by_type=tuple(_int_array(x) for x in (n1, n2_, n3, n4)),
-    )
-
-    pair = None
-    if with_pairs:
-        q1 = p * p2
-        q2 = p * pnnp + nn * p2
-        q3 = p * n2 + nn * pnnp
-        q4 = nn * n2
-        pair = PairProjection(
-            triangles=_int_array(m * m2),
-            balanced=_int_array(q1 + q3),
-            by_type=tuple(_int_array(x) for x in (q1, q2, q3, q4)),
-        )
-    return CensusBundle(census=census, node=node, pair=pair)
+def _type_counts(traces):
+    """c1..c4 from tr(M^2 M), tr(M^2 A), tr(A^2 M) and tr(A^2 A)."""
+    counts = _exact(_SIGN_SUMS @ _exact(np.asarray(traces), (6, 2, 2, 6)), 8)
+    if counts.min() < 0:
+        raise CensusExactnessError(f"negative triangle counts {counts.tolist()}")
+    return counts.tolist()
 
 
-def _int_array(x):
-    out = np.rint(x).astype(np.int64)
-    if not np.array_equal(out, x):
-        raise ArithmeticError("census array is not integral")
-    return out
+def _quad(s, x):
+    """x' S x in float64, summed in a fixed order (no BLAS threads involved)."""
+    sx = s @ x if sp.issparse(s) else np.einsum("ij,j->i", s, x)
+    return float(np.einsum("i,i->", x, sx))
 
 
-def _sparse_bundle(adj, with_pairs):
-    n = adj.n
-    sm = adj.sign_matrices()
-    p = sm.pos.astype(np.int64)
-    nn = sm.neg.astype(np.int64)
-    m = (p + nn).tocsr()
-    p2 = (p @ p).tocsr()
-    n2 = (nn @ nn).tocsr()
-    pn = (p @ nn).tocsr()
-    pnnp = (pn + pn.T).tocsr()
-    m2 = (p2 + n2 + pnnp).tocsr()
+class _ProductPairs(PairProjection):
+    """Pair projection kept as the masked products M o M^2 and A o A^2 of one
+    network; each count matrix is formed when first read."""
 
-    def tr(x, y):
-        return int(x.multiply(y).sum())
+    def __init__(self, adj):
+        if adj.is_dense:
+            a = adj.entries.astype(np.float32)
+        else:
+            a = sp.csr_array(adj.entries, dtype=np.int64)
+        m = abs(a)
+        self.a = a
+        self.m = m
+        self.mm = m * (m @ m)
+        self.aa = a * (a @ a)
 
-    census = TriangleCensus(
-        n=n,
-        total=tr(m2, m) // 6,
-        c1=tr(p2, p) // 6,
-        c2=tr(p2, nn) // 2,
-        c3=tr(n2, p) // 2,
-        c4=tr(n2, nn) // 6,
-    )
+    @cached_property
+    def types(self):
+        """Per-type pair counts, types 1..4, on the support; forms M A."""
+        a, m, mm = self.a, self.m, self.mm
+        ma = m @ a
+        diff = m * (ma + ma.T)  # 2 (P^2 - N^2) on the support
+        a2 = a * self.aa  # A^2 on the support
+        pp = (mm + a2 + diff) * 0.25  # third nodes joined by two positive edges
+        nn = (mm + a2 - diff) * 0.25  # ... by two negative edges
+        mixed = (mm - a2) * 0.5  # ... by one of each
+        pos = (m + a) * 0.5
+        neg = (m - a) * 0.5
+        return (pos * pp, pos * mixed + neg * pp, pos * nn + neg * mixed, neg * nn)
 
-    def diag(x, y):
-        return np.asarray(x.multiply(y).sum(axis=1)).ravel().astype(np.int64)
+    @cached_property
+    def triangles(self):
+        return self.mm.astype(np.int64)
 
-    t_i = diag(m2, m) // 2
-    n1 = diag(p2, p) // 2
-    n2_ = (diag(pnnp, p) + diag(p2, nn)) // 2
-    n3 = (diag(pnnp, nn) + diag(n2, p)) // 2
-    n4 = diag(n2, nn) // 2
-    node = NodeProjection(
-        triangles=t_i,
-        balanced=n1 + n3,
-        by_type=(n1, n2_, n3, n4),
-    )
+    @cached_property
+    def balanced(self):
+        return ((self.mm + self.aa) * 0.5).astype(np.int64)
 
-    pair = None
-    if with_pairs:
-        q1 = p.multiply(p2).tocsr()
-        q2 = (p.multiply(pnnp) + nn.multiply(p2)).tocsr()
-        q3 = (p.multiply(n2) + nn.multiply(pnnp)).tocsr()
-        q4 = nn.multiply(n2).tocsr()
-        pair = PairProjection(
-            triangles=m.multiply(m2).tocsr(),
-            balanced=(q1 + q3).tocsr(),
-            by_type=(q1, q2, q3, q4),
-        )
-    return CensusBundle(census=census, node=node, pair=pair)
+    @cached_property
+    def by_type(self):
+        return tuple(q.astype(np.int64) for q in self.types)
+
+    def quadratic(self, target, x):
+        total = _quad(self.mm, x)
+        if target == "balanced":
+            return total, (total + _quad(self.aa, x)) / 2.0
+        return total, _quad(self.types[_type_index(target)], x)
+
+
+class _ProductNodes(NodeProjection):
+    """NodeProjection whose per-type arrays are formed on first read."""
+
+    def __init__(self, pairs, triangles, balanced):
+        self._pairs = pairs
+        self.triangles = triangles
+        self.balanced = balanced
+
+    @cached_property
+    def by_type(self):
+        return tuple(_exact(q.sum(axis=1, dtype=np.int64), 2) for q in self._pairs.types)
 
 
 def full_census(adj, with_pairs=True):
-    """One pass over the matrix products; returns census + projections."""
-    if adj.is_dense:
-        return _dense_bundle(adj.entries, with_pairs)
-    return _sparse_bundle(adj, with_pairs)
+    """Census and node projections from two products; pairs are read lazily."""
+    p = _ProductPairs(adj)
+    row_m = p.mm.sum(axis=1, dtype=np.int64)
+    row_a = p.aa.sum(axis=1, dtype=np.int64)
+    traces = (
+        row_m.sum(),
+        (p.mm * p.a).sum(dtype=np.int64),
+        (p.aa * p.a).sum(dtype=np.int64),
+        row_a.sum(),
+    )
+    c1, c2, c3, c4 = _type_counts(traces)
+    census_ = TriangleCensus(n=adj.n, total=c1 + c2 + c3 + c4, c1=c1, c2=c2, c3=c3, c4=c4)
+    node = _ProductNodes(p, _exact(row_m, 2), _exact(row_m + row_a, 4))
+    return CensusBundle(census=census_, node=node, pair=p if with_pairs else None)
 
 
 def census(adj):

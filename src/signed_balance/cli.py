@@ -3,7 +3,8 @@
 Subcommands: simulate, census, ci, test, mc, version.  Machine output is
 JSON on stdout (CSV files for mc); `--pretty` switches to an aligned
 key/value table for humans.  Exit codes: 0 success, 1 usage error, 2
-data/validation error, 3 degenerate inference.
+data/validation error (including an input too large for the census to
+count exactly), 3 degenerate inference.
 
 Default thread count comes from --threads, then the SIGNED_BALANCE_THREADS
 environment variable, then all cores.
@@ -15,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .bootstrap import bootstrap_ci
+from .bootstrap import bootstrap_distribution, bootstrap_report
 from .census import census as run_census
 from .errors import (
     ConfigError,
@@ -36,7 +37,7 @@ from .harness import (
     write_plot_data_csv,
     write_timing_csv,
 )
-from .inference import adjusted_null, balance_test, confidence_interval
+from .inference import adjusted_null, balance_test, check_level, confidence_interval
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -199,21 +200,13 @@ def _cmd_ci(args):
     adj = read_edge_list(args.infile)
     threads = args.threads if args.threads is not None else default_threads()
     if args.method == "bootstrap":
-        report = bootstrap_ci(
-            adj,
-            level=args.level,
-            target=args.target,
-            B=args.replicates,
-            seed=args.seed,
-            threads=threads,
+        check_level(args.level)
+        dist = bootstrap_distribution(
+            adj, target=args.target, B=args.replicates, seed=args.seed, threads=threads,
         )
+        report = bootstrap_report(adj, dist, args.level)
         if args.draws_out:
-            from .bootstrap import bootstrap_distribution
-
-            bootstrap_distribution(
-                adj, target=args.target, B=args.replicates,
-                seed=args.seed, threads=threads,
-            ).save_csv(args.draws_out)
+            dist.save_csv(args.draws_out)
     else:
         report = confidence_interval(
             adj,

@@ -2,7 +2,8 @@
 
 Three families, matching the CLI exit-code contract:
   usage/config problems      -> ConfigError            (exit 1)
-  data/validation problems   -> GraphDataError family  (exit 2)
+  data/validation problems   -> GraphDataError family  (exit 2), including
+                                an input too large to count exactly
   degenerate inference       -> DegenerateError family (exit 3)
 """
 
@@ -53,6 +54,10 @@ class SummaryUndefinedError(GraphDataError):
 
 class GraphonRangeError(GraphDataError):
     """rho*F or s*G left [0, 1] at a probed point."""
+
+
+class CensusExactnessError(GraphDataError):
+    """A census count failed its exactness check (input too large to count)."""
 
 
 # ---------------------------------------------------------- degenerate errors

@@ -31,9 +31,11 @@ mirror the construction that needs it in theory; it is off by default
 
 The pairwise sum in b is evaluated without materializing q2, via
 q2(i,j) = W(i,j)/(n-2) - q1(i) - q1(j) with W = pair_bal/V - U pair_tot/V^2,
-which collapses the double sum to one quadratic form.  Float reductions go
-through np.einsum (fixed order) so results do not depend on BLAS thread
-count.
+which collapses the double sum to one quadratic form q1' W q1.  The pair
+projection supplies q1' pair_tot q1 and q1' pair_bal q1 straight from the
+census products (`PairProjection.quadratic`), so no per-pair matrix is
+built.  Float reductions go through np.einsum (fixed order) so results do
+not depend on BLAS thread count.
 """
 
 import math
@@ -122,14 +124,13 @@ class Projections:
     f1: np.ndarray = field(repr=False)
     node_target: np.ndarray = field(repr=False)
     node_total: np.ndarray = field(repr=False)
-    pair_target: object = field(repr=False)
-    pair_total: object = field(repr=False)
+    pair: object = field(repr=False)
 
     @property
     def q2(self):
         """Dense per-pair q2 matrix (zero diagonal by convention)."""
-        pt = _to_dense(self.pair_target).astype(np.float64)
-        tt = _to_dense(self.pair_total).astype(np.float64)
+        pt = _to_dense(self.pair.for_target(self.target)).astype(np.float64)
+        tt = _to_dense(self.pair.triangles).astype(np.float64)
         g2 = pt / (self.n - 2) - self.U - self.g1[:, None] - self.g1[None, :]
         f2 = tt / (self.n - 2) - self.V - self.f1[:, None] - self.f1[None, :]
         q2 = g2 / self.V - self.U * f2 / self.V**2
@@ -173,8 +174,7 @@ def projections(census, node, pair, target="balanced"):
         f1=f1,
         node_target=node_target,
         node_total=node_total,
-        pair_target=pair.for_target(target) if pair is not None else None,
-        pair_total=pair.triangles if pair is not None else None,
+        pair=pair,
     )
 
 
@@ -225,7 +225,7 @@ class EdgeworthCoefficients:
 def edgeworth_coefficients(proj, c_delta=0.0):
     if proj.xi1_sq <= 0.0:
         raise DegenerateVarianceError("xi1_hat = 0: Edgeworth coefficients undefined")
-    if proj.pair_target is None:
+    if proj.pair is None:
         raise ConfigError("pair projection required for the b coefficient")
     n = proj.n
     q1 = proj.q1
@@ -233,13 +233,8 @@ def edgeworth_coefficients(proj, c_delta=0.0):
     a_hat = float(np.einsum("i,i,i->", q1, q1, q1)) / n / xi**3
     c_hat = float(np.einsum("i,i->", q1, proj.p1)) / n / xi
     # sum_{i<j} q1 q1 q2 via q2(i,j) = W(i,j)/(n-2) - q1(i) - q1(j)
-    if sp.issparse(proj.pair_target):
-        w = proj.pair_target.astype(np.float64) / proj.V \
-            - proj.pair_total.astype(np.float64) * (proj.U / proj.V**2)
-        quad = float(q1 @ (w @ q1)) / 2.0
-    else:
-        w = proj.pair_target / proj.V - proj.U * proj.pair_total / proj.V**2
-        quad = float(np.einsum("ij,i,j->", w, q1, q1)) / 2.0
+    total_form, target_form = proj.pair.quadratic(proj.target, q1)
+    quad = (target_form / proj.V - total_form * (proj.U / proj.V**2)) / 2.0
     s1 = float(np.einsum("i->", q1))
     s2 = float(np.einsum("i,i->", q1, q1))
     s3 = float(np.einsum("i,i,i->", q1, q1, q1))
@@ -368,13 +363,13 @@ def _pipeline(adj, target):
     return Pipeline(moments=moments, proj=proj, S_hat=s_hat, coef=coef)
 
 
-_ZERO_COEF_CACHE = {}
+def check_level(level):
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"level must be in (0,1), got {level}")
 
 
 def _null_coefficients(n):
-    if n not in _ZERO_COEF_CACHE:
-        _ZERO_COEF_CACHE[n] = EdgeworthCoefficients(0.0, 0.0, 0.0, n, 0.0)
-    return _ZERO_COEF_CACHE[n]
+    return EdgeworthCoefficients(0.0, 0.0, 0.0, n, 0.0)
 
 
 def _cdf_for_method(t, coef, method):
@@ -414,8 +409,7 @@ def confidence_interval(
     adj, level=0.95, target="balanced", method="edgeworth", c_delta=0.0, seed=0
 ):
     """Cornish-Fisher (or plain normal) interval plus the full report."""
-    if not 0.0 < level < 1.0:
-        raise ConfigError(f"level must be in (0,1), got {level}")
+    check_level(level)
     if method not in ("edgeworth", "normal"):
         raise ConfigError(f"method must be edgeworth|normal, got {method!r}")
     pipe = _pipeline(adj, target)

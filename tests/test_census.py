@@ -1,17 +1,22 @@
 """Triangle census and projections against exhaustive enumeration."""
 
+from math import comb
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from signed_balance.census import (
     BRUTE_FORCE_CAP,
+    _exact,
+    _type_counts,
     brute_force_census,
     census,
     full_census,
 )
-from signed_balance.errors import ConfigError
+from signed_balance.errors import CensusExactnessError, ConfigError, SignedBalanceError
 from signed_balance.graph import SignedAdjacency, from_dense, parse_edge_list
+from signed_balance.inference import edgeworth_coefficients, projections
 
 from _reference import (
     random_signed_matrix,
@@ -153,3 +158,131 @@ def test_brute_force_matches_and_caps():
 def test_census_on_empty_graph():
     c = census(from_dense(np.zeros((5, 5), dtype=np.int8)))
     assert c.total == 0 and c.balanced == 0
+
+
+# ------------------------------------------------- closed forms at n = 300
+# Here 6 * total = n(n-1)(n-2) > 2^24.  These regular graphs have equal,
+# even row sums, so even a float32 reduction would add them exactly; the
+# irregular network further down is the one that exposes it.
+
+N_CLOSED = 300
+FACTION = 120  # nodes 0..119 against 120..299
+
+
+def _complete(sign):
+    mat = np.full((N_CLOSED, N_CLOSED), sign, dtype=np.int8)
+    np.fill_diagonal(mat, 0)
+    return mat
+
+
+def _two_factions():
+    side = np.arange(N_CLOSED) < FACTION
+    mat = np.where(side[:, None] == side[None, :], 1, -1).astype(np.int8)
+    np.fill_diagonal(mat, 0)
+    return mat
+
+
+def _on_path(mat, path):
+    if path == "dense":
+        return from_dense(mat)
+    return SignedAdjacency(sp.csr_matrix(mat), dense_threshold=10)
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+@pytest.mark.parametrize("sign, slot", [(1, 0), (-1, 3)])
+def test_complete_graph_closed_form(sign, slot, path):
+    adj = _on_path(_complete(sign), path)
+    bundle = full_census(adj)
+    want = [0, 0, 0, 0]
+    want[slot] = comb(N_CLOSED, 3)
+    assert 6 * want[slot] > 2**24
+    assert bundle.census.by_type == tuple(want)
+    assert bundle.census.total == want[slot]
+    per_node = comb(N_CLOSED - 1, 2)
+    np.testing.assert_array_equal(bundle.node.triangles, per_node)
+    np.testing.assert_array_equal(bundle.node.balanced, per_node if sign > 0 else 0)
+    np.testing.assert_array_equal(bundle.node.by_type[slot], per_node)
+    off = 1 - np.eye(N_CLOSED, dtype=np.int64)
+    np.testing.assert_array_equal(_densify(bundle.pair.triangles), (N_CLOSED - 2) * off)
+    np.testing.assert_array_equal(_densify(bundle.pair.by_type[slot]), (N_CLOSED - 2) * off)
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_two_faction_complete_graph_closed_form(path):
+    adj = _on_path(_two_factions(), path)
+    small, big = FACTION, N_CLOSED - FACTION
+    bundle = full_census(adj)
+    c1 = comb(small, 3) + comb(big, 3)
+    c3 = comb(small, 2) * big + comb(big, 2) * small
+    assert bundle.census.by_type == (c1, 0, c3, 0)
+    assert bundle.census.balanced == bundle.census.total == comb(N_CLOSED, 3)
+
+    per_node = comb(N_CLOSED - 1, 2)
+    own = np.where(np.arange(N_CLOSED) < FACTION, small, big)
+    np.testing.assert_array_equal(bundle.node.triangles, per_node)
+    np.testing.assert_array_equal(bundle.node.balanced, per_node)
+    np.testing.assert_array_equal(bundle.node.by_type[0], (own - 1) * (own - 2) // 2)
+    np.testing.assert_array_equal(bundle.node.by_type[2], per_node - (own - 1) * (own - 2) // 2)
+
+    # an edge inside a faction closes type 1 triangles through its own
+    # faction and type 3 ones through the other; an edge across closes
+    # n - 2 triangles of type 3
+    mat = _two_factions()
+    inside = mat == 1
+    want1 = np.where(inside, own[:, None] - 2, 0)
+    want3 = np.where(inside, N_CLOSED - own[:, None], np.where(mat == -1, N_CLOSED - 2, 0))
+    np.testing.assert_array_equal(_densify(bundle.pair.by_type[0]), want1)
+    np.testing.assert_array_equal(_densify(bundle.pair.by_type[2]), want3)
+    np.testing.assert_array_equal(_densify(bundle.pair.balanced), want1 + want3)
+    for t in (1, 3):
+        assert not _densify(bundle.pair.by_type[t]).any()
+
+
+def test_dense_matches_sparse_past_float32_range():
+    # irregular row sums whose totals pass 2^25, where float32 spacing is 4:
+    # a float32 reduction would round the traces and fail the exactness
+    # check or the comparison
+    mat = random_signed_matrix(np.random.default_rng(0), 600, p_edge=0.9)
+    dense, sparse = (full_census(_on_path(mat, path)) for path in ("dense", "sparse"))
+    assert 6 * dense.census.total > 2**25
+    assert dense.census == sparse.census
+    np.testing.assert_array_equal(dense.node.triangles, sparse.node.triangles)
+    np.testing.assert_array_equal(dense.node.balanced, sparse.node.balanced)
+    for t in range(4):
+        np.testing.assert_array_equal(dense.node.by_type[t], sparse.node.by_type[t])
+
+
+# ------------------------------------------------------------ exactness guard
+
+
+def test_non_integral_trace_raises_typed_error():
+    # one positive triangle gives traces (6, 6, 6, 6); perturb the first
+    assert _type_counts([6, 6, 6, 6]) == [1, 0, 0, 0]
+    with pytest.raises(CensusExactnessError):
+        _type_counts([6.5, 6, 6, 6])
+    with pytest.raises(CensusExactnessError):
+        _type_counts([6, 6, 6, 12])  # integral, but no census has these traces
+    assert issubclass(CensusExactnessError, SignedBalanceError)
+
+
+def test_odd_node_row_sum_raises_typed_error():
+    np.testing.assert_array_equal(_exact(np.array([2, 4, 0]), 2), [1, 2, 0])
+    with pytest.raises(CensusExactnessError):
+        _exact(np.array([2, 3, 0]), 2)
+
+
+# --------------------------------------------------------------- laziness
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_balanced_target_forms_no_pair_matrix(path):
+    rng = np.random.default_rng(5)
+    adj = _on_path(random_signed_matrix(rng, 30), path)
+    bundle = full_census(adj)
+    proj = projections(bundle.census, bundle.node, bundle.pair, "balanced")
+    edgeworth_coefficients(proj)
+    # neither a third product nor any pair count matrix has been formed
+    assert not {"types", "triangles", "balanced", "by_type"} & set(vars(bundle.pair))
+    # reading a per-type node count runs the third product, once for nodes and pairs
+    bundle.node.by_type
+    assert "types" in vars(bundle.pair) and "by_type" not in vars(bundle.pair)

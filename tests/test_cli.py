@@ -1,12 +1,19 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import signed_balance.cli as cli
+from signed_balance.bootstrap import bootstrap_ci
 from signed_balance.cli import main
+from signed_balance.graph import read_edge_list
+
+# the package's `census` attribute is the function of that name
+census_module = importlib.import_module("signed_balance.census")
 
 
 def run_cli(args, capsys):
@@ -108,6 +115,36 @@ def test_ci_bootstrap_with_draws(tmp_path, edges_file, capsys):
     assert lines[0] == "t_star" and len(lines) > 100
 
 
+def test_ci_bootstrap_draws_and_report_come_from_one_distribution(
+        tmp_path, edges_file, capsys, monkeypatch):
+    real = cli.bootstrap_distribution
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bootstrap_distribution", counted)
+    draws = tmp_path / "draws.csv"
+    code, out, _ = run_cli(
+        ["ci", "--in", edges_file, "--method", "bootstrap", "--replicates", "120",
+         "--seed", "2", "--threads", "1", "--draws-out", str(draws)], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    adj = read_edge_list(edges_file)
+    assert json.loads(out) == bootstrap_ci(adj, B=120, seed=2, threads=1).to_dict()
+    want = real(adj, B=120, seed=2, threads=1).draws
+    assert draws.read_text().splitlines()[1:] == [repr(float(v)) for v in want]
+
+
+def test_ci_bootstrap_bad_level_exits_before_resampling(edges_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "bootstrap_distribution", None)  # must not be reached
+    code, _, err = run_cli(
+        ["ci", "--in", edges_file, "--method", "bootstrap", "--level", "1.5"], capsys)
+    assert code == 1
+    assert "level" in err
+
+
 def test_test_subcommand_numeric_null(edges_file, capsys):
     code, out, _ = run_cli(
         ["test", "--in", edges_file, "--null", "0.5", "--alt", "two-sided"], capsys)
@@ -188,6 +225,17 @@ def test_exit_data_on_conflicting_edge(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("a b +1\nb a -1\n")
     assert run_cli(["census", "--in", str(bad)], capsys)[0] == 2
+
+
+def test_exit_data_on_census_exactness_error(edges_file, capsys, monkeypatch):
+    # feed the census's exactness check a non-integral trace
+    real = census_module._type_counts
+    monkeypatch.setattr(
+        census_module, "_type_counts", lambda traces: real([t + 0.5 for t in traces]))
+    code, out, err = run_cli(["census", "--in", edges_file], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "exact" in err
+    assert out == ""
 
 
 def test_exit_degenerate_on_one_triangle(tmp_path, capsys):

@@ -180,6 +180,49 @@ def test_sparse_inference_matches_dense():
     assert variance_estimator(proj) == pytest.approx(want["s_hat"], rel=1e-12)
 
 
+TYPE_TARGETS = ("type1", "type2", "type3", "type4")
+
+
+def _on_path(mat, path):
+    if path == "dense":
+        return from_dense(mat)
+    return SignedAdjacency(sp.csr_matrix(mat), dense_threshold=4)
+
+
+def _densify(x):
+    return x.toarray() if sp.issparse(x) else np.asarray(x)
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+@pytest.mark.parametrize("target", TYPE_TARGETS)
+def test_per_type_coefficients_match_reference_on_both_paths(target, path):
+    mat = SUITE[5]
+    bundle = full_census(_on_path(mat, path))
+    proj = projections(bundle.census, bundle.node, bundle.pair, target=target)
+    coef = edgeworth_coefficients(proj)
+    want = ref_inference(mat, target=target)
+    assert variance_estimator(proj) == pytest.approx(want["s_hat"], rel=1e-12)
+    assert coef.a_hat == pytest.approx(want["a_hat"], rel=1e-12)
+    assert coef.b_hat == pytest.approx(want["b_hat"], rel=1e-12)
+    assert coef.c_hat == pytest.approx(want["c_hat"], rel=1e-12)
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+@pytest.mark.parametrize("target", ("balanced",) + TYPE_TARGETS)
+def test_lazy_quadratic_form_equals_materialised(target, path):
+    # q' W q read from the census products equals the form built from the
+    # materialised int64 pair matrices
+    mat = random_signed_matrix(np.random.default_rng(41), 60)
+    bundle = full_census(_on_path(mat, path))
+    proj = projections(bundle.census, bundle.node, bundle.pair, target=target)
+    q = proj.q1
+    total, counts = bundle.pair.quadratic(target, q)
+    tt = _densify(bundle.pair.triangles).astype(np.float64)
+    pt = _densify(bundle.pair.for_target(target)).astype(np.float64)
+    assert total == pytest.approx(q @ tt @ q, rel=1e-13)
+    assert counts == pytest.approx(q @ pt @ q, rel=1e-13)
+
+
 # --------------------------------------------------------------- CDF/quantile
 
 
