@@ -9,11 +9,11 @@ Each replicate recomputes the studentized statistic
 T* = (ratio* - ratio_observed)/S* on its resampled network.  Replicates
 where the ratio or variance is degenerate (no triangles, zero variance) are
 dropped and counted; more than 50% degenerate is a hard error.  Replicate r
-uses the derived stream (seed, r), so runs are reproducible and independent
-of scheduling.
+uses the derived stream (seed, r), so runs are reproducible.  Replicates
+run in order on the calling thread; `threads` is accepted and checked but
+selects nothing.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +29,7 @@ from .inference import (
     _pipeline,
     baselines,
     check_level,
+    check_threads,
     projections,
     sample_moments,
     variance_estimator,
@@ -90,11 +91,15 @@ def _studentized(adj, target):
     return moments.estimate(target), s_hat
 
 
-def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1):
+def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1, observed=None):
+    """B studentized draws; `observed` is the pipeline of `adj` for `target`
+    when the caller already has it."""
     if B < 100:
         raise ConfigError(f"need B >= 100 bootstrap replicates, got {B}")
-    observed = _pipeline(adj, target)
-    ratio_obs = observed.moments.estimate(target)
+    check_threads(threads)
+    if observed is None:
+        observed = _pipeline(adj, target)
+    ratio_obs = observed.estimate
     eg = EmpiricalGraphon(adj)
 
     def one(r):
@@ -105,12 +110,7 @@ def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1):
             return None
         return (ratio_star - ratio_obs) / s_star
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(B)))
-    else:
-        results = [one(r) for r in range(B)]
-
+    results = [one(r) for r in range(B)]
     draws = np.array([t for t in results if t is not None], dtype=np.float64)
     degenerate = B - draws.size
     if degenerate * 2 > B:

@@ -153,20 +153,41 @@ class _ProductPairs(PairProjection):
         self.m = m
         self.mm = m * (m @ m)
         self.aa = a * (a @ a)
+        self._types = {}
+
+    @cached_property
+    def _diff(self):
+        """2 (P^2 - N^2) on the support; forms the third product M A."""
+        ma = self.m @ self.a
+        return self.m * (ma + ma.T)
+
+    def _paths(self, k):
+        """Third nodes joined to both ends by two edges, k of them negative."""
+        a2 = self.a * self.aa  # A^2 on the support
+        if k == 1:
+            return (self.mm - a2) * 0.5
+        both = self.mm + a2
+        return (both + self._diff if k == 0 else both - self._diff) * 0.25
+
+    def type_pairs(self, k):
+        """Pair counts of type k + 1 (k negative edges) on the support, as
+        floats; forms only the paths this type needs."""
+        if k not in self._types:
+            pos = (self.m + self.a) * 0.5  # the edge (i, j) is positive
+            neg = (self.m - self.a) * 0.5
+            if k == 0:
+                counts = pos * self._paths(0)
+            elif k == 3:
+                counts = neg * self._paths(2)
+            else:
+                counts = pos * self._paths(k) + neg * self._paths(k - 1)
+            self._types[k] = counts
+        return self._types[k]
 
     @cached_property
     def types(self):
-        """Per-type pair counts, types 1..4, on the support; forms M A."""
-        a, m, mm = self.a, self.m, self.mm
-        ma = m @ a
-        diff = m * (ma + ma.T)  # 2 (P^2 - N^2) on the support
-        a2 = a * self.aa  # A^2 on the support
-        pp = (mm + a2 + diff) * 0.25  # third nodes joined by two positive edges
-        nn = (mm + a2 - diff) * 0.25  # ... by two negative edges
-        mixed = (mm - a2) * 0.5  # ... by one of each
-        pos = (m + a) * 0.5
-        neg = (m - a) * 0.5
-        return (pos * pp, pos * mixed + neg * pp, pos * nn + neg * mixed, neg * nn)
+        """Per-type pair counts, types 1..4, on the support."""
+        return tuple(self.type_pairs(k) for k in range(4))
 
     @cached_property
     def triangles(self):
@@ -184,7 +205,7 @@ class _ProductPairs(PairProjection):
         total = _quad(self.mm, x)
         if target == "balanced":
             return total, (total + _quad(self.aa, x)) / 2.0
-        return total, _quad(self.types[_type_index(target)], x)
+        return total, _quad(self.type_pairs(_type_index(target)), x)
 
 
 class _ProductNodes(NodeProjection):
@@ -198,6 +219,12 @@ class _ProductNodes(NodeProjection):
     @cached_property
     def by_type(self):
         return tuple(_exact(q.sum(axis=1, dtype=np.int64), 2) for q in self._pairs.types)
+
+    def for_target(self, target):
+        if target == "balanced":
+            return self.balanced
+        q = self._pairs.type_pairs(_type_index(target))
+        return _exact(q.sum(axis=1, dtype=np.int64), 2)
 
 
 def full_census(adj, with_pairs=True):

@@ -6,8 +6,10 @@ key/value table for humans.  Exit codes: 0 success, 1 usage error, 2
 data/validation error (including an input too large for the census to
 count exactly), 3 degenerate inference.
 
-Default thread count comes from --threads, then the SIGNED_BALANCE_THREADS
-environment variable, then all cores.
+Every command runs on one thread.  `--threads` is still accepted and must
+be a positive integer, and `ci` still reads the SIGNED_BALANCE_THREADS
+environment variable (an integer) when `--threads` is absent, but neither
+selects anything: outputs are the same for any value.
 """
 
 import argparse
@@ -37,7 +39,13 @@ from .harness import (
     write_plot_data_csv,
     write_timing_csv,
 )
-from .inference import adjusted_null, balance_test, check_level, confidence_interval
+from .inference import (
+    adjusted_null,
+    balance_test,
+    check_level,
+    check_threads,
+    confidence_interval,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,7 +71,7 @@ def default_threads():
             return max(int(env), 1)
         except ValueError:
             raise ConfigError(f"SIGNED_BALANCE_THREADS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
+    return 1
 
 
 def _emit(obj, pretty):
@@ -122,7 +130,8 @@ def build_parser():
     p_ci.add_argument("--c-delta", type=float, default=0.0,
                       help="scale of the optional Gaussian perturbation (0 disables)")
     p_ci.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_ci.add_argument("--threads", type=int, default=None, help="worker threads")
+    p_ci.add_argument("--threads", type=int, default=None,
+                      help="accepted for compatibility; runs use one thread")
     p_ci.add_argument("--draws-out", default=None,
                       help="write bootstrap draws to this CSV (bootstrap method)")
     p_ci.add_argument("--pretty", action="store_true", help="table output instead of JSON")
@@ -155,7 +164,8 @@ def build_parser():
     p_mc.add_argument("--out", required=True, help="output directory")
     p_mc.add_argument("--plot-data", action="store_true",
                       help="also write long-format CSV for plotting")
-    p_mc.add_argument("--threads", type=int, default=None, help="worker threads")
+    p_mc.add_argument("--threads", type=int, default=None,
+                      help="accepted for compatibility; runs use one thread")
     p_mc.add_argument("--pretty", action="store_true", help="table output instead of JSON")
 
     sub.add_parser("version", help="print the package version")
@@ -199,6 +209,7 @@ def _cmd_census(args):
 def _cmd_ci(args):
     adj = read_edge_list(args.infile)
     threads = args.threads if args.threads is not None else default_threads()
+    check_threads(threads)
     if args.method == "bootstrap":
         check_level(args.level)
         dist = bootstrap_distribution(

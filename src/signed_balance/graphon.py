@@ -183,22 +183,29 @@ def sample_network(spec, n, seed, return_latent=False, dense_threshold=None):
     """Draw one network; deterministic in (spec, n, seed)."""
     if n < 1:
         raise ConfigError(f"need n >= 1 nodes, got n={n}")
-    rng = stream(seed)
-    x = rng.uniform(size=n)
-    iu, ju = np.triu_indices(n, k=1)
-    p_edge = spec.edge_probability(x[iu], x[ju])
-    edge = rng.random(size=iu.size) < p_edge
-    p_neg = spec.negative_probability(x[iu], x[ju])
-    neg = rng.random(size=iu.size) < p_neg
-    vals = np.where(edge, np.where(neg, -1, 1), 0).astype(np.int8)
-
     from .graph import DENSE_THRESHOLD
 
     threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
+    rng = stream(seed)
+    x = rng.uniform(size=n)
+    # pair latents for i < j in row-major order, the order of np.triu_indices
+    # and of a boolean upper-triangle mask
+    xi = np.repeat(x, np.arange(n - 1, -1, -1))
+    if n <= threshold:
+        node = np.arange(n)
+        upper = node[:, None] < node
+        xj = np.broadcast_to(x, (n, n))[upper]
+    else:
+        iu, ju = np.triu_indices(n, k=1)
+        xj = x[ju]
+    edge = rng.random(size=xi.size) < spec.edge_probability(xi, xj)
+    neg = rng.random(size=xi.size) < spec.negative_probability(xi, xj)
+    vals = edge.astype(np.int8) - 2 * (edge & neg).astype(np.int8)
+
     if n <= threshold:
         mat = np.zeros((n, n), dtype=np.int8)
-        mat[iu, ju] = vals
-        mat[ju, iu] = vals
+        mat[upper] = vals
+        mat += mat.T
     else:
         keep = vals != 0
         r, c, v = iu[keep], ju[keep], vals[keep]

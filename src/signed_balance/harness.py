@@ -13,8 +13,11 @@ Seed discipline (documented, fixed): with master seed s and cell index c,
     observed network      key index  c * 2^32 + 0xFFFFFFFE   (cdf study)
     bootstrap replicates  master     derived key of the cell replicate
 
-so every cell and every replicate can be re-run in isolation and results do
-not depend on scheduling or thread count.
+so every cell and every replicate can be re-run in isolation.  Replicates
+run in order on one thread: each is counted once, each target's pipeline
+is built once from that count, and every method reads its interval from
+the pipeline.  The `threads` config key is accepted and checked (>= 1) but
+selects nothing, so results are the same for any value.
 
 CSV outputs have fixed headers and exclude wall-clock columns, so a given
 (config, seed) produces byte-identical files; timings go to their own
@@ -25,21 +28,24 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .bootstrap import bootstrap_ci
+from .bootstrap import bootstrap_ci, bootstrap_distribution, ci_from_draws
 from .census import TARGETS, full_census
 from .errors import ConfigError, DegenerateError
-from .graphon import builtin_spec, population_moments, sample_network
+from .graphon import population_moments, sample_network, spec_from_json
 from .inference import (
+    _delta_draw,
+    _interval,
     _null_coefficients,
+    _pipeline,
+    check_level,
+    check_threads,
     confidence_interval,
     edgeworth_cdf,
-    edgeworth_coefficients,
     projections,
     sample_moments,
     variance_estimator,
@@ -89,6 +95,7 @@ class ExperimentConfig:
         for key, values in self.param_grid.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"param_grid[{key!r}] must be a nonempty list")
+        check_threads(self.threads)
 
     @classmethod
     def from_dict(cls, obj):
@@ -143,18 +150,10 @@ def expand_cells(config):
         for combo in combos:
             params = dict(config.graphon_params)
             params.update(dict(zip(keys, combo)))
-            if config.graphon_name == "sparse-const":
-                params.setdefault("n", n)
-            spec = builtin_spec(config.graphon_name, params)
-            if config.rho is not None or config.s is not None:
-                from .graphon import GraphonSpec
-
-                spec = GraphonSpec(
-                    F=spec.F, G=spec.G,
-                    rho=config.rho if config.rho is not None else spec.rho,
-                    s=config.s if config.s is not None else spec.s,
-                    name=spec.name, params=spec.params,
-                )
+            spec, _ = spec_from_json(
+                {"name": config.graphon_name, "params": params, "n": n,
+                 "rho": config.rho, "s": config.s}
+            )
             cells.append(Cell(index=idx, n=n, params=dict(zip(keys, combo)), spec=spec))
             idx += 1
     return cells
@@ -218,49 +217,45 @@ def _truth_for(config, cell):
     return values
 
 
+def _replicate(config, cell, r):
+    """(lower, upper, estimate) per (method, target) for replicate r, None where
+    the target is degenerate on it; the network is counted once."""
+    seed = _replicate_seed(config, cell, r)
+    adj = sample_network(cell.spec, cell.n, seed=seed)
+    bundle = full_census(adj, with_pairs=True)
+    delta_draw = _delta_draw(cell.n, config.c_delta, seed)
+    out = {}
+    for target in config.targets:
+        try:
+            pipe = _pipeline(adj, target, bundle)
+        except DegenerateError:
+            out.update({(method, target): None for method in config.methods})
+            continue
+        for method in config.methods:
+            if method == "bootstrap":
+                try:
+                    dist = bootstrap_distribution(
+                        adj, target=target, B=config.bootstrap_replicates, seed=seed,
+                        observed=pipe,
+                    )
+                except DegenerateError:
+                    out[(method, target)] = None
+                    continue
+                lo, hi = ci_from_draws(pipe.estimate, pipe.S_hat, dist.draws, config.level)
+            else:
+                lo, hi = _interval(pipe, config.level, method, delta_draw)
+            out[(method, target)] = (lo, hi, pipe.estimate)
+    return out
+
+
 def run_coverage(config):
     """Coverage/length table over all cells; deterministic given the seed."""
+    check_level(config.level)
     rows = []
     for cell in expand_cells(config):
         t0 = time.perf_counter()
         truth = _truth_for(config, cell)
-
-        def one(r):
-            adj = sample_network(
-                cell.spec, cell.n, seed=_replicate_seed(config, cell, r)
-            )
-            out = {}
-            for target in config.targets:
-                for method in config.methods:
-                    try:
-                        if method == "bootstrap":
-                            rep = bootstrap_ci(
-                                adj,
-                                level=config.level,
-                                target=target,
-                                B=config.bootstrap_replicates,
-                                seed=_replicate_seed(config, cell, r),
-                            )
-                        else:
-                            rep = confidence_interval(
-                                adj,
-                                level=config.level,
-                                target=target,
-                                method=method,
-                                c_delta=config.c_delta,
-                                seed=_replicate_seed(config, cell, r),
-                            )
-                        out[(method, target)] = (rep.ci_lower, rep.ci_upper, rep.estimate)
-                    except DegenerateError:
-                        out[(method, target)] = None
-            return out
-
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(one, range(config.replications)))
-        else:
-            results = [one(r) for r in range(config.replications)]
-
+        results = [_replicate(config, cell, r) for r in range(config.replications)]
         elapsed = time.perf_counter() - t0
         for method in config.methods:
             for target in config.targets:
@@ -388,6 +383,7 @@ def run_cdf_study(config):
     observed = sample_network(
         cell.spec, cell.n, seed=_replicate_seed(config, cell, _OBSERVED_SLOT)
     )
+    observed_bundle = full_census(observed, with_pairs=True)
     distances = {}
     curves = {}
     truth_cdf_by_target = {}
@@ -396,25 +392,20 @@ def run_cdf_study(config):
         used = t_sorted.size
         truth_cdf = np.searchsorted(t_sorted, CDF_GRID, side="right") / used
         truth_cdf_by_target[target] = truth_cdf
-        bundle = full_census(observed, with_pairs=True)
-        proj = projections(bundle.census, bundle.node, bundle.pair, target)
-        variance_estimator(proj)  # degenerate check
-        coef = edgeworth_coefficients(proj)
-        ew = edgeworth_cdf(CDF_GRID, coef)
+        pipe = _pipeline(observed, target, observed_bundle)
+        ew = edgeworth_cdf(CDF_GRID, pipe.coef)
         nm = edgeworth_cdf(CDF_GRID, _null_coefficients(cell.n))
         curves[(target, "edgeworth")] = ew
         curves[(target, "normal")] = nm
         distances[f"{target}/edgeworth"] = sup_distance(ew, truth_cdf)
         distances[f"{target}/normal"] = sup_distance(nm, truth_cdf)
         if "bootstrap" in config.methods:
-            from .bootstrap import bootstrap_distribution
-
             dist = bootstrap_distribution(
                 observed,
                 target=target,
                 B=config.bootstrap_replicates,
                 seed=_replicate_seed(config, cell, _OBSERVED_SLOT),
-                threads=config.threads,
+                observed=pipe,
             )
             boot_sorted = np.sort(dist.draws)
             boot_cdf = np.searchsorted(boot_sorted, CDF_GRID, side="right") / boot_sorted.size
@@ -460,7 +451,6 @@ def run_timing(config):
                         target=config.targets[0],
                         B=config.bootstrap_replicates,
                         seed=config.seed,
-                        threads=config.threads,
                     )
                 else:
                     confidence_interval(

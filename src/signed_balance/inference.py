@@ -352,10 +352,16 @@ class Pipeline:
     S_hat: float
     coef: EdgeworthCoefficients
 
+    @property
+    def estimate(self):
+        return self.moments.estimate(self.proj.target)
 
-def _pipeline(adj, target):
+
+def _pipeline(adj, target, bundle=None):
+    """The pipeline of `adj`; `bundle`, if given, is its census with pairs."""
     _check_target(target)
-    bundle = full_census(adj, with_pairs=True)
+    if bundle is None:
+        bundle = full_census(adj, with_pairs=True)
     moments = sample_moments(bundle.census)
     proj = projections(bundle.census, bundle.node, bundle.pair, target)
     s_hat = variance_estimator(proj)
@@ -366,6 +372,12 @@ def _pipeline(adj, target):
 def check_level(level):
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0,1), got {level}")
+
+
+def check_threads(threads):
+    """Thread counts are accepted for compatibility; every study runs on one."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
 
 
 def _null_coefficients(n):
@@ -394,6 +406,22 @@ def _p_value(t, coef, method, alternative):
     return float(min(max(p, 0.0), 1.0))
 
 
+def _delta_draw(n, c_delta, seed):
+    """The optional perturbation delta ~ N(0, c_delta log(n)/n); 0 unless c_delta > 0."""
+    if c_delta > 0.0:
+        return float(stream(seed).normal(0.0, math.sqrt(c_delta * math.log(n) / n)))
+    return 0.0
+
+
+def _interval(pipe, level, method, delta_draw=0.0):
+    """(lower, upper) from Cornish-Fisher ("edgeworth") or normal quantiles."""
+    alpha = 1.0 - level
+    coef = pipe.coef if method == "edgeworth" else _null_coefficients(pipe.coef.n)
+    q_hi = cornish_fisher_quantile(1.0 - alpha / 2.0, coef, delta_draw)
+    q_lo = cornish_fisher_quantile(alpha / 2.0, coef, delta_draw)
+    return pipe.estimate - q_hi * pipe.S_hat, pipe.estimate - q_lo * pipe.S_hat
+
+
 def _named_nulls(target, neg_fraction):
     nulls = {}
     if target == "balanced":
@@ -414,17 +442,9 @@ def confidence_interval(
         raise ConfigError(f"method must be edgeworth|normal, got {method!r}")
     pipe = _pipeline(adj, target)
     coef = pipe.coef
-    if c_delta > 0.0:
-        delta_var = c_delta * math.log(pipe.moments.n) / pipe.moments.n
-        delta_draw = float(stream(seed).normal(0.0, math.sqrt(delta_var)))
-    else:
-        delta_var = 0.0
-        delta_draw = 0.0
-    alpha = 1.0 - level
-    quantile_coef = coef if method == "edgeworth" else _null_coefficients(coef.n)
-    q_hi = cornish_fisher_quantile(1.0 - alpha / 2.0, quantile_coef, delta_draw)
-    q_lo = cornish_fisher_quantile(alpha / 2.0, quantile_coef, delta_draw)
-    estimate = pipe.moments.estimate(target)
+    delta_draw = _delta_draw(pipe.moments.n, c_delta, seed)
+    lo, hi = _interval(pipe, level, method, delta_draw)
+    estimate = pipe.estimate
     summary = adj.summarize()
     nulls = _named_nulls(target, summary.negative_fraction)
     p_values = {
@@ -445,8 +465,8 @@ def confidence_interval(
         c_delta=c_delta,
         delta_draw=delta_draw,
         level=level,
-        ci_lower=estimate - q_hi * pipe.S_hat,
-        ci_upper=estimate - q_lo * pipe.S_hat,
+        ci_lower=lo,
+        ci_upper=hi,
         method=method,
         p_values=p_values,
         baselines=base,

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import signed_balance.harness as harness
 from signed_balance.errors import ConfigError
+from signed_balance.graphon import spec_from_json
 from signed_balance.harness import (
     CDF_GRID,
     ExperimentConfig,
@@ -52,6 +54,8 @@ def test_config_validation():
         tiny_config(targets=("typeX",))
     with pytest.raises(ConfigError):
         tiny_config(methods=("bootstrap",))  # needs bootstrap_replicates
+    with pytest.raises(ConfigError):
+        tiny_config(threads=0)
     tiny_config(methods=("bootstrap",), bootstrap_replicates=100)
 
 
@@ -93,6 +97,19 @@ def test_expand_cells_single():
     assert len(cells) == 1
     assert cells[0].n == 12
     assert cells[0].spec.name == "const-cos"
+
+
+def test_rho_and_s_overrides_match_spec_from_json():
+    obj = {"graphon": {"name": "logistic-balance", "params": {"alpha": 20},
+                       "rho": 0.5, "s": 0.9},
+           "param_grid": {"alpha": [20, 400]}, "n_grid": [12]}
+    cells = expand_cells(ExperimentConfig.from_dict(obj))
+    for cell in cells:
+        want, _ = spec_from_json({"name": "logistic-balance", "params": cell.params,
+                                  "rho": 0.5, "s": 0.9})
+        assert (cell.spec.rho, cell.spec.s, cell.spec.params) == (want.rho, want.s, want.params)
+        assert cell.spec.name == want.name
+    assert [c.spec.params["alpha"] for c in cells] == [20.0, 400.0]
 
 
 def test_sparse_const_gets_n_injected():
@@ -177,6 +194,24 @@ def test_cdf_study_outputs():
     d = study.distances_dict()
     json.dumps(d)  # serializable as-is
     assert d["n"] == 16
+
+
+def test_cdf_study_counts_the_observed_network_once(monkeypatch):
+    calls = []
+    real = harness.full_census
+
+    def counting(adj, with_pairs=True):
+        calls.append(with_pairs)
+        return real(adj, with_pairs=with_pairs)
+
+    monkeypatch.setattr(harness, "full_census", counting)
+    cfg = tiny_config(n_grid=(30,), truth_replications=20,
+                      targets=("balanced", "type1", "type2", "type3"))
+    study = run_cdf_study(cfg)
+    # the truth replicates need no pairs; only the observed network does
+    assert calls.count(True) == 1
+    assert calls.count(False) == 20
+    assert {t for t, _ in study.curves} == set(cfg.targets)
 
 
 def test_sup_distance():

@@ -217,6 +217,8 @@ def test_lazy_quadratic_form_equals_materialised(target, path):
     proj = projections(bundle.census, bundle.node, bundle.pair, target=target)
     q = proj.q1
     total, counts = bundle.pair.quadratic(target, q)
+    # the projections and the form used only the target's own pair counts
+    assert "types" not in vars(bundle.pair)
     tt = _densify(bundle.pair.triangles).astype(np.float64)
     pt = _densify(bundle.pair.for_target(target)).astype(np.float64)
     assert total == pytest.approx(q @ tt @ q, rel=1e-13)
@@ -243,6 +245,21 @@ def test_cdf_is_clamped_to_unit_interval():
     assert vals.min() >= 0.0 and vals.max() <= 1.0
     assert edgeworth_cdf(-30.0, coef) == 0.0
     assert edgeworth_cdf(30.0, coef) == 1.0
+
+
+def test_c_term_alone():
+    # only c nonzero: G(x) = Phi(x) - 3c x^2 phi(x)/sqrt(n), q = z + 3c z^2/sqrt(n)
+    from signed_balance.inference import EdgeworthCoefficients
+
+    c, n = 0.1, 64
+    coef = EdgeworthCoefficients(a_hat=0.0, b_hat=0.0, c_hat=c, n=n)
+    for x in (-2.0, -0.5, 0.8, 1.7):
+        want = norm.cdf(x) - 3.0 * c * x * x * norm.pdf(x) / math.sqrt(n)
+        assert edgeworth_cdf(x, coef) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    for alpha in (0.025, 0.2, 0.9, 0.975):
+        z = norm.ppf(alpha)
+        want = z + 3.0 * c * z * z / math.sqrt(n)
+        assert cornish_fisher_quantile(alpha, coef) == pytest.approx(want, rel=1e-12)
 
 
 def test_quantile_normal_case():
