@@ -6,12 +6,15 @@ the same original node twice get 0 (no self-information), which keeps every
 resample a valid signed adjacency.
 
 Each replicate recomputes the studentized statistic
-T* = (ratio* - ratio_observed)/S* on its resampled network.  Replicates
+T* = (ratio* - ratio_observed)/S* on its resampled network, through the
+same `inference._pipeline` as the observed network, on a census without
+pairs (a replicate never reads the Edgeworth coefficients).  Replicates
 where the ratio or variance is degenerate (no triangles, zero variance) are
 dropped and counted; more than 50% degenerate is a hard error.  Replicate r
 uses the derived stream (seed, r), so runs are reproducible.  Replicates
 run in order on the calling thread; `threads` is accepted and checked but
-selects nothing.
+selects nothing.  The bootstrap report is built by `inference._report`, the
+builder of the Edgeworth and normal reports.
 """
 
 from dataclasses import dataclass, field
@@ -22,18 +25,7 @@ import scipy.sparse as sp
 from .census import full_census
 from .errors import ConfigError, DegenerateBootstrapError, DegenerateError
 from .graph import SignedAdjacency
-from .inference import (
-    InferenceReport,
-    Pipeline,
-    _named_nulls,
-    _pipeline,
-    baselines,
-    check_level,
-    check_threads,
-    projections,
-    sample_moments,
-    variance_estimator,
-)
+from .inference import Pipeline, _pipeline, _report, check_level, check_threads
 from .rng import stream
 
 
@@ -82,15 +74,6 @@ def resample_network(egraphon, seed=0, indices=None):
     return SignedAdjacency(mat, _validated=True)
 
 
-def _studentized(adj, target):
-    """(ratio, S_hat) without the pair projections (not needed here)."""
-    bundle = full_census(adj, with_pairs=False)
-    moments = sample_moments(bundle.census)
-    proj = projections(bundle.census, bundle.node, None, target)
-    s_hat = variance_estimator(proj)
-    return moments.estimate(target), s_hat
-
-
 def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1, observed=None):
     """B studentized draws; `observed` is the pipeline of `adj` for `target`
     when the caller already has it."""
@@ -105,10 +88,10 @@ def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1, ob
     def one(r):
         res = resample_network(eg, indices=stream(seed, r).integers(0, adj.n, size=adj.n))
         try:
-            ratio_star, s_star = _studentized(res, target)
+            star = _pipeline(res, target, full_census(res, with_pairs=False))
         except DegenerateError:
             return None
-        return (ratio_star - ratio_obs) / s_star
+        return (star.estimate - ratio_obs) / star.S_hat
 
     results = [one(r) for r in range(B)]
     draws = np.array([t for t in results if t is not None], dtype=np.float64)
@@ -153,32 +136,5 @@ def bootstrap_report(adj, dist, level=0.95):
     """
     check_level(level)
     pipe = dist.observed
-    target = dist.target
-    estimate = pipe.moments.estimate(target)
-    lo, hi = ci_from_draws(estimate, pipe.S_hat, dist.draws, level)
-    summary = adj.summarize()
-    nulls = _named_nulls(target, summary.negative_fraction)
-    p_values = {
-        name: _bootstrap_p(dist.draws, (estimate - c) / pipe.S_hat)
-        for name, c in nulls.items()
-    }
-    base = dict(baselines(summary.negative_fraction)) if summary.negative_fraction is not None else {}
-    return InferenceReport(
-        target=target,
-        n=pipe.moments.n,
-        U_hat=pipe.moments.numerator(target),
-        V_hat=pipe.moments.V_hat,
-        estimate=estimate,
-        S_hat=pipe.S_hat,
-        a_hat=pipe.coef.a_hat,
-        b_hat=pipe.coef.b_hat,
-        c_hat=pipe.coef.c_hat,
-        c_delta=0.0,
-        delta_draw=0.0,
-        level=level,
-        ci_lower=lo,
-        ci_upper=hi,
-        method="bootstrap",
-        p_values=p_values,
-        baselines=base,
-    )
+    interval = ci_from_draws(pipe.estimate, pipe.S_hat, dist.draws, level)
+    return _report(adj, pipe, level, "bootstrap", interval, lambda t: _bootstrap_p(dist.draws, t))

@@ -26,9 +26,12 @@ inference takes its quadratic form from the masked products
 Dense and sparse storage differ only in how the products are formed: float32
 BLAS products when dense (each partial sum is an integer of size at most
 n - 2, so float32 is exact while n - 2 < 2^24, and 4(n - 2) < 2^24 once the
-per-type sums are formed), int64 CSR products when sparse.  Every reduction
-runs in int64 or float64; the type counts and node arrays are checked to be
-exact multiples of their divisors (CensusExactnessError otherwise).
+per-type sums are formed), int64 CSR products when sparse.  A sparse square
+is masked one block of rows at a time, which keeps its peak memory near the
+masked result rather than the n d^2 entries of the whole product.  Every
+reduction runs in int64 or float64; the type counts and node arrays are
+checked to be exact multiples of their divisors (CensusExactnessError
+otherwise).
 
 A brute-force O(n^3) enumeration is provided as the oracle.
 """
@@ -47,8 +50,15 @@ BRUTE_FORCE_CAP = 64
 _SIGN_SUMS = np.array([[1, 1, 1, 1], [3, 1, -1, -3], [3, -1, -1, 3], [1, -1, 1, -1]])
 
 
+class _Targeted:
+    def for_target(self, target):
+        """The balanced count, or the count of one triangle type."""
+        k = _type_index(target)
+        return self.balanced if k is None else self.by_type[k]
+
+
 @dataclass(frozen=True)
-class TriangleCensus:
+class TriangleCensus(_Targeted):
     n: int
     total: int
     c1: int
@@ -76,16 +86,11 @@ class TriangleCensus:
         }
 
 
-class _Counts:
+class _Counts(_Targeted):
     def __init__(self, triangles, balanced, by_type):
         self.triangles = triangles
         self.balanced = balanced
         self.by_type = tuple(by_type)
-
-    def for_target(self, target):
-        if target == "balanced":
-            return self.balanced
-        return self.by_type[_type_index(target)]
 
 
 class NodeProjection(_Counts):
@@ -111,9 +116,10 @@ TARGETS = ("balanced", "type1", "type2", "type3", "type4")
 
 
 def _type_index(target):
-    if target not in ("type1", "type2", "type3", "type4"):
+    """None for "balanced", k for "type{k + 1}"; ConfigError for any other name."""
+    if target not in TARGETS:
         raise ConfigError(f"unknown target {target!r}, expected one of {TARGETS}")
-    return int(target[-1]) - 1
+    return None if target == "balanced" else TARGETS.index(target) - 1
 
 
 def _exact(x, d):
@@ -139,6 +145,18 @@ def _quad(s, x):
     return float(np.einsum("i,i->", x, sx))
 
 
+_BLOCK_ROWS = 4096
+
+
+def _masked_square(x):
+    """x o (x x); a sparse x is squared one block of rows at a time, so the
+    unmasked product, about n d^2 entries at mean degree d, is never whole."""
+    if not sp.issparse(x):
+        return x * (x @ x)
+    blocks = (x[r:r + _BLOCK_ROWS] for r in range(0, x.shape[0], _BLOCK_ROWS))
+    return sp.vstack([b * (b @ x) for b in blocks], format="csr")
+
+
 class _ProductPairs(PairProjection):
     """Pair projection kept as the masked products M o M^2 and A o A^2 of one
     network; each count matrix is formed when first read."""
@@ -151,8 +169,8 @@ class _ProductPairs(PairProjection):
         m = abs(a)
         self.a = a
         self.m = m
-        self.mm = m * (m @ m)
-        self.aa = a * (a @ a)
+        self.mm = _masked_square(m)
+        self.aa = _masked_square(a)
         self._types = {}
 
     @cached_property
@@ -202,10 +220,11 @@ class _ProductPairs(PairProjection):
         return tuple(q.astype(np.int64) for q in self.types)
 
     def quadratic(self, target, x):
+        k = _type_index(target)
         total = _quad(self.mm, x)
-        if target == "balanced":
+        if k is None:
             return total, (total + _quad(self.aa, x)) / 2.0
-        return total, _quad(self.type_pairs(_type_index(target)), x)
+        return total, _quad(self.type_pairs(k), x)
 
 
 class _ProductNodes(NodeProjection):
@@ -221,10 +240,10 @@ class _ProductNodes(NodeProjection):
         return tuple(_exact(q.sum(axis=1, dtype=np.int64), 2) for q in self._pairs.types)
 
     def for_target(self, target):
-        if target == "balanced":
+        k = _type_index(target)
+        if k is None:
             return self.balanced
-        q = self._pairs.type_pairs(_type_index(target))
-        return _exact(q.sum(axis=1, dtype=np.int64), 2)
+        return _exact(self._pairs.type_pairs(k).sum(axis=1, dtype=np.int64), 2)
 
 
 def full_census(adj, with_pairs=True):

@@ -60,14 +60,6 @@ class GraphSummary:
         }
 
 
-@dataclass(frozen=True)
-class SignMatrices:
-    """Indicator factorization A = P - N with P_ij = 1{A_ij=+1}, N_ij = 1{A_ij=-1}."""
-
-    pos: object
-    neg: object
-
-
 class SignedAdjacency:
     """Immutable symmetric signed adjacency matrix.
 
@@ -130,18 +122,6 @@ class SignedAdjacency:
             return np.array(self._mat)
         return np.asarray(self._mat.todense(), dtype=np.int8)
 
-    def sign_matrices(self):
-        a = self._mat
-        if self.is_dense:
-            return SignMatrices(pos=(a == 1), neg=(a == -1))
-        pos = a.copy()
-        pos.data = (pos.data == 1).astype(np.int8)
-        pos.eliminate_zeros()
-        neg = a.copy()
-        neg.data = (neg.data == -1).astype(np.int8)
-        neg.eliminate_zeros()
-        return SignMatrices(pos=pos, neg=neg)
-
     def edge_count(self):
         if self.is_dense:
             return int(np.count_nonzero(self._mat)) // 2
@@ -203,10 +183,10 @@ class SignedAdjacency:
         else:
             labels = self.labels
         rows, cols = _upper_nonzero(self._mat)
+        signs = np.asarray(self._mat[rows, cols]).ravel()  # one gather, not a lookup per edge
         recs = []
-        for i, j in zip(rows, cols):
+        for i, j, sign in zip(rows, cols, signs):
             lu, lv = sorted((labels[i], labels[j]))
-            sign = int(self._mat[i, j])
             recs.append((lu, lv, "+1" if sign > 0 else "-1"))
         recs.sort()
         lines.extend(f"{lu} {lv} {s}" for lu, lv, s in recs)

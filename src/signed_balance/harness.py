@@ -34,21 +34,17 @@ from itertools import product
 import numpy as np
 
 from .bootstrap import bootstrap_ci, bootstrap_distribution, ci_from_draws
-from .census import TARGETS, full_census
+from .census import _type_index, full_census
 from .errors import ConfigError, DegenerateError
 from .graphon import population_moments, sample_network, spec_from_json
 from .inference import (
     _delta_draw,
     _interval,
-    _null_coefficients,
     _pipeline,
     check_level,
     check_threads,
     confidence_interval,
     edgeworth_cdf,
-    projections,
-    sample_moments,
-    variance_estimator,
 )
 from .rng import stream_key
 
@@ -88,8 +84,7 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
         for t in self.targets:
-            if t not in TARGETS:
-                raise ConfigError(f"unknown target {t!r}")
+            _type_index(t)  # ConfigError for an unknown target
         if "bootstrap" in self.methods and not self.bootstrap_replicates:
             raise ConfigError("bootstrap method requires bootstrap_replicates")
         for key, values in self.param_grid.items():
@@ -119,17 +114,26 @@ class ExperimentConfig:
             s=graphon.get("s"),
             param_grid={k: list(v) for k, v in (obj.get("param_grid") or {}).items()},
             n_grid=tuple(obj.get("n_grid") or (160,)),
-            replications=int(obj.get("replications", 1000)),
-            level=float(obj.get("level", 0.95)),
+            replications=_number(obj, "replications", int, 1000),
+            level=_number(obj, "level", float, 0.95),
             methods=tuple(obj.get("methods") or ("edgeworth", "normal")),
             targets=tuple(obj.get("targets") or ("balanced",)),
-            truth_budget=int(obj.get("truth_budget", 10_000_000)),
-            truth_replications=int(obj.get("truth_replications", 10_000)),
+            truth_budget=_number(obj, "truth_budget", int, 10_000_000),
+            truth_replications=_number(obj, "truth_replications", int, 10_000),
             bootstrap_replicates=obj.get("bootstrap_replicates"),
-            seed=int(obj.get("seed", 0)),
-            c_delta=float(obj.get("c_delta", 0.0)),
-            threads=int(obj.get("threads", 1)),
+            seed=_number(obj, "seed", int, 0),
+            c_delta=_number(obj, "c_delta", float, 0.0),
+            threads=_number(obj, "threads", int, 1),
         )
+
+
+def _number(obj, key, kind, default):
+    """obj[key] (or the default) converted by `kind`; ConfigError naming the key."""
+    value = obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,7 @@ def _replicate(config, cell, r):
                     continue
                 lo, hi = ci_from_draws(pipe.estimate, pipe.S_hat, dist.draws, config.level)
             else:
-                lo, hi = _interval(pipe, config.level, method, delta_draw)
+                lo, hi = _interval(pipe, pipe.coefficients(method), config.level, delta_draw)
             out[(method, target)] = (lo, hi, pipe.estimate)
     return out
 
@@ -360,7 +364,9 @@ def run_cdf_study(config):
     Uses the first cell of the config.  Truth is the empirical CDF of the
     studentized statistic over truth_replications simulated networks; the
     empirical Edgeworth and bootstrap approximations come from one observed
-    network drawn from its own reserved stream.
+    network drawn from its own reserved stream.  A truth replicate that is
+    degenerate for any target is dropped for all of them, so every target's
+    truth CDF rests on the same `truth_used` draws.
     """
     cell = expand_cells(config)[0]
     truth_w = _truth_for(config, cell)
@@ -370,15 +376,12 @@ def run_cdf_study(config):
         adj = sample_network(cell.spec, cell.n, seed=_replicate_seed(config, cell, r))
         try:
             bundle = full_census(adj, with_pairs=False)
-            moments = sample_moments(bundle.census)
-            for target in config.targets:
-                proj = projections(bundle.census, bundle.node, None, target)
-                s_hat = variance_estimator(proj)
-                draws[target].append(
-                    (moments.estimate(target) - truth_w[target]) / s_hat
-                )
+            pipes = {t: _pipeline(adj, t, bundle) for t in config.targets}
         except DegenerateError:
-            dropped += 1
+            dropped += 1  # a replicate counts for every target or for none
+            continue
+        for target, pipe in pipes.items():
+            draws[target].append((pipe.estimate - truth_w[target]) / pipe.S_hat)
 
     observed = sample_network(
         cell.spec, cell.n, seed=_replicate_seed(config, cell, _OBSERVED_SLOT)
@@ -393,12 +396,10 @@ def run_cdf_study(config):
         truth_cdf = np.searchsorted(t_sorted, CDF_GRID, side="right") / used
         truth_cdf_by_target[target] = truth_cdf
         pipe = _pipeline(observed, target, observed_bundle)
-        ew = edgeworth_cdf(CDF_GRID, pipe.coef)
-        nm = edgeworth_cdf(CDF_GRID, _null_coefficients(cell.n))
-        curves[(target, "edgeworth")] = ew
-        curves[(target, "normal")] = nm
-        distances[f"{target}/edgeworth"] = sup_distance(ew, truth_cdf)
-        distances[f"{target}/normal"] = sup_distance(nm, truth_cdf)
+        for method in ("edgeworth", "normal"):
+            curve = edgeworth_cdf(CDF_GRID, pipe.coefficients(method))
+            curves[(target, method)] = curve
+            distances[f"{target}/{method}"] = sup_distance(curve, truth_cdf)
         if "bootstrap" in config.methods:
             dist = bootstrap_distribution(
                 observed,

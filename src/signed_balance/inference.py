@@ -29,6 +29,15 @@ The optional Gaussian perturbation delta ~ N(0, c_delta log(n)/n) exists to
 mirror the construction that needs it in theory; it is off by default
 (c_delta = 0) so results are deterministic.
 
+Every caller studentizes through one pipeline, `_pipeline`: census ->
+projections (U and V are derived there, once) -> S_hat.  Its Edgeworth
+coefficients are formed only when first read, so the bootstrap replicates
+and the cdf study's truth replicates run it on a census without pairs.
+`Pipeline.coefficients` is the one place a method name is checked and its
+terms chosen (its own for edgeworth, zero for normal); target names are
+checked by the census.  `_report` assembles the InferenceReport of both the Cornish-Fisher/normal
+intervals here and the bootstrap interval.
+
 The pairwise sum in b is evaluated without materializing q2, via
 q2(i,j) = W(i,j)/(n-2) - q1(i) - q1(j) with W = pair_bal/V - U pair_tot/V^2,
 which collapses the double sum to one quadratic form q1' W q1.  The pair
@@ -40,12 +49,13 @@ not depend on BLAS thread count.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import ndtr, ndtri
 
-from .census import TARGETS, full_census
+from .census import _type_index, full_census
 from .errors import ConfigError, DegenerateVarianceError, NoTriangleError
 from .rng import stream
 
@@ -58,11 +68,6 @@ def _comb2(m):
 
 def _comb3(m):
     return m * (m - 1) * (m - 2) // 6
-
-
-def _check_target(target):
-    if target not in TARGETS:
-        raise ConfigError(f"unknown target {target!r}, expected one of {TARGETS}")
 
 
 # ------------------------------------------------------------------- moments
@@ -79,14 +84,6 @@ class Moments:
     @property
     def ratio_by_type(self):
         return tuple(u / self.V_hat for u in self.U_hat_t)
-
-    def numerator(self, target):
-        if target == "balanced":
-            return self.U_hat
-        return self.U_hat_t[int(target[-1]) - 1]
-
-    def estimate(self, target):
-        return self.numerator(target) / self.V_hat
 
 
 def sample_moments(census, n=None):
@@ -145,16 +142,11 @@ def _to_dense(mat):
 
 
 def projections(census, node, pair, target="balanced"):
-    _check_target(target)
+    count = census.for_target(target)
+    v = sample_moments(census).V_hat  # NoTriangleError below 3 nodes or without triangles
     n = census.n
-    if n < 3:
-        raise ConfigError(f"projections need n >= 3 nodes, got n={n}")
-    if census.total == 0:
-        raise NoTriangleError("network has no triangles; projections undefined")
     c2 = _comb2(n - 1)
-    c3 = _comb3(n)
-    v = census.total / c3
-    u = (census.balanced if target == "balanced" else census.by_type[int(target[-1]) - 1]) / c3
+    u = count / _comb3(n)
     node_target = node.for_target(target).astype(np.float64)
     node_total = node.triangles.astype(np.float64)
     g1 = node_target / c2 - u
@@ -293,9 +285,8 @@ def baselines(s):
 
 
 def adjusted_null(target, s):
-    _check_target(target)
-    key = "adjusted_balanced" if target == "balanced" else f"adjusted_{target}"
-    return baselines(s)[key]
+    _type_index(target)  # ConfigError for an unknown target
+    return baselines(s)[f"adjusted_{target}"]
 
 
 # -------------------------------------------------------------------- report
@@ -345,28 +336,39 @@ class InferenceReport:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Everything the report assembly needs, computed once."""
+    """The studentized statistic of one network and target.
 
-    moments: Moments
+    The Edgeworth coefficients are formed when first read, so a census
+    without pairs serves every caller that reads only the estimate and S_hat.
+    """
+
     proj: Projections
     S_hat: float
-    coef: EdgeworthCoefficients
 
     @property
     def estimate(self):
-        return self.moments.estimate(self.proj.target)
+        return self.proj.U / self.proj.V
+
+    @cached_property
+    def coef(self):
+        return edgeworth_coefficients(self.proj)
+
+    def coefficients(self, method):
+        """The Edgeworth terms `method` reads: its own for edgeworth, zero for normal."""
+        if method == "edgeworth":
+            return self.coef
+        if method == "normal":
+            return EdgeworthCoefficients(0.0, 0.0, 0.0, self.proj.n, 0.0)
+        raise ConfigError(f"method must be edgeworth|normal, got {method!r}")
 
 
 def _pipeline(adj, target, bundle=None):
-    """The pipeline of `adj`; `bundle`, if given, is its census with pairs."""
-    _check_target(target)
+    """The pipeline of `adj`; `bundle`, if given, is its census (with pairs
+    when the coefficients will be read)."""
     if bundle is None:
         bundle = full_census(adj, with_pairs=True)
-    moments = sample_moments(bundle.census)
     proj = projections(bundle.census, bundle.node, bundle.pair, target)
-    s_hat = variance_estimator(proj)
-    coef = edgeworth_coefficients(proj)
-    return Pipeline(moments=moments, proj=proj, S_hat=s_hat, coef=coef)
+    return Pipeline(proj=proj, S_hat=variance_estimator(proj))
 
 
 def check_level(level):
@@ -380,18 +382,8 @@ def check_threads(threads):
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
 
-def _null_coefficients(n):
-    return EdgeworthCoefficients(0.0, 0.0, 0.0, n, 0.0)
-
-
-def _cdf_for_method(t, coef, method):
-    if method == "normal":
-        return edgeworth_cdf(t, _null_coefficients(coef.n))
-    return edgeworth_cdf(t, coef)
-
-
-def _p_value(t, coef, method, alternative):
-    lower = _cdf_for_method(t, coef, method)
+def _p_value(t, coef, alternative):
+    lower = edgeworth_cdf(t, coef)
     upper = 1.0 - lower
     if alternative == "greater":
         p = upper
@@ -413,10 +405,9 @@ def _delta_draw(n, c_delta, seed):
     return 0.0
 
 
-def _interval(pipe, level, method, delta_draw=0.0):
-    """(lower, upper) from Cornish-Fisher ("edgeworth") or normal quantiles."""
+def _interval(pipe, coef, level, delta_draw=0.0):
+    """(lower, upper) from the Cornish-Fisher quantiles of `coef`."""
     alpha = 1.0 - level
-    coef = pipe.coef if method == "edgeworth" else _null_coefficients(pipe.coef.n)
     q_hi = cornish_fisher_quantile(1.0 - alpha / 2.0, coef, delta_draw)
     q_lo = cornish_fisher_quantile(alpha / 2.0, coef, delta_draw)
     return pipe.estimate - q_hi * pipe.S_hat, pipe.estimate - q_lo * pipe.S_hat
@@ -433,43 +424,45 @@ def _named_nulls(target, neg_fraction):
     return nulls
 
 
+def _report(adj, pipe, level, method, interval, p_value, c_delta=0.0, delta_draw=0.0):
+    """The InferenceReport of `pipe`: `interval` is (lower, upper) and
+    `p_value(t)` the two-sided p-value of a studentized statistic t."""
+    target = pipe.proj.target
+    neg_fraction = adj.summarize().negative_fraction
+    nulls = _named_nulls(target, neg_fraction)
+    return InferenceReport(
+        target=target,
+        n=pipe.proj.n,
+        U_hat=pipe.proj.U,
+        V_hat=pipe.proj.V,
+        estimate=pipe.estimate,
+        S_hat=pipe.S_hat,
+        a_hat=pipe.coef.a_hat,
+        b_hat=pipe.coef.b_hat,
+        c_hat=pipe.coef.c_hat,
+        c_delta=c_delta,
+        delta_draw=delta_draw,
+        level=level,
+        ci_lower=interval[0],
+        ci_upper=interval[1],
+        method=method,
+        p_values={name: p_value((pipe.estimate - c) / pipe.S_hat) for name, c in nulls.items()},
+        baselines=baselines(neg_fraction) if neg_fraction is not None else {},
+    )
+
+
 def confidence_interval(
     adj, level=0.95, target="balanced", method="edgeworth", c_delta=0.0, seed=0
 ):
     """Cornish-Fisher (or plain normal) interval plus the full report."""
     check_level(level)
-    if method not in ("edgeworth", "normal"):
-        raise ConfigError(f"method must be edgeworth|normal, got {method!r}")
     pipe = _pipeline(adj, target)
-    coef = pipe.coef
-    delta_draw = _delta_draw(pipe.moments.n, c_delta, seed)
-    lo, hi = _interval(pipe, level, method, delta_draw)
-    estimate = pipe.estimate
-    summary = adj.summarize()
-    nulls = _named_nulls(target, summary.negative_fraction)
-    p_values = {
-        name: _p_value((estimate - c) / pipe.S_hat, coef, method, "two-sided")
-        for name, c in nulls.items()
-    }
-    base = dict(baselines(summary.negative_fraction)) if summary.negative_fraction is not None else {}
-    return InferenceReport(
-        target=target,
-        n=pipe.moments.n,
-        U_hat=pipe.moments.numerator(target),
-        V_hat=pipe.moments.V_hat,
-        estimate=estimate,
-        S_hat=pipe.S_hat,
-        a_hat=coef.a_hat,
-        b_hat=coef.b_hat,
-        c_hat=coef.c_hat,
-        c_delta=c_delta,
-        delta_draw=delta_draw,
-        level=level,
-        ci_lower=lo,
-        ci_upper=hi,
-        method=method,
-        p_values=p_values,
-        baselines=base,
+    coef = pipe.coefficients(method)
+    delta_draw = _delta_draw(pipe.proj.n, c_delta, seed)
+    interval = _interval(pipe, coef, level, delta_draw)
+    return _report(
+        adj, pipe, level, method, interval,
+        lambda t: _p_value(t, coef, "two-sided"), c_delta, delta_draw,
     )
 
 
@@ -513,17 +506,14 @@ def balance_test(
     spread, and the test is conservative: at n = 160 a nominal 0.05
     one-sided test rejects about 0.003 of the time.
     """
-    if method not in ("edgeworth", "normal"):
-        raise ConfigError(f"method must be edgeworth|normal, got {method!r}")
     null_value = float(null_value)
     pipe = _pipeline(adj, target)
-    estimate = pipe.moments.estimate(target)
-    t = (estimate - null_value) / pipe.S_hat
-    p = _p_value(t, pipe.coef, method, alternative)
+    t = (pipe.estimate - null_value) / pipe.S_hat
+    p = _p_value(t, pipe.coefficients(method), alternative)
     return BalanceTest(
         target=target,
-        n=pipe.moments.n,
-        estimate=estimate,
+        n=pipe.proj.n,
+        estimate=pipe.estimate,
         S_hat=pipe.S_hat,
         null_value=null_value,
         alternative=alternative,

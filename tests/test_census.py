@@ -1,5 +1,6 @@
 """Triangle census and projections against exhaustive enumeration."""
 
+import importlib
 from math import comb
 
 import numpy as np
@@ -24,6 +25,9 @@ from _reference import (
     ref_node_counts,
     ref_pair_counts,
 )
+
+# the package's `census` attribute is the function of that name
+census_module = importlib.import_module("signed_balance.census")
 
 
 def test_single_positive_triangle():
@@ -236,6 +240,19 @@ def test_two_faction_complete_graph_closed_form(path):
     np.testing.assert_array_equal(_densify(bundle.pair.balanced), want1 + want3)
     for t in (1, 3):
         assert not _densify(bundle.pair.by_type[t]).any()
+
+
+def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
+    mat = random_signed_matrix(np.random.default_rng(3), 40, p_edge=0.4)
+    adj = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=10)
+    a = sp.csr_array(adj.entries, dtype=np.int64)
+    m = abs(a)
+    monkeypatch.setattr(census_module, "_BLOCK_ROWS", 7)  # 6 blocks, the last short
+    pairs = census_module._ProductPairs(adj)
+    # the same CSR arrays as the whole products, so float sums over them agree
+    for got, want in ((pairs.mm, m * (m @ m)), (pairs.aa, a * (a @ a))):
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
 
 
 def test_dense_matches_sparse_past_float32_range():

@@ -200,6 +200,14 @@ def test_mc_unknown_study(tmp_path, capsys):
     assert "study" in err
 
 
+def test_mc_non_numeric_config_value(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graphon": {"name": "const-cos"}, "replications": "many"}))
+    code, _, err = run_cli(["mc", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "replications" in err
+
+
 # ----------------------------------------------------------------- exit codes
 
 
@@ -250,6 +258,10 @@ def test_exit_degenerate_on_no_triangles(tmp_path, capsys):
     path = tmp_path / "path.edges"
     path.write_text("a b +1\nb c +1\n")
     assert run_cli(["ci", "--in", str(path)], capsys)[0] == 3
+    two = tmp_path / "two.edges"  # fewer than 3 nodes
+    two.write_text("a b -1\n")
+    assert run_cli(["ci", "--in", str(two)], capsys)[0] == 3
+    assert run_cli(["test", "--in", str(two), "--null", "0.5"], capsys)[0] == 3
 
 
 def test_console_script_help_exits_zero():

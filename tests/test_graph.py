@@ -127,11 +127,17 @@ def test_roundtrip_preserves_isolated_nodes(tmp_path):
 
 
 def test_canonical_text_is_sorted_and_stable():
-    adj = parse_edge_list("b c -1\na b +1\na c -1\n")
-    text = adj.to_edge_list_text()
-    assert text == adj.to_edge_list_text()
-    lines = [l for l in text.splitlines() if not l.startswith("#")]
-    assert lines == sorted(lines)
+    texts = []
+    for threshold in (None, 0):  # dense, then sparse storage
+        adj = parse_edge_list("b c -1\na b +1\na c -1\n", dense_threshold=threshold)
+        assert adj.is_dense == (threshold is None)
+        text = adj.to_edge_list_text()
+        assert text == adj.to_edge_list_text()
+        lines = [l for l in text.splitlines() if not l.startswith("#")]
+        assert lines == sorted(lines)
+        assert lines == ["a b +1", "a c -1", "b c -1"]
+        texts.append(text)
+    assert texts[0] == texts[1]
 
 
 def test_summary_values():
@@ -158,16 +164,6 @@ def test_immutability():
     dense = adj.to_dense()
     dense[0, 1] = 0  # caller gets a copy
     assert adj.edge_count() == 3
-
-
-def test_sign_matrices_split():
-    adj = parse_edge_list(triangle_text())
-    sm = adj.sign_matrices()
-    pos = sm.pos.toarray() if sp.issparse(sm.pos) else np.asarray(sm.pos)
-    neg = sm.neg.toarray() if sp.issparse(sm.neg) else np.asarray(sm.neg)
-    assert pos.sum() == 2  # one positive edge, both directions
-    assert neg.sum() == 4
-    assert ((pos == 1) & (neg == 1)).sum() == 0
 
 
 def test_sparse_storage_above_threshold():

@@ -70,6 +70,14 @@ def test_from_dict_needs_graphon():
         ExperimentConfig.from_dict({"n_grid": [12]})
 
 
+@pytest.mark.parametrize("key, value", [("replications", "many"), ("level", "high"),
+                                        ("seed", [1]), ("replications", 1e999)])
+def test_from_dict_rejects_non_numeric_values(key, value):
+    obj = {"graphon": {"name": "const-cos"}, "n_grid": [12], key: value}
+    with pytest.raises(ConfigError, match=repr(key)):
+        ExperimentConfig.from_dict(obj)
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
@@ -212,6 +220,16 @@ def test_cdf_study_counts_the_observed_network_once(monkeypatch):
     assert calls.count(True) == 1
     assert calls.count(False) == 20
     assert {t for t, _ in study.curves} == set(cfg.targets)
+
+
+def test_cdf_truth_draws_count_for_every_target_or_none():
+    # at n = 16 some const-cos replicates have triangles but none of type 1
+    cfg = tiny_config(n_grid=(16,), targets=("balanced", "type1"), truth_replications=300)
+    study = run_cdf_study(cfg)
+    assert study.truth_used < 300
+    # the first target's truth CDF rests on exactly truth_used draws
+    steps = study.truth_cdf * study.truth_used
+    np.testing.assert_allclose(steps, np.round(steps), rtol=0, atol=1e-9)
 
 
 def test_sup_distance():

@@ -1,0 +1,93 @@
+"""Report bytes pinned against recorded digests.
+
+golden/reports_sha256.json holds the SHA-256 of `json.dumps` of each report
+below, taken on one const-cos n = 40 draw on both storage paths, plus the
+distances of a two-target cdf study.  A change that keeps every output byte
+passes unchanged; one that means to change an output re-records the file
+with `PYTHONPATH=src python tests/test_reports_golden.py > tests/golden/reports_sha256.json`.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from signed_balance.bootstrap import bootstrap_ci
+from signed_balance.graphon import builtin_spec, sample_network
+from signed_balance.harness import ExperimentConfig, run_cdf_study
+from signed_balance.inference import balance_test, confidence_interval
+
+GOLDEN = Path(__file__).parent / "golden" / "reports_sha256.json"
+STORAGE = {"dense": None, "sparse": 10}  # the draw's dense_threshold
+
+CASES = (
+    [("ci", method, target, c_delta)
+     for method in ("edgeworth", "normal")
+     for target in ("balanced", "type2", "type4")
+     for c_delta in (0.0, 0.7)]
+    + [("test", alternative, method)
+       for alternative in ("greater", "less", "two-sided")
+       for method in ("edgeworth", "normal")]
+    + [("bootstrap",)]
+)
+
+# both targets have nonzero variance on every truth replicate
+CDF_CONFIG = ExperimentConfig(
+    graphon_name="const-cos", n_grid=(40,), replications=1, truth_budget=2000,
+    truth_replications=200, methods=("edgeworth", "normal", "bootstrap"),
+    bootstrap_replicates=100, targets=("balanced", "type2"), seed=4,
+)
+
+
+def _network(storage):
+    return sample_network(builtin_spec("const-cos", {}), 40, seed=23,
+                          dense_threshold=STORAGE[storage])
+
+
+def _report(adj, case):
+    kind, *args = case
+    if kind == "ci":
+        method, target, c_delta = args
+        return confidence_interval(adj, level=0.9, target=target, method=method,
+                                   c_delta=c_delta, seed=5)
+    if kind == "test":
+        alternative, method = args
+        return balance_test(adj, 0.5, alternative=alternative, method=method)
+    return bootstrap_ci(adj, level=0.9, B=200, seed=3)
+
+
+def _key(storage, case):
+    return " ".join([storage, *map(str, case)])
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj).encode("utf-8")).hexdigest()
+
+
+def _golden():
+    return json.loads(GOLDEN.read_text())["digests"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(map(str, c)))
+@pytest.mark.parametrize("storage", STORAGE)
+def test_report_bytes_are_pinned(storage, case):
+    adj = _network(storage)
+    assert adj.is_dense == (storage == "dense")
+    assert _digest(_report(adj, case).to_dict()) == _golden()[_key(storage, case)]
+
+
+def test_cdf_study_distances_are_pinned():
+    study = run_cdf_study(CDF_CONFIG)
+    assert study.truth_used == CDF_CONFIG.truth_replications
+    assert _digest(study.distances_dict()) == _golden()["cdf study"]
+
+
+if __name__ == "__main__":
+    digests = {_key(s, c): _digest(_report(_network(s), c).to_dict())
+               for s in STORAGE for c in CASES}
+    digests["cdf study"] = _digest(run_cdf_study(CDF_CONFIG).distances_dict())
+    print(json.dumps({
+        "description": "SHA-256 of json.dumps of each report (see test_reports_golden.py)",
+        "digests": digests,
+    }, indent=2))
