@@ -23,12 +23,16 @@ count is read, and no n x n pair matrix is formed unless a caller reads one:
 inference takes its quadratic form from the masked products
 (`PairProjection.quadratic`).
 
-Dense and sparse storage differ only in how the products are formed: float32
-BLAS products when dense (each partial sum is an integer of size at most
-n - 2, so float32 is exact while n - 2 < 2^24, and 4(n - 2) < 2^24 once the
-per-type sums are formed), int64 CSR products when sparse.  A sparse square
-is masked one block of rows at a time, which keeps its peak memory near the
-masked result rather than the n d^2 entries of the whole product.  Every
+Dense and sparse storage differ only in how the products are formed.  Dense
+storage takes two float32 BLAS squares (each partial sum is an integer of
+size at most n - 2, so float32 is exact while n - 2 < 2^24, and 4(n - 2) <
+2^24 once the per-type sums are formed).  Sparse storage takes one int64 CSR
+product, B^2 for B = P + tN with t = 2^k above the largest degree: B^2 =
+P^2 + t(PN + NP) + t^2 N^2 and every digit is below t, so M o M^2 and A o A^2
+are read off the digits of A o B^2.  Its entries stay below t^3, so a node
+of degree 2^21 or more raises CensusExactnessError.  The product is masked
+one block of rows at a time, which keeps its peak memory near the masked
+result rather than the n d^2 entries of the whole product.  Every
 reduction runs in int64 or float64; the type counts and node arrays are
 checked to be exact multiples of their divisors (CensusExactnessError
 otherwise).
@@ -146,15 +150,38 @@ def _quad(s, x):
 
 
 _BLOCK_ROWS = 4096
+# Bits of one digit of the encoded sparse product: its entries stay below
+# t^3 = 2^(3 * bits), which int64 holds while bits <= 21.
+_DIGIT_BITS = 21
 
 
-def _masked_square(x):
-    """x o (x x); a sparse x is squared one block of rows at a time, so the
-    unmasked product, about n d^2 entries at mean degree d, is never whole."""
-    if not sp.issparse(x):
-        return x * (x @ x)
-    blocks = (x[r:r + _BLOCK_ROWS] for r in range(0, x.shape[0], _BLOCK_ROWS))
-    return sp.vstack([b * (b @ x) for b in blocks], format="csr")
+def _sparse_squares(a):
+    """M o M^2 and A o A^2 of a sparse int64 signed matrix A, from the one
+    product B^2 of B = P + tN.
+
+    With t = 2^k above the largest degree, B^2 = P^2 + tX + t^2 N^2 (X = PN + NP)
+    has every digit below t, and M^2 = P^2 + X + N^2, A^2 = P^2 - X + N^2.  The
+    product is masked by A one block of rows at a time, so the unmasked
+    product, about n d^2 entries at mean degree d, is never whole; the sign
+    of each masked entry is that of A."""
+    k = max(int(np.diff(a.indptr).max(initial=0)).bit_length(), 1)
+    if k > _DIGIT_BITS:
+        raise CensusExactnessError(
+            f"a node of degree >= 2^{k - 1} is past the int64 range of the encoded sparse product")
+    b = a.copy()
+    b.data = np.where(a.data > 0, 1, 1 << k)
+    digit = (1 << k) - 1
+    mm, aa = [], []
+    for r in range(0, a.shape[0], _BLOCK_ROWS):
+        e = a[r:r + _BLOCK_ROWS] * (b[r:r + _BLOCK_ROWS] @ b)
+        mag = np.abs(e.data)
+        pp, x, nn = mag & digit, (mag >> k) & digit, mag >> (2 * k)
+        mm.append(sp.csr_array((pp + x + nn, e.indices, e.indptr), shape=e.shape))
+        signed = sp.csr_array((np.sign(e.data) * (pp - x + nn), e.indices.copy(), e.indptr.copy()),
+                              shape=e.shape)
+        signed.eliminate_zeros()
+        aa.append(signed)
+    return sp.vstack(mm, format="csr"), sp.vstack(aa, format="csr")
 
 
 class _ProductPairs(PairProjection):
@@ -169,8 +196,7 @@ class _ProductPairs(PairProjection):
         m = abs(a)
         self.a = a
         self.m = m
-        self.mm = _masked_square(m)
-        self.aa = _masked_square(a)
+        self.mm, self.aa = (m * (m @ m), a * (a @ a)) if adj.is_dense else _sparse_squares(a)
         self._types = {}
 
     @cached_property

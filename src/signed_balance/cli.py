@@ -323,7 +323,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except GraphDataError as exc:

@@ -21,8 +21,20 @@ The optional ``# nodes: N`` directive declares the node count explicitly,
 with canonical zero-padded decimal ids ``0 .. N-1``.  The sampler's writer
 emits it so that isolated nodes survive a write/read round trip; files
 without the directive simply define the node set as the ids that appear.
+
+Parsing is one bulk pass over the UTF-8 bytes: token bounds from a
+whitespace mask, the labels indexed by one sort of a fixed-width table
+(UTF-8 byte order is code-point order, as `sorted` uses), and the sign
+tokens, self loops, duplicates and conflicts checked on whole arrays.  The
+line loop stays as the reference and as the error locator: an input that
+fails a check is parsed again line by line, which raises the first error
+with its line number, and text the bulk pass does not split the way
+`str.split` would (separators other than space, tab, CR and LF) is parsed
+by the loop alone.  A file that is not UTF-8 raises EdgeListParseError on
+the line of its first bad byte.  The writer orders pairs by label ranks.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,14 +194,17 @@ class SignedAdjacency:
             lines.append(f"{_NODES_DIRECTIVE} {self.n}")
         else:
             labels = self.labels
-        rows, cols = _upper_nonzero(self._mat)
-        signs = np.asarray(self._mat[rows, cols]).ravel()  # one gather, not a lookup per edge
-        recs = []
-        for i, j, sign in zip(rows, cols, signs):
-            lu, lv = sorted((labels[i], labels[j]))
-            recs.append((lu, lv, "+1" if sign > 0 else "-1"))
-        recs.sort()
-        lines.extend(f"{lu} {lv} {s}" for lu, lv, s in recs)
+        rows, cols, signs = _upper_nonzero(self._mat)
+        # the pairs in (label_u, label_v) order, by the ranks of the labels
+        by_rank = sorted(range(self.n), key=labels.__getitem__)
+        rank = np.empty(self.n, dtype=np.int64)
+        rank[by_rank] = np.arange(self.n)
+        lo = np.minimum(rank[rows], rank[cols])
+        hi = np.maximum(rank[rows], rank[cols])
+        order = np.lexsort((hi, lo))
+        names = np.array([labels[i] for i in by_rank], dtype=object)
+        tokens = np.where(signs[order] > 0, "+1", "-1").astype(object)
+        lines.extend(map(" ".join, zip(names[lo[order]], names[hi[order]], tokens)))
         return "\n".join(lines) + "\n"
 
 
@@ -199,13 +214,13 @@ def _canonical_labels(n):
 
 
 def _upper_nonzero(mat):
-    """Row/col indices of nonzero entries with row < col."""
+    """Rows, columns and values of the nonzero entries with row < col."""
     if sp.issparse(mat):
         coo = mat.tocoo()
         keep = coo.row < coo.col
-        return coo.row[keep], coo.col[keep]
+        return coo.row[keep], coo.col[keep], coo.data[keep]
     rows, cols = np.nonzero(np.triu(mat, 1))
-    return rows, cols
+    return rows, cols, mat[rows, cols]
 
 
 # ------------------------------------------------------------------ validate
@@ -243,11 +258,52 @@ def from_dense(array, labels=None, dense_threshold=None):
 
 # --------------------------------------------------------------------- parse
 
+# Byte kinds of the bulk pass: 0 a label byte, 1 a space or tab, 3 a line
+# break (CR or LF; bit 1 set, as every separator), 4 a byte it leaves to
+# the line loop: the other ASCII characters that str.split or str.splitlines
+# separate on, and NUL, which its NUL-padded label table cannot hold.
+_KIND = np.zeros(256, dtype=np.uint8)
+_KIND[[9, 32]] = 1
+_KIND[[10, 13]] = 3
+_KIND[[0, 11, 12, 28, 29, 30, 31]] = 4
+# The separators beyond ASCII, also left to the loop.
+_LOOP_ONLY = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+
 
 def parse_edge_list(text, dense_threshold=None):
     """Parse edge-list text (see module docstring) into a SignedAdjacency."""
     if hasattr(text, "read"):
         text = text.read()
+    edges = _bulk_edges(text)
+    if edges is None:
+        edges = _line_edges(text)
+    names, lo, hi, sign = edges
+    n = len(names)
+    threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
+    if n <= threshold:
+        mat = np.zeros((n, n), dtype=np.int8)
+        mat[lo, hi] = sign
+        mat[hi, lo] = sign
+    else:
+        mat = sp.csr_matrix(
+            (np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+            shape=(n, n),
+        )
+    return SignedAdjacency(
+        mat, labels=names, dense_threshold=threshold, _validated=True
+    )
+
+
+def _directive_tail(line):
+    """The text after ``# nodes:`` in a stripped comment line; None for any
+    other comment."""
+    if line.lower().startswith(_NODES_DIRECTIVE):
+        return line[len(_NODES_DIRECTIVE):].strip()
+    return None
+
+
+def _line_edges(text):
+    """The line loop: (names, lo, hi, sign), raising at the first bad line."""
     declared_n = None
     edges = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -255,9 +311,9 @@ def parse_edge_list(text, dense_threshold=None):
         if not line:
             continue
         if line.startswith("#"):
-            if line.lower().startswith(_NODES_DIRECTIVE):
-                tail = line[len(_NODES_DIRECTIVE):].strip()
-                if not tail.isdigit():
+            tail = _directive_tail(line)
+            if tail is not None:
+                if not tail.isdecimal():
                     raise EdgeListParseError(line_no, f"bad node-count directive {line!r}")
                 declared_n = int(tail)
             continue
@@ -288,33 +344,132 @@ def parse_edge_list(text, dense_threshold=None):
                     0, f"node id {u if u not in known else v!r} outside declared 0..{declared_n - 1}"
                 )
     index = {name: i for i, name in enumerate(names)}
-    n = len(names)
+    lo = np.array([index[u] for u, _ in edges], dtype=np.int64)
+    hi = np.array([index[v] for _, v in edges], dtype=np.int64)
+    return names, lo, hi, np.array(list(edges.values()), dtype=np.int8)
 
-    threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
-    if n <= threshold:
-        mat = np.zeros((n, n), dtype=np.int8)
-        for (u, v), sign in edges.items():
-            i, j = index[u], index[v]
-            mat[i, j] = sign
-            mat[j, i] = sign
-    else:
-        rows, cols, vals = [], [], []
-        for (u, v), sign in edges.items():
-            i, j = index[u], index[v]
-            rows += [i, j]
-            cols += [j, i]
-            vals += [sign, sign]
-        mat = sp.csr_matrix(
-            (np.array(vals, dtype=np.int8), (rows, cols)), shape=(n, n)
-        )
-    return SignedAdjacency(
-        mat, labels=names, dense_threshold=threshold, _validated=True
-    )
+
+def _bulk_edges(text):
+    """(names, lo, hi, sign) from array passes over the UTF-8 bytes of the
+    text, or None where the line loop must decide: the text holds a byte of
+    kind 4, a separator beyond ASCII or a lone surrogate; one label is so
+    much longer than the rest that the label table would pass four times the
+    text; or a check fails (the loop then raises at the first bad line)."""
+    if not text.isascii() and _LOOP_ONLY.search(text):
+        return None
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    kind = _KIND[buf]
+    if kind.max(initial=0) == 4:
+        return None
+    # tokens are the runs of non-space bytes, [starts, ends); padding both
+    # ends with a space makes the changes alternate start, end
+    space = np.ones(buf.size + 2, dtype=bool)
+    space[1:-1] = kind & 1
+    bounds = np.flatnonzero(space[1:] != space[:-1])
+    del space
+    starts, ends = bounds[0::2], bounds[1::2]
+    # a line's head is its first token: the first token after a break
+    first = np.zeros(starts.size, dtype=bool)
+    after = np.searchsorted(starts, np.flatnonzero(kind & 2))
+    first[after[after < starts.size]] = True
+    first[:1] = True
+    del kind, after
+    heads = np.flatnonzero(first)
+    count = np.diff(heads, append=starts.size)  # tokens on each line
+    comment = buf[starts[heads]] == ord("#")
+
+    declared_n = None
+    for h, c in zip(heads[comment], count[comment]):
+        tail = _directive_tail(data[starts[h]:ends[h + c - 1]].decode("utf-8"))
+        if tail is not None:
+            if not tail.isdecimal():
+                return None
+            declared_n = int(tail)
+    if comment.any():
+        keep = ~np.repeat(comment, count)
+        starts, ends, count = starts[keep], ends[keep], count[~comment]
+
+    # every data line holds exactly three tokens, the third a sign token
+    if (count != 3).any():
+        return None
+    at = starts[2::3]
+    width = ends[2::3] - at
+    c0, c1 = buf[at], buf[np.minimum(at + 1, buf.size - 1)]
+    if not (((width == 1) & (c0 == ord("1")))
+            | ((width == 2) & ((c0 == ord("+")) | (c0 == ord("-"))) & (c1 == ord("1")))).all():
+        return None
+    sign = c0 != ord("-")
+
+    # labels u0 v0 u1 v1 ..., indexed by one sort of their big-endian words
+    at = np.delete(starts, np.s_[2::3])
+    width = np.delete(ends, np.s_[2::3]) - at
+    cols = max(-(-int(width.max(initial=0)) // 8) * 8, 8)
+    if at.size * cols > 4 * buf.size + (1 << 20):
+        return None
+    table = np.zeros((at.size, cols), dtype=np.uint8)
+    for k in range(int(width.max(initial=0))):
+        table[:, k] = np.where(width > k, buf[np.minimum(at + k, buf.size - 1)], 0)
+    del at, width, starts, ends
+    uniq, inv = _unique_rows(table)
+    names = [x.decode("utf-8") for x in table[uniq].view(f"S{cols}").ravel()]
+    del table
+
+    if declared_n is not None:
+        canonical = _canonical_labels(declared_n)
+        index = {name: i for i, name in enumerate(canonical)}
+        where = np.array([index.get(name, -1) for name in names], dtype=np.int64)
+        if (where < 0).any():
+            return None
+        inv, names = where[inv], list(canonical)
+    u, v = inv[0::2], inv[1::2]
+    if (u == v).any():
+        return None
+
+    # one sort of the pair keys, the sign in the lowest bit, drops duplicate
+    # rows; a pair left twice was seen with both signs
+    n = len(names)
+    code = np.sort((np.minimum(u, v) * n + np.maximum(u, v)) * 2 + sign)
+    fresh = np.ones(code.size, dtype=bool)
+    fresh[1:] = code[1:] != code[:-1]
+    code = code[fresh]
+    key = code >> 1
+    if (key[1:] == key[:-1]).any():
+        return None
+    return names, key // n, key % n, np.where(code & 1, 1, -1).astype(np.int8)
+
+
+def _unique_rows(table):
+    """(first row of each distinct row in sorted order, inverse index) of a
+    uint8 table whose width is a multiple of 8; rows compare as byte strings."""
+    words = table.view(">u8").astype(np.uint64)
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T[::-1])
+    words = words[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    inv = np.empty(len(order), dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    return order[new], inv
 
 
 def read_edge_list(path, dense_threshold=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh, dense_threshold=dense_threshold)
+    with open(path, "rb") as fh:
+        return parse_edge_list(_decode(fh.read()), dense_threshold=dense_threshold)
+
+
+def _decode(data):
+    """UTF-8 text of a file's bytes; EdgeListParseError on the line of the
+    first byte that is not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise EdgeListParseError(
+            line_no, f"byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+        ) from None
 
 
 def write_edge_list(adj, path):

@@ -113,14 +113,14 @@ class ExperimentConfig:
             rho=graphon.get("rho"),
             s=graphon.get("s"),
             param_grid={k: list(v) for k, v in (obj.get("param_grid") or {}).items()},
-            n_grid=tuple(obj.get("n_grid") or (160,)),
+            n_grid=_numbers(obj, "n_grid", int, (160,)),
             replications=_number(obj, "replications", int, 1000),
             level=_number(obj, "level", float, 0.95),
             methods=tuple(obj.get("methods") or ("edgeworth", "normal")),
             targets=tuple(obj.get("targets") or ("balanced",)),
             truth_budget=_number(obj, "truth_budget", int, 10_000_000),
             truth_replications=_number(obj, "truth_replications", int, 10_000),
-            bootstrap_replicates=obj.get("bootstrap_replicates"),
+            bootstrap_replicates=_number(obj, "bootstrap_replicates", int, None),
             seed=_number(obj, "seed", int, 0),
             c_delta=_number(obj, "c_delta", float, 0.0),
             threads=_number(obj, "threads", int, 1),
@@ -128,8 +128,24 @@ class ExperimentConfig:
 
 
 def _number(obj, key, kind, default):
-    """obj[key] (or the default) converted by `kind`; ConfigError naming the key."""
+    """obj[key] (or the default) converted by `kind`; ConfigError naming the
+    key.  A missing or null key whose default is None stays None."""
     value = obj.get(key, default)
+    if value is None and default is None:
+        return None
+    return _convert(kind, value, key)
+
+
+def _numbers(obj, key, kind, default):
+    """obj[key] (or the default when missing or empty) as a tuple of values
+    converted by `kind`; ConfigError naming the key."""
+    values = obj.get(key) or default
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"config key {key!r} must be a list of numbers, got {values!r}")
+    return tuple(_convert(kind, value, key) for value in values)
+
+
+def _convert(kind, value, key):
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

@@ -255,6 +255,17 @@ def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
             np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
 
 
+def test_encoded_product_refuses_degrees_past_its_digit_width(monkeypatch):
+    # degree 4 needs 3-bit digits, so a 2-bit limit refuses the network
+    mat = _complete(-1)[:5, :5]
+    adj = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2)
+    monkeypatch.setattr(census_module, "_DIGIT_BITS", 3)
+    assert full_census(adj).census.c4 == comb(5, 3)
+    monkeypatch.setattr(census_module, "_DIGIT_BITS", 2)
+    with pytest.raises(CensusExactnessError, match="degree"):
+        full_census(adj)
+
+
 def test_dense_matches_sparse_past_float32_range():
     # irregular row sums whose totals pass 2^25, where float32 spacing is 4:
     # a float32 reduction would round the traces and fail the exactness

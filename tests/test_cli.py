@@ -202,10 +202,14 @@ def test_mc_unknown_study(tmp_path, capsys):
 
 def test_mc_non_numeric_config_value(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"graphon": {"name": "const-cos"}, "replications": "many"}))
-    code, _, err = run_cli(["mc", "--config", str(cfg), "--out", str(tmp_path)], capsys)
-    assert code == 1
-    assert err.startswith("error:") and "replications" in err
+    for key, value in [("replications", "many"), ("n_grid", ["a"]), ("n_grid", 5),
+                       ("bootstrap_replicates", "x")]:
+        obj = {"graphon": {"name": "const-cos"}, "methods": ["bootstrap"],
+               "bootstrap_replicates": 50, key: value}
+        cfg.write_text(json.dumps(obj))
+        code, _, err = run_cli(["mc", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith("error:") and key in err
 
 
 # ----------------------------------------------------------------- exit codes
@@ -227,6 +231,22 @@ def test_exit_data_on_missing_file(capsys):
     code, _, err = run_cli(["census", "--in", "/nonexistent/x.edges"], capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["census", "ci"])
+def test_exit_data_on_directory_input(tmp_path, command, capsys):
+    code, out, err = run_cli([command, "--in", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("command", ["census", "ci"])
+def test_exit_data_on_non_utf8_input(tmp_path, command, capsys):
+    bad = tmp_path / "latin1.edges"
+    bad.write_bytes(b"a b +1\nb c -1\nc\xe9 a +1\n")
+    code, out, err = run_cli([command, "--in", str(bad)], capsys)
+    assert code == 2
+    assert err.startswith("error: line 3:") and "UTF-8" in err and out == ""
 
 
 def test_exit_data_on_conflicting_edge(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Edge-list parsing, validation, and the adjacency container."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +22,8 @@ from signed_balance.graph import (
     read_edge_list,
     write_edge_list,
 )
+
+graph_module = importlib.import_module("signed_balance.graph")
 
 
 def triangle_text():
@@ -181,3 +185,106 @@ def test_eq_rejects_other_types():
     adj = parse_edge_list(triangle_text())
     assert adj != "not a graph"
     assert adj == parse_edge_list(triangle_text())
+
+
+# ----------------------------------------------------- bulk pass and line loop
+
+
+def _random_irregular_text(rng, n=600, edges=3000):
+    """An n-node edge list with labels of mixed length, both pair orders,
+    duplicate rows, every sign token, comments and blank lines."""
+    labels = [f"v{int(x)}" if x % 3 else f"node_{int(x):05d}" for x in rng.permutation(n)]
+    lines = ["# irregular", ""]
+    for u, v in rng.integers(0, n, size=(edges, 2)):
+        if u == v:
+            continue
+        sign = ("+1", "1") if (u * v) % 5 else ("-1",)
+        lines.append(f"{labels[u]}\t{labels[v]}  {sign[(u + v) % len(sign)]}")
+        if rng.random() < 0.05:
+            lines.append(f"  {labels[v]} {labels[u]} {sign[0]}  ")
+        if rng.random() < 0.01:
+            lines.append("   # a comment with leading spaces")
+    return "\n".join(lines) + "\n"
+
+
+# (case id, text, which pass decides it)
+PARSE_TABLE = [
+    ("crlf", "a b +1\r\nb c -1\r\na c 1\r\n", "bulk"),
+    ("bare-cr", "a b +1\rb c -1\r", "bulk"),
+    ("tabs", "a\tb\t+1\n\tb c\t-1\n", "bulk"),
+    ("indented-comments", "  # first\n\t# second\na b 1\n   #third\nb c -1\n", "bulk"),
+    ("directive-mid-file", "0 1 +1\n# nodes: 4\n2 3 -1\n", "bulk"),
+    ("directive-twice", "# nodes: 3\n0 1 +1\n# NODES: 5\n3 4 -1\n", "bulk"),
+    ("directive-replaced", "# nodes: 12\n03 11 +1\n# nodes: 3\n", "loop"),
+    ("directive-bad", "a b 1\n# nodes: x\n", "loop"),
+    ("directive-superscript", "# nodes: ²\n", "loop"),
+    ("sign-tokens-as-ids", "1 +1 -1\n-1 1 1\n+1 -1 +1\n", "bulk"),
+    ("non-ascii-order", "é z 1\nz ä -1\nab é 1\n中 zzzz -1\n\U0001f600 ab 1\n", "bulk"),
+    ("two-then-four-tokens", "a b\na b c d\n", "loop"),
+    ("four-then-two-tokens", "a b c d\na b\n", "loop"),
+    ("duplicate-before-conflict", "a b 1\nb a +1\nc d 1\nb a -1\n", "loop"),
+    ("self-loop", "a b 1\nc c -1\n", "loop"),
+    ("bad-sign", "a b 1\na c 2\n", "loop"),
+    ("empty", "", "bulk"),
+    ("comments-only", "# one\n\n  # two\n", "bulk"),
+    ("directive-only", "# nodes: 3\n", "bulk"),
+] + [
+    (f"separator-{ord(ch):04x}", f"a b 1\nb{ch}c -1\nc d{ch}1{ch}", "loop")
+    for ch in "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+] + [
+    ("nul-in-label", "a\x00 b 1\n", "loop"),
+    ("lone-surrogate", "a\udc80 b 1\n", "loop"),
+    ("one-long-label", "a b 1\n" * 200 + "x" * 10_000 + " b 1\n", "loop"),
+]
+
+
+def _outcome(text, dense_threshold=None):
+    try:
+        adj = parse_edge_list(text, dense_threshold=dense_threshold)
+    except Exception as exc:  # the outcome under test includes the class
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return adj
+
+
+@pytest.mark.parametrize("text, route", [c[1:] for c in PARSE_TABLE],
+                         ids=[c[0] for c in PARSE_TABLE])
+@pytest.mark.parametrize("dense_threshold", [None, 0])
+def test_bulk_pass_matches_line_loop(text, route, dense_threshold, monkeypatch):
+    assert (graph_module._bulk_edges(text) is not None) == (route == "bulk")
+    got = _outcome(text, dense_threshold)
+    monkeypatch.setattr(graph_module, "_bulk_edges", lambda text: None)
+    want = _outcome(text, dense_threshold)
+    assert got == want
+    if isinstance(want, SignedAdjacency):
+        assert got.labels == want.labels and got.is_dense == want.is_dense
+
+
+def test_bulk_pass_matches_line_loop_on_random_irregular_file(monkeypatch):
+    text = _random_irregular_text(np.random.default_rng(11))
+    assert graph_module._bulk_edges(text) is not None
+    got = parse_edge_list(text, dense_threshold=100)
+    monkeypatch.setattr(graph_module, "_bulk_edges", lambda text: None)
+    want = parse_edge_list(text, dense_threshold=100)
+    assert want.n == 600 and not want.is_dense
+    assert got == want and got.labels == want.labels
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got.entries, part), getattr(want.entries, part))
+
+
+def test_bulk_pass_leaves_every_other_separator_to_the_loop():
+    # each character str.split or str.splitlines separates on, other than
+    # the space, tab, CR and LF the bulk pass splits on
+    other = {chr(c) for c in range(0x110000)
+             if chr(c).isspace() or len(f"a{chr(c)}b".splitlines()) > 1} - set(" \t\r\n")
+    assert len(other) == 25
+    for ch in other:
+        assert graph_module._bulk_edges(f"a b 1\nb{ch}c 1\n") is None
+
+
+def test_non_utf8_file_names_the_line(tmp_path):
+    path = tmp_path / "latin1.edges"
+    path.write_bytes("a b 1\r\nb c -1\né a 1\n".encode("utf-8") + b"caf\xe9 a 1\n")
+    with pytest.raises(EdgeListParseError) as err:
+        read_edge_list(path)
+    assert err.value.line_no == 4
+    assert "0xe9" in str(err.value)
