@@ -1,39 +1,38 @@
 """Node-resampling bootstrap for the studentized moment ratio.
 
 Resampling rule: draw n node indices i.i.d. uniform with replacement; the
-resampled network has entry (a,b) = A[i_a, i_b], except that pairs hitting
-the same original node twice get 0 (no self-information), which keeps every
-resample a valid signed adjacency.
+resampled network has entry (a,b) = A[i_a, i_b].  A pair that hits the same
+original node twice gets A's zero diagonal (no self-information), so every
+resample is a valid signed adjacency.  `resample_network` builds that
+network; it is the reference the replicates are checked against.
+
+A replicate does not build it.  The resampled network is fixed by which
+nodes were drawn (the set S) and how often each was drawn (w), so each
+replicate is counted on the observed network's submatrix A[S, S] with every
+product weighted by w (`census._resampled_bundle`): |S| is about 0.63 n, and
+every count is the same exact integer the resampled network gives.
 
 Each replicate recomputes the studentized statistic
-T* = (ratio* - ratio_observed)/S* on its resampled network, through the
-same `inference._pipeline` as the observed network, on a census without
-pairs (a replicate never reads the Edgeworth coefficients).  Replicates
-where the ratio or variance is degenerate (no triangles, zero variance) are
-dropped and counted; more than 50% degenerate is a hard error.  Replicate r
-uses the derived stream (seed, r), so runs are reproducible.  Replicates
-run in order on the calling thread; `threads` is accepted and checked but
-selects nothing.  The bootstrap report is built by `inference._report`, the
-builder of the Edgeworth and normal reports.
+T* = (ratio* - ratio_observed)/S* through the same `inference._pipeline` as
+the observed network, on a census without pairs (a replicate never reads
+the Edgeworth coefficients).  Replicates where the ratio or variance is
+degenerate (no triangles, zero variance) are dropped and counted; more than
+50% degenerate is a hard error.  Replicate r uses the derived stream
+(seed, r), so runs are reproducible.  Replicates run in order on the
+calling thread; `threads` is accepted and checked but selects nothing.  The
+bootstrap report is built by `inference._report`, the builder of the
+Edgeworth and normal reports.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .census import full_census
+from .census import _resampled_bundle, _storage
 from .errors import ConfigError, DegenerateBootstrapError, DegenerateError
 from .graph import SignedAdjacency
 from .inference import Pipeline, _pipeline, _report, check_level, check_threads
 from .rng import stream
-
-
-@dataclass(frozen=True)
-class EmpiricalGraphon:
-    """The observed network viewed as the resampling distribution."""
-
-    source: SignedAdjacency
 
 
 @dataclass(frozen=True)
@@ -52,26 +51,17 @@ class BootstrapDistribution:
                 fh.write(f"{float(v)!r}\n")
 
 
-def resample_network(egraphon, seed=0, indices=None):
+def resample_network(adj, seed=0, indices=None):
     """One resampled network; `indices` overrides the draw (testing hook)."""
-    src = egraphon.source
-    n = src.n
+    n = adj.n
     if n < 3:
         raise ConfigError(f"resampling needs n >= 3, got n={n}")
     if indices is None:
         indices = stream(seed).integers(0, n, size=n)
     idx = np.asarray(indices, dtype=np.int64)
-    if src.is_dense:
-        sub = src.entries[np.ix_(idx, idx)].copy()
-        same = idx[:, None] == idx[None, :]
-        sub[same] = 0
-        return SignedAdjacency(sub, _validated=True)
-    sub = src.entries[idx][:, idx].tocoo()
-    keep = idx[sub.row] != idx[sub.col]
-    mat = sp.csr_matrix(
-        (sub.data[keep], (sub.row[keep], sub.col[keep])), shape=(n, n), dtype=np.int8
-    )
-    return SignedAdjacency(mat, _validated=True)
+    if adj.is_dense:
+        return SignedAdjacency(adj.entries.take(idx, axis=0).take(idx, axis=1), _validated=True)
+    return SignedAdjacency(adj.entries[idx][:, idx], _validated=True)
 
 
 def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1, observed=None):
@@ -83,12 +73,12 @@ def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1, ob
     if observed is None:
         observed = _pipeline(adj, target)
     ratio_obs = observed.estimate
-    eg = EmpiricalGraphon(adj)
+    storage = _storage(adj)
 
     def one(r):
-        res = resample_network(eg, indices=stream(seed, r).integers(0, adj.n, size=adj.n))
+        idx = stream(seed, r).integers(0, adj.n, size=adj.n)
         try:
-            star = _pipeline(res, target, full_census(res, with_pairs=False))
+            star = _pipeline(None, target, _resampled_bundle(storage, idx))
         except DegenerateError:
             return None
         return (star.estimate - ratio_obs) / star.S_hat

@@ -37,6 +37,22 @@ reduction runs in int64 or float64; the type counts and node arrays are
 checked to be exact multiples of their divisors (CensusExactnessError
 otherwise).
 
+A bootstrap replicate is counted with multiplicities instead
+(`_resampled_bundle`).  A node draw idx fixes the resampled network
+R_ab = A[idx_a, idx_b]; let S be the distinct drawn nodes, w_k the number
+of times node k of S was drawn, W = diag(w) and inv the place in S of each
+drawn node.  Then (R^2)_ab = (A_S W A_S)[inv_a, inv_b], and M^2 and M A
+read the same way.  So the masked products are A_S o (A_S W A_S) and
+M_S o (M_S W M_S) on the |S| x |S| submatrix (|S| is about 0.63 n), each
+product x @ (w[:, None] * y).  A row sum of R is the w-weighted row sum on S,
+gathered by inv (int64 when sparse; float64 when dense, whose integer sums,
+at most 4n * n, are far below 2^53), and the four traces are w-weighted
+totals.  The float32 bound is unchanged: (M_S W M_S)_ij <= sum w = n, so
+the products are exact while n < 2^24, and 4n < 2^24 for the per-type
+sums.  The sparse digit width comes from the largest weighted degree,
+max_i sum_{k in N(i)} w_k, and a weighted degree of 2^21 or more raises
+the same CensusExactnessError.
+
 A brute-force O(n^3) enumeration is provided as the oracle.
 """
 
@@ -155,25 +171,28 @@ _BLOCK_ROWS = 4096
 _DIGIT_BITS = 21
 
 
-def _sparse_squares(a):
-    """M o M^2 and A o A^2 of a sparse int64 signed matrix A, from the one
-    product B^2 of B = P + tN.
+def _sparse_squares(a, w=None):
+    """M o (M W M) and A o (A W A) of a sparse int64 signed matrix A, from the
+    one product B W B of B = P + tN; W = diag(w), the identity when w is None.
 
-    With t = 2^k above the largest degree, B^2 = P^2 + tX + t^2 N^2 (X = PN + NP)
-    has every digit below t, and M^2 = P^2 + X + N^2, A^2 = P^2 - X + N^2.  The
-    product is masked by A one block of rows at a time, so the unmasked
-    product, about n d^2 entries at mean degree d, is never whole; the sign
-    of each masked entry is that of A."""
-    k = max(int(np.diff(a.indptr).max(initial=0)).bit_length(), 1)
+    With t = 2^k above the largest weighted degree max_i sum_{k in N(i)} w_k,
+    B W B = P W P + tX + t^2 N W N (X = P W N + N W P) has every digit below
+    t, and M W M = P W P + X + N W N, A W A = P W P - X + N W N.  The product
+    is masked by A one block of rows at a time, so the unmasked product,
+    about n d^2 entries at mean degree d, is never whole; the sign of each
+    masked entry is that of A."""
+    degree = np.diff(a.indptr) if w is None else abs(a) @ w
+    k = max(int(degree.max(initial=0)).bit_length(), 1)
     if k > _DIGIT_BITS:
         raise CensusExactnessError(
             f"a node of degree >= 2^{k - 1} is past the int64 range of the encoded sparse product")
     b = a.copy()
     b.data = np.where(a.data > 0, 1, 1 << k)
+    bw = b if w is None else _scale_rows(w, b)
     digit = (1 << k) - 1
     mm, aa = [], []
     for r in range(0, a.shape[0], _BLOCK_ROWS):
-        e = a[r:r + _BLOCK_ROWS] * (b[r:r + _BLOCK_ROWS] @ b)
+        e = a[r:r + _BLOCK_ROWS] * (b[r:r + _BLOCK_ROWS] @ bw)
         mag = np.abs(e.data)
         pp, x, nn = mag & digit, (mag >> k) & digit, mag >> (2 * k)
         mm.append(sp.csr_array((pp + x + nn, e.indices, e.indptr), shape=e.shape))
@@ -184,25 +203,60 @@ def _sparse_squares(a):
     return sp.vstack(mm, format="csr"), sp.vstack(aa, format="csr")
 
 
+def _scale_rows(w, y):
+    """W y: row i of y times w_i, on either storage."""
+    if not sp.issparse(y):
+        return w[:, None] * y
+    return sp.csr_array((y.data * np.repeat(w, np.diff(y.indptr)), y.indices, y.indptr),
+                        shape=y.shape)
+
+
+def _storage(adj):
+    """The matrix the products run on: float32 when dense, int64 CSR when sparse."""
+    if adj.is_dense:
+        return adj.entries.astype(np.float32)
+    return sp.csr_array(adj.entries, dtype=np.int64)
+
+
 class _ProductPairs(PairProjection):
     """Pair projection kept as the masked products M o M^2 and A o A^2 of one
-    network; each count matrix is formed when first read."""
+    network; each count matrix is formed when first read.  Given a `_Draw`,
+    `a` is the submatrix on the drawn nodes and every product and row sum
+    is weighted by the multiplicities."""
 
-    def __init__(self, adj):
-        if adj.is_dense:
-            a = adj.entries.astype(np.float32)
-        else:
-            a = sp.csr_array(adj.entries, dtype=np.int64)
+    def __init__(self, a, draw=None):
         m = abs(a)
         self.a = a
         self.m = m
-        self.mm, self.aa = (m * (m @ m), a * (a @ a)) if adj.is_dense else _sparse_squares(a)
+        self.draw = draw
+        # the multiplicities in the storage dtype; float32 holds each count (<= n) exactly
+        self._w = None if draw is None else draw.counts.astype(a.dtype)
+        if sp.issparse(a):
+            self.mm, self.aa = _sparse_squares(a, self._w)
+        else:
+            self.mm, self.aa = m * self._product(m, m), a * self._product(a, a)
         self._types = {}
+
+    def _product(self, x, y):
+        """x W y: the multiplicities weight the middle node."""
+        return x @ y if self._w is None else x @ _scale_rows(self._w, y)
+
+    def rows(self, x):
+        """Row sums of x over the network's nodes, in int64."""
+        if self.draw is None:
+            return x.sum(axis=1, dtype=np.int64)
+        return self.draw.rows(x)
+
+    def total(self, x):
+        """The sum of x over the network's pairs, in int64."""
+        if self.draw is None:
+            return x.sum(dtype=np.int64)
+        return self.draw.rows(x).sum()
 
     @cached_property
     def _diff(self):
         """2 (P^2 - N^2) on the support; forms the third product M A."""
-        ma = self.m @ self.a
+        ma = self._product(self.m, self.a)
         return self.m * (ma + ma.T)
 
     def _paths(self, k):
@@ -263,42 +317,72 @@ class _ProductNodes(NodeProjection):
 
     @cached_property
     def by_type(self):
-        return tuple(_exact(q.sum(axis=1, dtype=np.int64), 2) for q in self._pairs.types)
+        return tuple(_exact(self._pairs.rows(q), 2) for q in self._pairs.types)
 
     def for_target(self, target):
         k = _type_index(target)
         if k is None:
             return self.balanced
-        return _exact(self._pairs.type_pairs(k).sum(axis=1, dtype=np.int64), 2)
+        return _exact(self._pairs.rows(self._pairs.type_pairs(k)), 2)
 
 
 def full_census(adj, with_pairs=True):
     """Census and node projections from two products; pairs are read lazily."""
-    p = _ProductPairs(adj)
-    row_m = p.mm.sum(axis=1, dtype=np.int64)
-    row_a = p.aa.sum(axis=1, dtype=np.int64)
-    traces = (
-        row_m.sum(),
-        (p.mm * p.a).sum(dtype=np.int64),
-        (p.aa * p.a).sum(dtype=np.int64),
-        row_a.sum(),
-    )
+    return _census(_storage(adj), adj.n, with_pairs)
+
+
+class _Draw:
+    """A draw `idx` of n node indices in [0, n), seen as the distinct nodes S
+    it hit (sorted), the count w of each, and the place in S of each drawn
+    node: np.unique(idx, return_inverse=True, return_counts=True)."""
+
+    def __init__(self, idx):
+        counts = np.bincount(idx, minlength=len(idx))
+        hit = counts > 0
+        self.nodes = np.flatnonzero(hit)
+        self.counts = counts[self.nodes]
+        self.where = (np.cumsum(hit) - 1)[idx]
+
+    def rows(self, x):
+        """Row sums over the resampled network of a matrix x on S: the
+        w-weighted row sums of x, one per drawn node.  Exact: int64 for
+        sparse x; float64 for dense x, whose entries (at most 4n, integers)
+        times sum w = n stay far below 2^53."""
+        if sp.issparse(x):
+            sums = x @ self.counts
+        else:
+            sums = x @ self.counts.astype(np.float64)
+        return sums.astype(np.int64)[self.where]
+
+
+def _resampled_bundle(storage, idx):
+    """Census bundle, without pairs, of the network that draws node idx[a]
+    of `storage` (see `_storage`) as its node a: counted on the distinct
+    drawn nodes, weighted by how often each was drawn."""
+    draw = _Draw(idx)
+    s = draw.nodes
+    if sp.issparse(storage):
+        sub = storage[s][:, s]
+    else:
+        sub = storage.take(s, axis=0).take(s, axis=1)
+    return _census(sub, len(idx), False, draw)
+
+
+def _census(a, n, with_pairs, draw=None):
+    """The bundle of the n-node network stored as `a`, or, given a draw,
+    of the network resampled from `a` (the submatrix on the drawn nodes)."""
+    p = _ProductPairs(a, draw)
+    row_m = p.rows(p.mm)
+    row_a = p.rows(p.aa)
+    traces = (row_m.sum(), p.total(p.mm * p.a), p.total(p.aa * p.a), row_a.sum())
     c1, c2, c3, c4 = _type_counts(traces)
-    census_ = TriangleCensus(n=adj.n, total=c1 + c2 + c3 + c4, c1=c1, c2=c2, c3=c3, c4=c4)
+    census_ = TriangleCensus(n=n, total=c1 + c2 + c3 + c4, c1=c1, c2=c2, c3=c3, c4=c4)
     node = _ProductNodes(p, _exact(row_m, 2), _exact(row_m + row_a, 4))
     return CensusBundle(census=census_, node=node, pair=p if with_pairs else None)
 
 
 def census(adj):
     return full_census(adj, with_pairs=False).census
-
-
-def node_projection(adj):
-    return full_census(adj, with_pairs=False).node
-
-
-def pair_projection(adj):
-    return full_census(adj, with_pairs=True).pair
 
 
 def brute_force_census(adj, cap=BRUTE_FORCE_CAP):

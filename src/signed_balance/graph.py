@@ -21,6 +21,8 @@ The optional ``# nodes: N`` directive declares the node count explicitly,
 with canonical zero-padded decimal ids ``0 .. N-1``.  The sampler's writer
 emits it so that isolated nodes survive a write/read round trip; files
 without the directive simply define the node set as the ids that appear.
+A count of more than 18 digits, past what an int64 node count holds, is an
+EdgeListParseError.
 
 Parsing is one bulk pass over the UTF-8 bytes: token bounds from a
 whitespace mask, the labels indexed by one sort of a fixed-width table
@@ -53,6 +55,8 @@ from .errors import (
 DENSE_THRESHOLD = 10_000
 
 _NODES_DIRECTIVE = "# nodes:"
+# Every count of this many decimal digits is below 2^63.
+_MAX_COUNT_DIGITS = 18
 _SIGN_TOKENS = {"+1": 1, "1": 1, "-1": -1}
 
 
@@ -315,6 +319,9 @@ def _line_edges(text):
             if tail is not None:
                 if not tail.isdecimal():
                     raise EdgeListParseError(line_no, f"bad node-count directive {line!r}")
+                if len(tail) > _MAX_COUNT_DIGITS:
+                    raise EdgeListParseError(
+                        line_no, f"node count of {len(tail)} digits is past the int64 range")
                 declared_n = int(tail)
             continue
         parts = line.split()
@@ -386,7 +393,7 @@ def _bulk_edges(text):
     for h, c in zip(heads[comment], count[comment]):
         tail = _directive_tail(data[starts[h]:ends[h + c - 1]].decode("utf-8"))
         if tail is not None:
-            if not tail.isdecimal():
+            if not tail.isdecimal() or len(tail) > _MAX_COUNT_DIGITS:
                 return None
             declared_n = int(tail)
     if comment.any():

@@ -364,7 +364,7 @@ class Pipeline:
 
 def _pipeline(adj, target, bundle=None):
     """The pipeline of `adj`; `bundle`, if given, is its census (with pairs
-    when the coefficients will be read)."""
+    when the coefficients will be read), and `adj` is then not read."""
     if bundle is None:
         bundle = full_census(adj, with_pairs=True)
     proj = projections(bundle.census, bundle.node, bundle.pair, target)

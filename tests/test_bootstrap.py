@@ -1,22 +1,29 @@
 """Node-resampling bootstrap comparator."""
 
+import importlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from signed_balance.bootstrap import (
     BootstrapDistribution,
-    EmpiricalGraphon,
     bootstrap_ci,
     bootstrap_distribution,
     ci_from_draws,
     resample_network,
 )
-from signed_balance.census import census
-from signed_balance.errors import ConfigError, DegenerateBootstrapError
-from signed_balance.graph import from_dense, validate
+from signed_balance.census import census, full_census
+from signed_balance.errors import CensusExactnessError, ConfigError, DegenerateBootstrapError
+from signed_balance.graph import SignedAdjacency, from_dense, validate
 from signed_balance.graphon import builtin_spec, sample_network
 
 from _reference import random_signed_matrix
+
+# the package's `census` attribute is the function of that name
+census_module = importlib.import_module("signed_balance.census")
+bootstrap_module = importlib.import_module("signed_balance.bootstrap")
+inference_module = importlib.import_module("signed_balance.inference")
 
 
 def observed(n=30, seed=1):
@@ -26,41 +33,38 @@ def observed(n=30, seed=1):
 
 def test_resample_keeps_node_count_and_validity():
     adj = observed()
-    eg = EmpiricalGraphon(adj)
-    boot = resample_network(eg, seed=0)
+    boot = resample_network(adj, seed=0)
     assert boot.n == adj.n
     validate(boot)
 
 
 def test_resample_deterministic():
-    eg = EmpiricalGraphon(observed())
-    a = resample_network(eg, seed=5)
-    b = resample_network(eg, seed=5)
-    c = resample_network(eg, seed=6)
+    adj = observed()
+    a = resample_network(adj, seed=5)
+    b = resample_network(adj, seed=5)
+    c = resample_network(adj, seed=6)
     assert a == b
     assert a != c
 
 
 def test_resample_explicit_indices():
-    """Identity indices reproduce the source up to the same-node zeroing."""
+    """Identity indices reproduce the source."""
     adj = observed()
-    eg = EmpiricalGraphon(adj)
-    boot = resample_network(eg, indices=np.arange(adj.n))
+    boot = resample_network(adj, indices=np.arange(adj.n))
     assert boot == adj
 
 
 def test_resample_duplicate_indices_zero_their_edges():
     # all indices equal: every pair maps to the same source node -> empty graph
     adj = observed()
-    eg = EmpiricalGraphon(adj)
-    boot = resample_network(eg, indices=np.zeros(adj.n, dtype=int))
+    boot = resample_network(adj, indices=np.zeros(adj.n, dtype=int))
     assert boot.edge_count() == 0
 
 
 def test_resample_rejects_tiny_source():
     mat = np.zeros((2, 2), dtype=np.int8)
     with pytest.raises(ConfigError):
-        resample_network(EmpiricalGraphon(from_dense(mat)))
+        resample_network(from_dense(mat))
 
 
 def test_distribution_shape_and_determinism():
@@ -146,3 +150,92 @@ def test_per_type_bootstrap_runs():
     adj = observed(n=35, seed=3)
     rep = bootstrap_ci(adj, target="type4", B=120, seed=1)
     assert rep.target == "type4"
+
+
+# ------------------------------------------- replicates from multiplicities
+
+
+def _draws(n, rng):
+    """Random node draws plus the edge cases: identity, all equal, one node
+    repeated."""
+    repeated = np.arange(n)
+    repeated[: n // 2] = 1
+    return [rng.integers(0, n, size=n) for _ in range(6)] + [
+        np.arange(n), np.full(n, n - 1), repeated]
+
+
+def _assert_replicate_matches(adj, idx):
+    got = census_module._resampled_bundle(census_module._storage(adj), idx)
+    want = full_census(resample_network(adj, indices=idx), with_pairs=False)
+    assert got.census.to_dict() == want.census.to_dict()
+    assert got.pair is None
+    for attr in ("triangles", "balanced"):
+        np.testing.assert_array_equal(getattr(got.node, attr), getattr(want.node, attr))
+    for k in range(1, 5):
+        np.testing.assert_array_equal(got.node.for_target(f"type{k}"),
+                                      want.node.for_target(f"type{k}"))
+    np.testing.assert_array_equal(np.array(got.node.by_type), np.array(want.node.by_type))
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_replicate_census_equals_the_resampled_network(storage):
+    rng = np.random.default_rng(8)
+    for n, p_edge in ((30, 0.5), (25, 0.9)):
+        mat = random_signed_matrix(rng, n, p_edge=p_edge)
+        adj = from_dense(mat) if storage == "dense" else SignedAdjacency(
+            sp.csr_matrix(mat), dense_threshold=10)
+        assert adj.is_dense == (storage == "dense")
+        for idx in _draws(n, rng):
+            _assert_replicate_matches(adj, idx)
+
+
+def test_replicate_census_in_small_row_blocks(monkeypatch):
+    rng = np.random.default_rng(9)
+    adj = SignedAdjacency(sp.csr_matrix(random_signed_matrix(rng, 40, p_edge=0.5)),
+                          dense_threshold=10)
+    monkeypatch.setattr(census_module, "_BLOCK_ROWS", 7)
+    for idx in _draws(40, rng):
+        _assert_replicate_matches(adj, idx)
+
+
+@pytest.mark.parametrize("threshold", [None, 2])
+def test_replicate_census_of_three_nodes(threshold):
+    mat = np.array([[0, 1, -1], [1, 0, -1], [-1, -1, 0]], dtype=np.int8)
+    adj = SignedAdjacency(mat, dense_threshold=threshold)
+    for idx in ([0, 1, 2], [2, 0, 1], [0, 0, 1], [1, 1, 1], [2, 1, 2]):
+        _assert_replicate_matches(adj, np.array(idx))
+
+
+def test_replicate_digit_width_reads_weighted_degrees(monkeypatch):
+    # K5 drawn as node 0 four times and node 1 once: node 1 has degree 1 on
+    # the drawn nodes but degree 4 in the resampled network, which needs
+    # 3-bit digits
+    mat = np.ones((5, 5), dtype=np.int8) - np.eye(5, dtype=np.int8)
+    storage = census_module._storage(SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2))
+    idx = np.array([0, 0, 0, 0, 1])
+    monkeypatch.setattr(census_module, "_DIGIT_BITS", 3)
+    census_module._resampled_bundle(storage, idx)
+    monkeypatch.setattr(census_module, "_DIGIT_BITS", 2)
+    with pytest.raises(CensusExactnessError, match="degree"):
+        census_module._resampled_bundle(storage, idx)
+
+
+def test_distribution_builds_no_resampled_network(monkeypatch):
+    calls = {"resample": 0, "census": []}
+    real = full_census
+
+    def resample(*args, **kwargs):
+        calls["resample"] += 1
+        return resample_network(*args, **kwargs)
+
+    def counting(adj, with_pairs=True):
+        calls["census"].append(with_pairs)
+        return real(adj, with_pairs=with_pairs)
+
+    monkeypatch.setattr(bootstrap_module, "resample_network", resample)
+    monkeypatch.setattr(census_module, "full_census", counting)
+    monkeypatch.setattr(inference_module, "full_census", counting)
+    dist = bootstrap_distribution(observed(), B=150, seed=2)
+    assert len(dist.draws) + dist.degenerate_count == 150
+    # only the observed network is counted through full_census
+    assert calls == {"resample": 0, "census": [True]}

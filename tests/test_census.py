@@ -248,7 +248,7 @@ def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
     a = sp.csr_array(adj.entries, dtype=np.int64)
     m = abs(a)
     monkeypatch.setattr(census_module, "_BLOCK_ROWS", 7)  # 6 blocks, the last short
-    pairs = census_module._ProductPairs(adj)
+    pairs = census_module._ProductPairs(census_module._storage(adj))
     # the same CSR arrays as the whole products, so float sums over them agree
     for got, want in ((pairs.mm, m * (m @ m)), (pairs.aa, a * (a @ a))):
         for part in ("indptr", "indices", "data"):

@@ -249,6 +249,15 @@ def test_exit_data_on_non_utf8_input(tmp_path, command, capsys):
     assert err.startswith("error: line 3:") and "UTF-8" in err and out == ""
 
 
+@pytest.mark.parametrize("command", ["census", "ci"])
+def test_exit_data_on_overlong_node_count(tmp_path, command, capsys):
+    bad = tmp_path / "huge.edges"
+    bad.write_text("a b +1\n# nodes: " + "7" * 5000 + "\n")
+    code, out, err = run_cli([command, "--in", str(bad)], capsys)
+    assert code == 2
+    assert err.startswith("error: line 2:") and "5000 digits" in err and out == ""
+
+
 def test_exit_data_on_conflicting_edge(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("a b +1\nb a -1\n")

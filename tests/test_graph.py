@@ -218,6 +218,8 @@ PARSE_TABLE = [
     ("directive-replaced", "# nodes: 12\n03 11 +1\n# nodes: 3\n", "loop"),
     ("directive-bad", "a b 1\n# nodes: x\n", "loop"),
     ("directive-superscript", "# nodes: ²\n", "loop"),
+    ("directive-too-long", "a b 1\n# nodes: " + "9" * 5000 + "\n", "loop"),
+    ("directive-19-digits", "# nodes: 1000000000000000000\n", "loop"),
     ("sign-tokens-as-ids", "1 +1 -1\n-1 1 1\n+1 -1 +1\n", "bulk"),
     ("non-ascii-order", "é z 1\nz ä -1\nab é 1\n中 zzzz -1\n\U0001f600 ab 1\n", "bulk"),
     ("two-then-four-tokens", "a b\na b c d\n", "loop"),

@@ -2,7 +2,8 @@
 
 golden/reports_sha256.json holds the SHA-256 of `json.dumps` of each report
 below, taken on one const-cos n = 40 draw on both storage paths, plus the
-distances of a two-target cdf study.  A change that keeps every output byte
+distances of a two-target cdf study and the bootstrap draws of every
+per-type target.  A change that keeps every output byte
 passes unchanged; one that means to change an output re-records the file
 with `PYTHONPATH=src python tests/test_reports_golden.py > tests/golden/reports_sha256.json`.
 """
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from signed_balance.bootstrap import bootstrap_ci
+from signed_balance.bootstrap import bootstrap_ci, bootstrap_distribution
 from signed_balance.graphon import builtin_spec, sample_network
 from signed_balance.harness import ExperimentConfig, run_cdf_study
 from signed_balance.inference import balance_test, confidence_interval
@@ -40,6 +41,12 @@ CDF_CONFIG = ExperimentConfig(
 )
 
 
+# bootstrap draws: each per-type target on the draw above, and a small sparse
+# network whose replicates partly drop (no triangle or zero variance)
+DRAW_CASES = [(storage, target) for storage in STORAGE
+              for target in ("type1", "type2", "type3", "type4")] + [("small-sparse", "balanced")]
+
+
 def _network(storage):
     return sample_network(builtin_spec("const-cos", {}), 40, seed=23,
                           dense_threshold=STORAGE[storage])
@@ -55,6 +62,15 @@ def _report(adj, case):
         alternative, method = args
         return balance_test(adj, 0.5, alternative=alternative, method=method)
     return bootstrap_ci(adj, level=0.9, B=200, seed=3)
+
+
+def _draws(storage, target):
+    if storage == "small-sparse":
+        adj = sample_network(builtin_spec("const-cos", {}), 12, seed=1, dense_threshold=5)
+    else:
+        adj = _network(storage)
+    dist = bootstrap_distribution(adj, target=target, B=200, seed=3)
+    return adj, {"degenerate_count": dist.degenerate_count, "draws": dist.draws.tolist()}
 
 
 def _key(storage, case):
@@ -77,6 +93,15 @@ def test_report_bytes_are_pinned(storage, case):
     assert _digest(_report(adj, case).to_dict()) == _golden()[_key(storage, case)]
 
 
+@pytest.mark.parametrize("storage, target", DRAW_CASES, ids=[" ".join(c) for c in DRAW_CASES])
+def test_bootstrap_draws_are_pinned(storage, target):
+    adj, draws = _draws(storage, target)
+    assert adj.is_dense == (storage == "dense")
+    if storage == "small-sparse":
+        assert 0 < draws["degenerate_count"] < 100
+    assert _digest(draws) == _golden()[_key("draws " + storage, (target,))]
+
+
 def test_cdf_study_distances_are_pinned():
     study = run_cdf_study(CDF_CONFIG)
     assert study.truth_used == CDF_CONFIG.truth_replications
@@ -87,6 +112,7 @@ if __name__ == "__main__":
     digests = {_key(s, c): _digest(_report(_network(s), c).to_dict())
                for s in STORAGE for c in CASES}
     digests["cdf study"] = _digest(run_cdf_study(CDF_CONFIG).distances_dict())
+    digests.update({_key("draws " + s, (t,)): _digest(_draws(s, t)[1]) for s, t in DRAW_CASES})
     print(json.dumps({
         "description": "SHA-256 of json.dumps of each report (see test_reports_golden.py)",
         "digests": digests,
