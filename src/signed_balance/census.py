@@ -53,19 +53,18 @@ sums.  The sparse digit width comes from the largest weighted degree,
 max_i sum_{k in N(i)} w_k, and a weighted degree of 2^21 or more raises
 the same CensusExactnessError.
 
-A brute-force O(n^3) enumeration is provided as the oracle.
+Each projection is one lazy class built only by the census.  The O(n^3)
+enumeration the counts are checked against lives with the tests
+(`tests/_reference.py`).
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import CensusExactnessError, ConfigError
-
-BRUTE_FORCE_CAP = 64
 
 _SIGN_SUMS = np.array([[1, 1, 1, 1], [3, 1, -1, -3], [3, -1, -1, 3], [1, -1, 1, -1]])
 
@@ -104,32 +103,6 @@ class TriangleCensus(_Targeted):
             "c4": self.c4,
             "balanced": self.balanced,
         }
-
-
-class _Counts(_Targeted):
-    def __init__(self, triangles, balanced, by_type):
-        self.triangles = triangles
-        self.balanced = balanced
-        self.by_type = tuple(by_type)
-
-
-class NodeProjection(_Counts):
-    """Per-node triangle counts: t_i, b_i, and the four per-type arrays."""
-
-
-class PairProjection(_Counts):
-    """Per-pair counts over third nodes; entry (i,j) is 0 unless A_ij != 0."""
-
-    def quadratic(self, target, x):
-        """(x' T x, x' B x) for the pair totals T and the target's pair counts B."""
-        return _quad(self.triangles, x), _quad(self.for_target(target), x)
-
-
-@dataclass(frozen=True)
-class CensusBundle:
-    census: TriangleCensus
-    node: NodeProjection
-    pair: PairProjection | None
 
 
 TARGETS = ("balanced", "type1", "type2", "type3", "type4")
@@ -218,11 +191,13 @@ def _storage(adj):
     return sp.csr_array(adj.entries, dtype=np.int64)
 
 
-class _ProductPairs(PairProjection):
-    """Pair projection kept as the masked products M o M^2 and A o A^2 of one
-    network; each count matrix is formed when first read.  Given a `_Draw`,
-    `a` is the submatrix on the drawn nodes and every product and row sum
-    is weighted by the multiplicities."""
+class PairProjection(_Targeted):
+    """Per-pair counts over third nodes; entry (i,j) is 0 unless A_ij != 0.
+
+    Kept as the masked products M o M^2 and A o A^2 of one network; each
+    count matrix is formed when first read.  Given a `_Draw`, `a` is the
+    submatrix on the drawn nodes and every product and row sum is weighted
+    by the multiplicities."""
 
     def __init__(self, a, draw=None):
         m = abs(a)
@@ -300,6 +275,7 @@ class _ProductPairs(PairProjection):
         return tuple(q.astype(np.int64) for q in self.types)
 
     def quadratic(self, target, x):
+        """(x' T x, x' B x) for the pair totals T and the target's pair counts B."""
         k = _type_index(target)
         total = _quad(self.mm, x)
         if k is None:
@@ -307,8 +283,9 @@ class _ProductPairs(PairProjection):
         return total, _quad(self.type_pairs(k), x)
 
 
-class _ProductNodes(NodeProjection):
-    """NodeProjection whose per-type arrays are formed on first read."""
+class NodeProjection:
+    """Per-node triangle counts: t_i, b_i, and the four per-type arrays,
+    which are formed on first read."""
 
     def __init__(self, pairs, triangles, balanced):
         self._pairs = pairs
@@ -324,6 +301,13 @@ class _ProductNodes(NodeProjection):
         if k is None:
             return self.balanced
         return _exact(self._pairs.rows(self._pairs.type_pairs(k)), 2)
+
+
+@dataclass(frozen=True)
+class CensusBundle:
+    census: TriangleCensus
+    node: NodeProjection
+    pair: PairProjection | None
 
 
 def full_census(adj, with_pairs=True):
@@ -371,60 +355,15 @@ def _resampled_bundle(storage, idx):
 def _census(a, n, with_pairs, draw=None):
     """The bundle of the n-node network stored as `a`, or, given a draw,
     of the network resampled from `a` (the submatrix on the drawn nodes)."""
-    p = _ProductPairs(a, draw)
+    p = PairProjection(a, draw)
     row_m = p.rows(p.mm)
     row_a = p.rows(p.aa)
     traces = (row_m.sum(), p.total(p.mm * p.a), p.total(p.aa * p.a), row_a.sum())
     c1, c2, c3, c4 = _type_counts(traces)
     census_ = TriangleCensus(n=n, total=c1 + c2 + c3 + c4, c1=c1, c2=c2, c3=c3, c4=c4)
-    node = _ProductNodes(p, _exact(row_m, 2), _exact(row_m + row_a, 4))
+    node = NodeProjection(p, _exact(row_m, 2), _exact(row_m + row_a, 4))
     return CensusBundle(census=census_, node=node, pair=p if with_pairs else None)
 
 
 def census(adj):
     return full_census(adj, with_pairs=False).census
-
-
-def brute_force_census(adj, cap=BRUTE_FORCE_CAP):
-    """Exhaustive O(n^3) oracle over all node triples."""
-    n = adj.n
-    if n > cap:
-        raise ConfigError(f"brute force capped at n={cap}, got n={n}")
-    a = adj.to_dense()
-    counts = [0, 0, 0, 0]
-    total = 0
-    node_t = np.zeros(n, dtype=np.int64)
-    node_by = np.zeros((4, n), dtype=np.int64)
-    pair_t = np.zeros((n, n), dtype=np.int64)
-    pair_by = np.zeros((4, n, n), dtype=np.int64)
-    for i, j, k in combinations(range(n), 3):
-        e1, e2, e3 = int(a[i, j]), int(a[j, k]), int(a[i, k])
-        if e1 == 0 or e2 == 0 or e3 == 0:
-            continue
-        negs = int(e1 < 0) + int(e2 < 0) + int(e3 < 0)
-        # cross-check: balanced iff the sign product is +1
-        assert (negs % 2 == 0) == (e1 * e2 * e3 > 0)
-        total += 1
-        counts[negs] += 1
-        for v in (i, j, k):
-            node_t[v] += 1
-            node_by[negs, v] += 1
-        for u, v in ((i, j), (j, k), (i, k)):
-            pair_t[u, v] += 1
-            pair_t[v, u] += 1
-            pair_by[negs, u, v] += 1
-            pair_by[negs, v, u] += 1
-    census_ = TriangleCensus(
-        n=n, total=total, c1=counts[0], c2=counts[1], c3=counts[2], c4=counts[3]
-    )
-    node = NodeProjection(
-        triangles=node_t,
-        balanced=node_by[0] + node_by[2],
-        by_type=tuple(node_by),
-    )
-    pair = PairProjection(
-        triangles=pair_t,
-        balanced=pair_by[0] + pair_by[2],
-        by_type=tuple(pair_by),
-    )
-    return CensusBundle(census=census_, node=node, pair=pair)

@@ -7,9 +7,8 @@ data/validation error (including an input too large for the census to
 count exactly), 3 degenerate inference.
 
 Every command runs on one thread.  `--threads` is still accepted and must
-be a positive integer, and `ci` still reads the SIGNED_BALANCE_THREADS
-environment variable (an integer) when `--threads` is absent, but neither
-selects anything: outputs are the same for any value.
+be a positive integer, but it selects nothing: outputs are the same for
+any value.
 """
 
 import argparse
@@ -62,16 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def default_threads():
-    env = os.environ.get("SIGNED_BALANCE_THREADS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            raise ConfigError(f"SIGNED_BALANCE_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def _emit(obj, pretty):
@@ -208,7 +197,7 @@ def _cmd_census(args):
 
 def _cmd_ci(args):
     adj = read_edge_list(args.infile)
-    threads = args.threads if args.threads is not None else default_threads()
+    threads = args.threads if args.threads is not None else 1
     check_threads(threads)
     if args.method == "bootstrap":
         check_level(args.level)

@@ -37,7 +37,7 @@ the line of its first bad byte.  The writer orders pairs by label ranks.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,11 +69,7 @@ class GraphSummary:
     negative_fraction: float | None  # None when the graph has no edges
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "edge_proportion": self.edge_proportion,
-            "negative_fraction": self.negative_fraction,
-        }
+        return asdict(self)
 
 
 class SignedAdjacency:
@@ -91,7 +87,8 @@ class SignedAdjacency:
     def __init__(self, entries, labels=None, dense_threshold=None, _validated=False):
         threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
         if sp.issparse(entries):
-            mat = entries.tocsr().astype(np.int8, copy=True)
+            # checked on its own dtype: an int8 cast first would read 0.5 as 0 and 255 as -1
+            mat = entries.tocsr().astype(np.int8 if _validated else entries.dtype, copy=True)
             mat.eliminate_zeros()
         else:
             mat = np.asarray(entries)
@@ -103,6 +100,8 @@ class SignedAdjacency:
         if sp.issparse(mat):
             if n <= threshold:
                 mat = np.asarray(mat.todense(), dtype=np.int8)
+            else:
+                mat = mat.astype(np.int8, copy=False)
         else:
             mat = mat.astype(np.int8, copy=True)
             if n > threshold:

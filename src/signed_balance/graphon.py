@@ -107,11 +107,19 @@ def _ones(x, y):
 BUILTIN_NAMES = ("const-cos", "logistic-balance", "sparse-const")
 
 
+def _convert(kind, value, key):
+    """`kind(value)`, or ConfigError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
+
+
 def builtin_spec(name, params=None):
     """Construct one of the built-in graphon specs by name."""
     params = dict(params or {})
     if name == "const-cos":
-        rho = float(params.pop("rho", 0.8))
+        rho = _convert(float, params.pop("rho", 0.8), "rho")
         if params:
             raise ConfigError(f"const-cos got unknown params {sorted(params)}")
         return GraphonSpec(
@@ -120,8 +128,8 @@ def builtin_spec(name, params=None):
     if name == "logistic-balance":
         if "alpha" not in params:
             raise ConfigError("logistic-balance requires params['alpha']")
-        alpha = float(params.pop("alpha"))
-        rho = float(params.pop("rho", 0.8))
+        alpha = _convert(float, params.pop("alpha"), "alpha")
+        rho = _convert(float, params.pop("rho", 0.8), "rho")
         if params:
             raise ConfigError(f"logistic-balance got unknown params {sorted(params)}")
 
@@ -136,8 +144,8 @@ def builtin_spec(name, params=None):
     if name == "sparse-const":
         if "k" not in params or "n" not in params:
             raise ConfigError("sparse-const requires params['k'] and params['n']")
-        k = float(params.pop("k"))
-        n = int(params.pop("n"))
+        k = _convert(float, params.pop("k"), "k")
+        n = _convert(int, params.pop("n"), "n")
         if params:
             raise ConfigError(f"sparse-const got unknown params {sorted(params)}")
         if k <= 0 or n < 2:
@@ -168,12 +176,12 @@ def spec_from_json(obj):
         spec = GraphonSpec(
             F=spec.F,
             G=spec.G,
-            rho=float(rho) if rho is not None else spec.rho,
-            s=float(s) if s is not None else spec.s,
+            rho=_convert(float, rho, "rho") if rho is not None else spec.rho,
+            s=_convert(float, s, "s") if s is not None else spec.s,
             name=spec.name,
             params=spec.params,
         )
-    return spec, (int(n) if n is not None else None)
+    return spec, (_convert(int, n, "n") if n is not None else None)
 
 
 # ------------------------------------------------------------------- sampler

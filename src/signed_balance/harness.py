@@ -36,7 +36,7 @@ import numpy as np
 from .bootstrap import bootstrap_ci, bootstrap_distribution, ci_from_draws
 from .census import _type_index, full_census
 from .errors import ConfigError, DegenerateError
-from .graphon import population_moments, sample_network, spec_from_json
+from .graphon import _convert, population_moments, sample_network, spec_from_json
 from .inference import (
     _delta_draw,
     _interval,
@@ -107,17 +107,20 @@ class ExperimentConfig:
         extra = set(obj) - known
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
+        grid = obj.get("param_grid") or {}
+        if not isinstance(grid, dict):
+            raise ConfigError(f"config key 'param_grid' must be an object of lists, got {grid!r}")
         return cls(
             graphon_name=graphon["name"],
             graphon_params=dict(graphon.get("params") or {}),
             rho=graphon.get("rho"),
             s=graphon.get("s"),
-            param_grid={k: list(v) for k, v in (obj.get("param_grid") or {}).items()},
+            param_grid=dict(grid),
             n_grid=_numbers(obj, "n_grid", int, (160,)),
             replications=_number(obj, "replications", int, 1000),
             level=_number(obj, "level", float, 0.95),
-            methods=tuple(obj.get("methods") or ("edgeworth", "normal")),
-            targets=tuple(obj.get("targets") or ("balanced",)),
+            methods=_listed(obj, "methods", ("edgeworth", "normal")),
+            targets=_listed(obj, "targets", ("balanced",)),
             truth_budget=_number(obj, "truth_budget", int, 10_000_000),
             truth_replications=_number(obj, "truth_replications", int, 10_000),
             bootstrap_replicates=_number(obj, "bootstrap_replicates", int, None),
@@ -136,20 +139,19 @@ def _number(obj, key, kind, default):
     return _convert(kind, value, key)
 
 
+def _listed(obj, key, default):
+    """obj[key] (or the default when missing or empty) as a tuple; ConfigError
+    naming the key unless it is a list."""
+    values = obj.get(key) or default
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"config key {key!r} must be a list, got {values!r}")
+    return tuple(values)
+
+
 def _numbers(obj, key, kind, default):
     """obj[key] (or the default when missing or empty) as a tuple of values
     converted by `kind`; ConfigError naming the key."""
-    values = obj.get(key) or default
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"config key {key!r} must be a list of numbers, got {values!r}")
-    return tuple(_convert(kind, value, key) for value in values)
-
-
-def _convert(kind, value, key):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
+    return tuple(_convert(kind, value, key) for value in _listed(obj, key, default))
 
 
 @dataclass(frozen=True)

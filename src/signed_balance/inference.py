@@ -48,7 +48,7 @@ not depend on BLAS thread count.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -78,12 +78,7 @@ class Moments:
     n: int
     U_hat: float
     V_hat: float
-    U_hat_t: tuple
     ratio: float
-
-    @property
-    def ratio_by_type(self):
-        return tuple(u / self.V_hat for u in self.U_hat_t)
 
 
 def sample_moments(census, n=None):
@@ -98,7 +93,6 @@ def sample_moments(census, n=None):
         n=n,
         U_hat=census.balanced / c3,
         V_hat=census.total / c3,
-        U_hat_t=tuple(c / c3 for c in census.by_type),
         ratio=census.balanced / census.total,
     )
 
@@ -313,25 +307,7 @@ class InferenceReport:
     baselines: dict
 
     def to_dict(self):
-        return {
-            "target": self.target,
-            "n": self.n,
-            "U_hat": self.U_hat,
-            "V_hat": self.V_hat,
-            "estimate": self.estimate,
-            "S_hat": self.S_hat,
-            "a_hat": self.a_hat,
-            "b_hat": self.b_hat,
-            "c_hat": self.c_hat,
-            "c_delta": self.c_delta,
-            "delta_draw": self.delta_draw,
-            "level": self.level,
-            "ci_lower": self.ci_lower,
-            "ci_upper": self.ci_upper,
-            "method": self.method,
-            "p_values": dict(self.p_values),
-            "baselines": dict(self.baselines),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -479,17 +455,7 @@ class BalanceTest:
     method: str
 
     def to_dict(self):
-        return {
-            "target": self.target,
-            "n": self.n,
-            "estimate": self.estimate,
-            "S_hat": self.S_hat,
-            "null_value": self.null_value,
-            "alternative": self.alternative,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def balance_test(

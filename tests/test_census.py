@@ -7,21 +7,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from signed_balance.census import (
-    BRUTE_FORCE_CAP,
-    _exact,
-    _type_counts,
-    brute_force_census,
-    census,
-    full_census,
-)
-from signed_balance.errors import CensusExactnessError, ConfigError, SignedBalanceError
+from signed_balance.census import _exact, _type_counts, census, full_census
+from signed_balance.errors import CensusExactnessError, SignedBalanceError
 from signed_balance.graph import SignedAdjacency, from_dense, parse_edge_list
 from signed_balance.inference import edgeworth_coefficients, projections
 
 from _reference import (
     random_signed_matrix,
     ref_census,
+    ref_full,
     ref_node_counts,
     ref_pair_counts,
 )
@@ -143,20 +137,16 @@ def test_projection_row_sums_triple_count():
     assert _densify(bundle.pair.triangles).sum() == 6 * bundle.census.total
 
 
-def test_brute_force_matches_and_caps():
+def test_census_matches_ref_full():
     rng = np.random.default_rng(11)
     mat = random_signed_matrix(rng, 9)
-    adj = from_dense(mat)
-    bf = brute_force_census(adj)
-    fast = full_census(adj, with_pairs=True)
-    assert bf.census.to_dict() == fast.census.to_dict()
-    np.testing.assert_array_equal(bf.node.triangles, fast.node.triangles)
-    np.testing.assert_array_equal(
-        _densify(bf.pair.balanced), _densify(fast.pair.balanced))
-
-    big = np.zeros((BRUTE_FORCE_CAP + 1, BRUTE_FORCE_CAP + 1), dtype=np.int8)
-    with pytest.raises(ConfigError):
-        brute_force_census(from_dense(big))
+    want = ref_full(mat)
+    fast = full_census(from_dense(mat), with_pairs=True)
+    got = fast.census.to_dict()
+    assert got.pop("n") == 9
+    assert got == want["census"]
+    np.testing.assert_array_equal(fast.node.triangles, want["node"]["total"])
+    np.testing.assert_array_equal(_densify(fast.pair.balanced), want["pair"]["balanced"])
 
 
 def test_census_on_empty_graph():
@@ -248,7 +238,7 @@ def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
     a = sp.csr_array(adj.entries, dtype=np.int64)
     m = abs(a)
     monkeypatch.setattr(census_module, "_BLOCK_ROWS", 7)  # 6 blocks, the last short
-    pairs = census_module._ProductPairs(census_module._storage(adj))
+    pairs = census_module.PairProjection(census_module._storage(adj))
     # the same CSR arrays as the whole products, so float sums over them agree
     for got, want in ((pairs.mm, m * (m @ m)), (pairs.aa, a * (a @ a))):
         for part in ("indptr", "indices", "data"):

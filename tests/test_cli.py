@@ -202,14 +202,34 @@ def test_mc_unknown_study(tmp_path, capsys):
 
 def test_mc_non_numeric_config_value(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for key, value in [("replications", "many"), ("n_grid", ["a"]), ("n_grid", 5),
-                       ("bootstrap_replicates", "x")]:
+    for key, value, named in [
+        ("replications", "many", "replications"), ("n_grid", ["a"], "n_grid"),
+        ("n_grid", 5, "n_grid"), ("bootstrap_replicates", "x", "bootstrap_replicates"),
+        ("param_grid", {"alpha": "35"}, "alpha"), ("methods", "bootstrap", "methods"),
+        ("graphon", {"name": "logistic-balance", "params": {"alpha": "x"}}, "alpha"),
+        ("graphon", {"name": "const-cos", "rho": "abc"}, "rho"),
+    ]:
         obj = {"graphon": {"name": "const-cos"}, "methods": ["bootstrap"],
                "bootstrap_replicates": 50, key: value}
         cfg.write_text(json.dumps(obj))
         code, _, err = run_cli(["mc", "--config", str(cfg), "--out", str(tmp_path)], capsys)
         assert code == 1
-        assert err.startswith("error:") and key in err
+        assert err.startswith("error:") and repr(named) in err
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"name": "logistic-balance", "params": {"alpha": "x"}, "n": 12}, "alpha"),
+    ({"name": "const-cos", "rho": "abc", "n": 12}, "rho"),
+    ({"name": "const-cos", "n": "abc"}, "n"),
+    ({"name": "sparse-const", "params": {"k": 3}, "n": "abc"}, "n"),
+])
+def test_simulate_non_numeric_spec_value(tmp_path, spec, key, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(
+        ["simulate", "--spec", str(path), "--out", str(tmp_path / "n.edges")], capsys)
+    assert code == 1
+    assert err.startswith("error:") and repr(key) in err
 
 
 # ----------------------------------------------------------------- exit codes

@@ -111,6 +111,17 @@ def test_from_dense_checks_alphabet():
         from_dense(mat)
 
 
+@pytest.mark.parametrize("value, dtype", [(0.5, np.float64), (255, np.uint8), (257, np.int16)])
+@pytest.mark.parametrize("threshold", [None, 2])
+def test_sparse_input_is_checked_before_its_cast(value, dtype, threshold):
+    # an int8 cast would read these as 0, -1 and +1
+    mat = np.zeros((3, 3), dtype=dtype)
+    mat[0, 1] = mat[1, 0] = value
+    mat[1, 2] = mat[2, 1] = 1
+    with pytest.raises(AlphabetError):
+        SignedAdjacency(sp.csr_matrix(mat), dense_threshold=threshold)
+
+
 def test_roundtrip_through_text():
     adj = parse_edge_list(triangle_text())
     again = parse_edge_list(adj.to_edge_list_text())

@@ -78,6 +78,22 @@ def test_from_dict_rejects_non_numeric_values(key, value):
         ExperimentConfig.from_dict(obj)
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("param_grid", {"alpha": "35"}, "alpha"),
+    ("param_grid", {"alpha": 5}, "alpha"),
+    ("param_grid", [5], "param_grid"),
+    ("methods", "normal", "methods"),
+    ("targets", "balanced", "targets"),
+    ("graphon", {"name": "logistic-balance", "params": {"alpha": "x"}}, "alpha"),
+    ("graphon", {"name": "const-cos", "rho": "abc"}, "rho"),
+])
+def test_from_dict_rejects_malformed_lists_and_graphon_numbers(key, value, named):
+    obj = {"graphon": {"name": "logistic-balance", "params": {"alpha": 5}}, "n_grid": [12],
+           key: value}
+    with pytest.raises(ConfigError, match=repr(named)):
+        expand_cells(ExperimentConfig.from_dict(obj))
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

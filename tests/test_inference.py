@@ -85,11 +85,6 @@ def test_moments_tiny_graph_raises():
         sample_moments(census(adj))
 
 
-def test_ratio_by_type_sums_to_one():
-    m = sample_moments(census(from_dense(SUITE[0])))
-    assert sum(m.ratio_by_type) == pytest.approx(1.0, abs=1e-12)
-
-
 # --------------------------------------------------- projections and variance
 
 
