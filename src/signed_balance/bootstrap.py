@@ -15,23 +15,25 @@ every count is the same exact integer the resampled network gives.
 Each replicate recomputes the studentized statistic
 T* = (ratio* - ratio_observed)/S* through the same `inference._pipeline` as
 the observed network, on a census without pairs (a replicate never reads
-the Edgeworth coefficients).  Replicates where the ratio or variance is
-degenerate (no triangles, zero variance) are dropped and counted; more than
-50% degenerate is a hard error.  Replicate r uses the derived stream
-(seed, r), so runs are reproducible.  Replicates run in order on the
-calling thread; `threads` is accepted and checked but selects nothing.  The
-bootstrap report is built by `inference._report`, the builder of the
-Edgeworth and normal reports.
+the Edgeworth coefficients).  The observed census, and the storage the
+replicates are counted on, are the census `census.full_census` cached on
+the adjacency, so an adjacency already counted is not counted again.
+Replicates where the ratio or variance is degenerate (no triangles, zero
+variance) are dropped and counted; more than 50% degenerate is a hard
+error.  Replicate r uses the derived stream (seed, r), so runs are
+reproducible.  Replicates run in order on the calling thread; `threads` is
+accepted and checked but selects nothing.  The bootstrap report is built by
+`inference._report`, the builder of the Edgeworth and normal reports.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _resampled_bundle, _storage
+from .census import _resampled_bundle, full_census
 from .errors import ConfigError, DegenerateBootstrapError, DegenerateError
 from .graph import SignedAdjacency
-from .inference import Pipeline, _pipeline, _report, check_level, check_threads
+from .inference import _pipeline, _report, check_level, check_threads
 from .rng import stream
 
 
@@ -42,7 +44,6 @@ class BootstrapDistribution:
     seed: int
     target: str
     degenerate_count: int
-    observed: Pipeline = field(repr=False, compare=False)  # for bootstrap_report
 
     def save_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -64,21 +65,19 @@ def resample_network(adj, seed=0, indices=None):
     return SignedAdjacency(adj.entries[idx][:, idx], _validated=True)
 
 
-def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1, observed=None):
-    """B studentized draws; `observed` is the pipeline of `adj` for `target`
-    when the caller already has it."""
+def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1):
+    """B studentized draws, each replicate counted on the storage of the
+    census cached on `adj`."""
     if B < 100:
         raise ConfigError(f"need B >= 100 bootstrap replicates, got {B}")
     check_threads(threads)
-    if observed is None:
-        observed = _pipeline(adj, target)
-    ratio_obs = observed.estimate
-    storage = _storage(adj)
+    bundle = full_census(adj)
+    ratio_obs = _pipeline(bundle, target).estimate
 
     def one(r):
         idx = stream(seed, r).integers(0, adj.n, size=adj.n)
         try:
-            star = _pipeline(None, target, _resampled_bundle(storage, idx))
+            star = _pipeline(_resampled_bundle(bundle.pair.a, idx), target)
         except DegenerateError:
             return None
         return (star.estimate - ratio_obs) / star.S_hat
@@ -91,9 +90,7 @@ def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1, ob
             f"{degenerate}/{B} bootstrap replicates degenerate"
         )
     return BootstrapDistribution(
-        draws=draws, B=B, seed=seed, target=target, degenerate_count=degenerate,
-        observed=observed,
-    )
+        draws=draws, B=B, seed=seed, target=target, degenerate_count=degenerate)
 
 
 def ci_from_draws(estimate, s_hat, draws, level):
@@ -125,6 +122,6 @@ def bootstrap_report(adj, dist, level=0.95):
     distribution (with the observed S_hat as the scale).
     """
     check_level(level)
-    pipe = dist.observed
+    pipe = _pipeline(full_census(adj), dist.target)
     interval = ci_from_draws(pipe.estimate, pipe.S_hat, dist.draws, level)
     return _report(adj, pipe, level, "bootstrap", interval, lambda t: _bootstrap_p(dist.draws, t))

@@ -56,9 +56,15 @@ the same CensusExactnessError.
 Each projection is one lazy class built only by the census.  The O(n^3)
 enumeration the counts are checked against lives with the tests
 (`tests/_reference.py`).
+
+`full_census` counts a SignedAdjacency once and caches the bundle, pairs
+included, on it; the storage is read-only, so the cache cannot go stale.
+While the adjacency lives, a dense bundle keeps 16 n^2 bytes (the float32
+storage, M, M o M^2 and A o A^2: 64 MB at n = 2000), plus any per-type pair
+matrix once read.  One census peaks above that anyway; `del adj` frees it.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -94,15 +100,7 @@ class TriangleCensus(_Targeted):
         return (self.c1, self.c2, self.c3, self.c4)
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "total": self.total,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "c4": self.c4,
-            "balanced": self.balanced,
-        }
+        return {**asdict(self), "balanced": self.balanced}
 
 
 TARGETS = ("balanced", "type1", "type2", "type3", "type4")
@@ -311,8 +309,14 @@ class CensusBundle:
 
 
 def full_census(adj, with_pairs=True):
-    """Census and node projections from two products; pairs are read lazily."""
-    return _census(_storage(adj), adj.n, with_pairs)
+    """Census and node projections from two products; pairs are read lazily.
+    Counted once per adjacency and cached on it with pairs, which cost no
+    extra product; `with_pairs=False` returns it with `pair=None`."""
+    bundle = adj._bundle
+    if bundle is None:
+        bundle = _census(_storage(adj), adj.n)
+        object.__setattr__(adj, "_bundle", bundle)
+    return bundle if with_pairs else replace(bundle, pair=None)
 
 
 class _Draw:
@@ -349,12 +353,12 @@ def _resampled_bundle(storage, idx):
         sub = storage[s][:, s]
     else:
         sub = storage.take(s, axis=0).take(s, axis=1)
-    return _census(sub, len(idx), False, draw)
+    return _census(sub, len(idx), draw)
 
 
-def _census(a, n, with_pairs, draw=None):
-    """The bundle of the n-node network stored as `a`, or, given a draw,
-    of the network resampled from `a` (the submatrix on the drawn nodes)."""
+def _census(a, n, draw=None):
+    """The bundle of the n-node network stored as `a`, or, given a draw, of
+    the network resampled from `a` (on the drawn nodes) without pairs."""
     p = PairProjection(a, draw)
     row_m = p.rows(p.mm)
     row_a = p.rows(p.aa)
@@ -362,8 +366,8 @@ def _census(a, n, with_pairs, draw=None):
     c1, c2, c3, c4 = _type_counts(traces)
     census_ = TriangleCensus(n=n, total=c1 + c2 + c3 + c4, c1=c1, c2=c2, c3=c3, c4=c4)
     node = NodeProjection(p, _exact(row_m, 2), _exact(row_m + row_a, 4))
-    return CensusBundle(census=census_, node=node, pair=p if with_pairs else None)
+    return CensusBundle(census=census_, node=node, pair=p if draw is None else None)
 
 
 def census(adj):
-    return full_census(adj, with_pairs=False).census
+    return full_census(adj).census

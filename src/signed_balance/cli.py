@@ -19,12 +19,7 @@ import sys
 from . import __version__
 from .bootstrap import bootstrap_distribution, bootstrap_report
 from .census import census as run_census
-from .errors import (
-    ConfigError,
-    DegenerateError,
-    GraphDataError,
-    SignedBalanceError,
-)
+from .errors import ConfigError, DegenerateError, SignedBalanceError
 from .graph import read_edge_list, write_edge_list
 from .graphon import sample_network, spec_from_json
 from .harness import (
@@ -306,24 +301,12 @@ def main(argv=None):
         return EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+    except (_UsageError, OSError, SignedBalanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # a missing, unreadable or unwritable file
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except GraphDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DegenerateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except SignedBalanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        if isinstance(exc, (_UsageError, ConfigError)):
+            return EXIT_USAGE
+        # a missing, unreadable or unwritable file (OSError) is a data error
+        return EXIT_DEGENERATE if isinstance(exc, DegenerateError) else EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ class GraphSummary:
 
 
 class SignedAdjacency:
-    """Immutable symmetric signed adjacency matrix.
+    """Immutable symmetric signed adjacency matrix (read-only storage arrays).
 
     Parameters
     ----------
@@ -82,7 +82,7 @@ class SignedAdjacency:
     dense_threshold : storage switch; defaults to DENSE_THRESHOLD
     """
 
-    __slots__ = ("n", "labels", "_mat")
+    __slots__ = ("n", "labels", "_mat", "_bundle")
 
     def __init__(self, entries, labels=None, dense_threshold=None, _validated=False):
         threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
@@ -106,10 +106,11 @@ class SignedAdjacency:
             mat = mat.astype(np.int8, copy=True)
             if n > threshold:
                 mat = sp.csr_matrix(mat)
-        if not sp.issparse(mat):
-            mat.setflags(write=False)
+        for arr in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
+            arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_mat", mat)
+        object.__setattr__(self, "_bundle", None)  # filled by census.full_census
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:

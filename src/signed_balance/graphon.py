@@ -108,11 +108,22 @@ BUILTIN_NAMES = ("const-cos", "logistic-balance", "sparse-const")
 
 
 def _convert(kind, value, key):
-    """`kind(value)`, or ConfigError naming the key."""
+    """`kind(value)`, or ConfigError naming the key; int refuses a fractional float."""
     try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}") from None
+
+
+def _params(obj):
+    """The graphon's `params` as a new dict ({} when missing); ConfigError unless an object."""
+    params = obj.get("params") or {}
+    if not isinstance(params, dict):
+        raise ConfigError(f"graphon key 'params' must be an object, got {params!r}")
+    return dict(params)
 
 
 def builtin_spec(name, params=None):
@@ -165,7 +176,7 @@ def spec_from_json(obj):
     name = obj.get("name")
     if name is None:
         raise ConfigError("graphon spec JSON needs a 'name'")
-    params = dict(obj.get("params") or {})
+    params = _params(obj)
     n = obj.get("n")
     if name == "sparse-const" and n is not None:
         params.setdefault("n", n)

@@ -14,10 +14,10 @@ Seed discipline (documented, fixed): with master seed s and cell index c,
     bootstrap replicates  master     derived key of the cell replicate
 
 so every cell and every replicate can be re-run in isolation.  Replicates
-run in order on one thread: each is counted once, each target's pipeline
-is built once from that count, and every method reads its interval from
-the pipeline.  The `threads` config key is accepted and checked (>= 1) but
-selects nothing, so results are the same for any value.
+run in order on one thread: each is counted once (`full_census` caches
+the census on the adjacency), and every method reads its interval from its
+target's pipeline.  The `threads` config key is accepted and checked
+(>= 1) but selects nothing, so results are the same for any value.
 
 CSV outputs have fixed headers and exclude wall-clock columns, so a given
 (config, seed) produces byte-identical files; timings go to their own
@@ -36,7 +36,8 @@ import numpy as np
 from .bootstrap import bootstrap_ci, bootstrap_distribution, ci_from_draws
 from .census import _type_index, full_census
 from .errors import ConfigError, DegenerateError
-from .graphon import _convert, population_moments, sample_network, spec_from_json
+from .graph import SignedAdjacency
+from .graphon import _convert, _params, population_moments, sample_network, spec_from_json
 from .inference import (
     _delta_draw,
     _interval,
@@ -112,7 +113,7 @@ class ExperimentConfig:
             raise ConfigError(f"config key 'param_grid' must be an object of lists, got {grid!r}")
         return cls(
             graphon_name=graphon["name"],
-            graphon_params=dict(graphon.get("params") or {}),
+            graphon_params=_params(graphon),
             rho=graphon.get("rho"),
             s=graphon.get("s"),
             param_grid=dict(grid),
@@ -244,12 +245,11 @@ def _replicate(config, cell, r):
     the target is degenerate on it; the network is counted once."""
     seed = _replicate_seed(config, cell, r)
     adj = sample_network(cell.spec, cell.n, seed=seed)
-    bundle = full_census(adj, with_pairs=True)
     delta_draw = _delta_draw(cell.n, config.c_delta, seed)
     out = {}
     for target in config.targets:
         try:
-            pipe = _pipeline(adj, target, bundle)
+            pipe = _pipeline(full_census(adj), target)
         except DegenerateError:
             out.update({(method, target): None for method in config.methods})
             continue
@@ -257,9 +257,7 @@ def _replicate(config, cell, r):
             if method == "bootstrap":
                 try:
                     dist = bootstrap_distribution(
-                        adj, target=target, B=config.bootstrap_replicates, seed=seed,
-                        observed=pipe,
-                    )
+                        adj, target=target, B=config.bootstrap_replicates, seed=seed)
                 except DegenerateError:
                     out[(method, target)] = None
                     continue
@@ -393,8 +391,7 @@ def run_cdf_study(config):
     for r in range(config.truth_replications):
         adj = sample_network(cell.spec, cell.n, seed=_replicate_seed(config, cell, r))
         try:
-            bundle = full_census(adj, with_pairs=False)
-            pipes = {t: _pipeline(adj, t, bundle) for t in config.targets}
+            pipes = {t: _pipeline(full_census(adj), t) for t in config.targets}
         except DegenerateError:
             dropped += 1  # a replicate counts for every target or for none
             continue
@@ -404,7 +401,6 @@ def run_cdf_study(config):
     observed = sample_network(
         cell.spec, cell.n, seed=_replicate_seed(config, cell, _OBSERVED_SLOT)
     )
-    observed_bundle = full_census(observed, with_pairs=True)
     distances = {}
     curves = {}
     truth_cdf_by_target = {}
@@ -413,7 +409,7 @@ def run_cdf_study(config):
         used = t_sorted.size
         truth_cdf = np.searchsorted(t_sorted, CDF_GRID, side="right") / used
         truth_cdf_by_target[target] = truth_cdf
-        pipe = _pipeline(observed, target, observed_bundle)
+        pipe = _pipeline(full_census(observed), target)
         for method in ("edgeworth", "normal"):
             curve = edgeworth_cdf(CDF_GRID, pipe.coefficients(method))
             curves[(target, method)] = curve
@@ -424,7 +420,6 @@ def run_cdf_study(config):
                 target=target,
                 B=config.bootstrap_replicates,
                 seed=_replicate_seed(config, cell, _OBSERVED_SLOT),
-                observed=pipe,
             )
             boot_sorted = np.sort(dist.draws)
             boot_cdf = np.searchsorted(boot_sorted, CDF_GRID, side="right") / boot_sorted.size
@@ -456,16 +451,18 @@ def write_cdf_csv(study, path):
 
 
 def run_timing(config):
-    """Seconds per analysis per method per n (wall clock; not deterministic)."""
+    """Seconds per analysis per method per n (wall clock; not deterministic);
+    each analysis runs on a fresh copy of the network, so it counts it anew."""
     records = []
     for cell in expand_cells(config):
         adj = sample_network(cell.spec, cell.n, seed=_replicate_seed(config, cell, 0))
         for method in config.methods:
             t0 = time.perf_counter()
             for _ in range(max(config.replications, 1)):
+                fresh = SignedAdjacency(adj.entries, _validated=True)
                 if method == "bootstrap":
                     bootstrap_ci(
-                        adj,
+                        fresh,
                         level=config.level,
                         target=config.targets[0],
                         B=config.bootstrap_replicates,
@@ -473,7 +470,7 @@ def run_timing(config):
                     )
                 else:
                     confidence_interval(
-                        adj, level=config.level, target=config.targets[0], method=method
+                        fresh, level=config.level, target=config.targets[0], method=method
                     )
             elapsed = time.perf_counter() - t0
             records.append(

@@ -30,9 +30,11 @@ mirror the construction that needs it in theory; it is off by default
 (c_delta = 0) so results are deterministic.
 
 Every caller studentizes through one pipeline, `_pipeline`: census ->
-projections (U and V are derived there, once) -> S_hat.  Its Edgeworth
-coefficients are formed only when first read, so the bootstrap replicates
-and the cdf study's truth replicates run it on a census without pairs.
+projections (U and V are derived there, once) -> S_hat.  It takes a census
+bundle: an observed network's is `full_census(adj)`, counted once per
+adjacency and cached on it, so every analysis of one network shares one
+count.  Its Edgeworth coefficients are formed only when first read, so a
+bootstrap replicate's census needs no pairs.
 `Pipeline.coefficients` is the one place a method name is checked and its
 terms chosen (its own for edgeworth, zero for normal); target names are
 checked by the census.  `_report` assembles the InferenceReport of both the Cornish-Fisher/normal
@@ -338,11 +340,9 @@ class Pipeline:
         raise ConfigError(f"method must be edgeworth|normal, got {method!r}")
 
 
-def _pipeline(adj, target, bundle=None):
-    """The pipeline of `adj`; `bundle`, if given, is its census (with pairs
-    when the coefficients will be read), and `adj` is then not read."""
-    if bundle is None:
-        bundle = full_census(adj, with_pairs=True)
+def _pipeline(bundle, target):
+    """The pipeline of the network counted in `bundle`: an observed network's
+    `full_census(adj)`, or a bootstrap replicate's census without pairs."""
     proj = projections(bundle.census, bundle.node, bundle.pair, target)
     return Pipeline(proj=proj, S_hat=variance_estimator(proj))
 
@@ -432,7 +432,7 @@ def confidence_interval(
 ):
     """Cornish-Fisher (or plain normal) interval plus the full report."""
     check_level(level)
-    pipe = _pipeline(adj, target)
+    pipe = _pipeline(full_census(adj), target)
     coef = pipe.coefficients(method)
     delta_draw = _delta_draw(pipe.proj.n, c_delta, seed)
     interval = _interval(pipe, coef, level, delta_draw)
@@ -473,7 +473,7 @@ def balance_test(
     one-sided test rejects about 0.003 of the time.
     """
     null_value = float(null_value)
-    pipe = _pipeline(adj, target)
+    pipe = _pipeline(full_census(adj), target)
     t = (pipe.estimate - null_value) / pipe.S_hat
     p = _p_value(t, pipe.coefficients(method), alternative)
     return BalanceTest(

@@ -23,7 +23,6 @@ from _reference import random_signed_matrix
 # the package's `census` attribute is the function of that name
 census_module = importlib.import_module("signed_balance.census")
 bootstrap_module = importlib.import_module("signed_balance.bootstrap")
-inference_module = importlib.import_module("signed_balance.inference")
 
 
 def observed(n=30, seed=1):
@@ -221,21 +220,20 @@ def test_replicate_digit_width_reads_weighted_degrees(monkeypatch):
 
 
 def test_distribution_builds_no_resampled_network(monkeypatch):
-    calls = {"resample": 0, "census": []}
-    real = full_census
+    calls = {"resample": 0, "census": 0}
+    real = census_module._census
 
     def resample(*args, **kwargs):
         calls["resample"] += 1
         return resample_network(*args, **kwargs)
 
-    def counting(adj, with_pairs=True):
-        calls["census"].append(with_pairs)
-        return real(adj, with_pairs=with_pairs)
+    def counting(a, n, draw=None):
+        calls["census"] += draw is None
+        return real(a, n, draw)
 
     monkeypatch.setattr(bootstrap_module, "resample_network", resample)
-    monkeypatch.setattr(census_module, "full_census", counting)
-    monkeypatch.setattr(inference_module, "full_census", counting)
+    monkeypatch.setattr(census_module, "_census", counting)
     dist = bootstrap_distribution(observed(), B=150, seed=2)
     assert len(dist.draws) + dist.degenerate_count == 150
-    # only the observed network is counted through full_census
-    assert calls == {"resample": 0, "census": [True]}
+    # only the observed network is counted whole; replicates are drawn from it
+    assert calls == {"resample": 0, "census": 1}

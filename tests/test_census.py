@@ -1,6 +1,7 @@
 """Triangle census and projections against exhaustive enumeration."""
 
 import importlib
+import weakref
 from math import comb
 
 import numpy as np
@@ -248,12 +249,12 @@ def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
 def test_encoded_product_refuses_degrees_past_its_digit_width(monkeypatch):
     # degree 4 needs 3-bit digits, so a 2-bit limit refuses the network
     mat = _complete(-1)[:5, :5]
-    adj = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2)
     monkeypatch.setattr(census_module, "_DIGIT_BITS", 3)
-    assert full_census(adj).census.c4 == comb(5, 3)
+    assert full_census(SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2)).census.c4 == comb(5, 3)
     monkeypatch.setattr(census_module, "_DIGIT_BITS", 2)
+    # a fresh adjacency: the first one keeps the census it cached
     with pytest.raises(CensusExactnessError, match="degree"):
-        full_census(adj)
+        full_census(SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2))
 
 
 def test_dense_matches_sparse_past_float32_range():
@@ -287,6 +288,26 @@ def test_odd_node_row_sum_raises_typed_error():
     np.testing.assert_array_equal(_exact(np.array([2, 4, 0]), 2), [1, 2, 0])
     with pytest.raises(CensusExactnessError):
         _exact(np.array([2, 3, 0]), 2)
+
+
+# ------------------------------------------------------------------ cache
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_cached_census_lives_as_long_as_its_adjacency(path):
+    adj = _on_path(random_signed_matrix(np.random.default_rng(12), 20), path)
+    bundle = full_census(adj, with_pairs=True)
+    assert bundle.pair is not None and full_census(adj) is bundle
+    # without pairs after a with-pairs call: the same counts, no pair projection
+    bare = full_census(adj, with_pairs=False)
+    assert bare.pair is None
+    assert bare.census is bundle.census and bare.node is bundle.node
+    assert full_census(adj).pair is bundle.pair
+    ref = weakref.ref(bundle)
+    del bundle, bare
+    assert ref() is not None  # held by the adjacency
+    del adj
+    assert ref() is None
 
 
 # --------------------------------------------------------------- laziness

@@ -232,6 +232,41 @@ def test_simulate_non_numeric_spec_value(tmp_path, spec, key, capsys):
     assert err.startswith("error:") and repr(key) in err
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"name": "const-cos", "params": "abc", "n": 12}, "params"),
+    ({"name": "const-cos", "params": [["rho", 0.5]], "n": 12}, "params"),
+    ({"name": "const-cos", "n": 12.9}, "n"),
+    ({"name": "sparse-const", "params": {"k": 3, "n": 12.5}, "n": 12}, "n"),
+    ({"name": "const-cos", "n": 12.0}, None),  # an integral float is that integer
+])
+def test_simulate_refuses_non_object_params_and_fractional_integers(tmp_path, spec, key, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(
+        ["simulate", "--spec", str(path), "--out", str(tmp_path / "n.edges")], capsys)
+    if key is None:
+        assert code == 0 and json.loads(out)["n"] == 12
+    else:
+        assert code == 1
+        assert err.startswith("error:") and repr(key) in err
+
+
+def test_mc_refuses_non_object_params_and_fractional_integers(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cases = [("graphon", {"name": "const-cos", "params": "abc"}, "params")] + [
+        (key, value, key) for key, value in [
+            ("n_grid", [12.9]), ("replications", 8.5), ("seed", 1.5), ("truth_budget", 2000.5),
+            ("truth_replications", 10.5), ("bootstrap_replicates", 100.5), ("threads", 1.5)]
+    ] + [("graphon", {"name": "sparse-const", "params": {"k": 3, "n": 12.5}}, "n")]
+    for key, value, named in cases:
+        obj = {"graphon": {"name": "const-cos"}, "n_grid": [12], "replications": 2,
+               "truth_budget": 2000, key: value}
+        cfg.write_text(json.dumps(obj))
+        code, _, err = run_cli(["mc", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        assert code == 1, (key, value)
+        assert err.startswith("error:") and repr(named) in err, (key, err)
+
+
 # ----------------------------------------------------------------- exit codes
 
 

@@ -181,6 +181,20 @@ def test_immutability():
     assert adj.edge_count() == 3
 
 
+@pytest.mark.parametrize("threshold", [None, 2])
+def test_storage_arrays_are_read_only(threshold):
+    # the census cached on an adjacency relies on its storage never changing
+    for adj in (parse_edge_list(triangle_text(), dense_threshold=threshold),
+                SignedAdjacency(parse_edge_list(triangle_text()).to_dense(),
+                                dense_threshold=threshold)):
+        assert adj.is_dense == (threshold is None)
+        m = adj.entries
+        for arr in (m,) if adj.is_dense else (m.data, m.indices, m.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] = 1
+        assert adj.edge_count() == 3
+
+
 def test_sparse_storage_above_threshold():
     n = DENSE_THRESHOLD + 1
     mat = sp.coo_matrix(

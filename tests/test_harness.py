@@ -1,11 +1,11 @@
 """Monte Carlo experiment harness."""
 
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-import signed_balance.harness as harness
 from signed_balance.errors import ConfigError
 from signed_balance.graphon import spec_from_json
 from signed_balance.harness import (
@@ -21,6 +21,9 @@ from signed_balance.harness import (
     write_coverage_csv,
     write_plot_data_csv,
 )
+
+# the package's `census` attribute is the function of that name
+census_module = importlib.import_module("signed_balance.census")
 
 
 def tiny_config(**over):
@@ -222,19 +225,19 @@ def test_cdf_study_outputs():
 
 def test_cdf_study_counts_the_observed_network_once(monkeypatch):
     calls = []
-    real = harness.full_census
+    real = census_module._census
 
-    def counting(adj, with_pairs=True):
-        calls.append(with_pairs)
-        return real(adj, with_pairs=with_pairs)
+    def counting(a, n, draw=None):
+        calls.append(draw)
+        return real(a, n, draw)
 
-    monkeypatch.setattr(harness, "full_census", counting)
+    monkeypatch.setattr(census_module, "_census", counting)
     cfg = tiny_config(n_grid=(30,), truth_replications=20,
                       targets=("balanced", "type1", "type2", "type3"))
     study = run_cdf_study(cfg)
-    # the truth replicates need no pairs; only the observed network does
-    assert calls.count(True) == 1
-    assert calls.count(False) == 20
+    # each of the 20 truth replicates and the observed network is counted
+    # once, for all four targets
+    assert calls == [None] * (20 + 1)
     assert {t for t, _ in study.curves} == set(cfg.targets)
 
 
@@ -257,8 +260,14 @@ def test_sup_distance():
 # -------------------------------------------------------------------- timing
 
 
-def test_run_timing_records():
+def test_run_timing_records(monkeypatch):
+    counts = []
+    real = census_module._census
+    monkeypatch.setattr(census_module, "_census",
+                        lambda a, n, draw=None: counts.append(n) or real(a, n, draw))
     recs = run_timing(tiny_config(replications=2))
+    # every timed analysis counts its network: none reads another's cached census
+    assert counts == [12] * (2 * 2)
     assert len(recs) == 2
     for rec in recs:
         assert rec["seconds_per_analysis"] > 0

@@ -1,5 +1,7 @@
 """Moments, projections, variance, Edgeworth machinery, CIs, and tests."""
 
+import importlib
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import norm
 
+from signed_balance.bootstrap import bootstrap_ci, bootstrap_distribution
 from signed_balance.census import census, full_census
 from signed_balance.errors import (
     ConfigError,
@@ -28,6 +31,9 @@ from signed_balance.inference import (
 )
 
 from _reference import random_signed_matrix, ref_inference
+
+# the package's `census` attribute is the function of that name
+census_module = importlib.import_module("signed_balance.census")
 
 Z975 = norm.ppf(0.975)
 
@@ -218,6 +224,39 @@ def test_lazy_quadratic_form_equals_materialised(target, path):
     pt = _densify(bundle.pair.for_target(target)).astype(np.float64)
     assert total == pytest.approx(q @ tt @ q, rel=1e-13)
     assert counts == pytest.approx(q @ pt @ q, rel=1e-13)
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_analyses_of_one_adjacency_share_one_census(path, monkeypatch):
+    calls = []
+    real = census_module._census
+
+    def counting(a, n, draw=None):
+        calls.append(draw is None)
+        return real(a, n, draw)
+
+    def analyses(adj_of):
+        """Every report of one network, each from `adj_of()`, as JSON bytes."""
+        return [json.dumps(d).encode() for d in (
+            full_census(adj_of()).census.to_dict(),
+            confidence_interval(adj_of(), level=0.9).to_dict(),
+            confidence_interval(adj_of(), target="type2", method="normal").to_dict(),
+            balance_test(adj_of(), 0.5, alternative="greater").to_dict(),
+            balance_test(adj_of(), 0.2, target="type2").to_dict(),
+            bootstrap_distribution(adj_of(), target="type2", B=100, seed=4).draws.tolist(),
+            bootstrap_ci(adj_of(), B=100, seed=4).to_dict(),
+        )]
+
+    mat = random_signed_matrix(np.random.default_rng(43), 30)
+    monkeypatch.setattr(census_module, "_census", counting)
+    adj = _on_path(mat, path)
+    shared = analyses(lambda: adj)
+    assert calls.count(True) == 1  # the observed network; replicates have a draw
+    assert calls.count(False) == 200
+    calls.clear()
+    fresh = analyses(lambda: _on_path(mat, path))
+    assert calls.count(True) == 7
+    assert shared == fresh
 
 
 # --------------------------------------------------------------- CDF/quantile

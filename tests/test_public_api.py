@@ -1,8 +1,10 @@
 """The package's public names, the names it removed, and the functions the
 traced benchmark wraps."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -55,3 +57,35 @@ def test_public_names_removed_names_and_traced_functions():
         module = importlib.import_module(f"signed_balance.{module_name}")
         for name in functions:
             assert callable(getattr(module, name, None)), f"{module_name}.{name}"
+
+    # ...and reads these keywords from the calls, by name or by position
+    read = _keywords_read(tracer)
+    assert read, "no keyword reads found in the tracer"
+    for dotted, keywords in read.items():
+        module_name, name = dotted.split(".")
+        params = list(inspect.signature(
+            getattr(importlib.import_module(f"signed_balance.{module_name}"), name)).parameters)
+        for keyword, position in keywords:
+            assert keyword in params, f"{dotted}({keyword}=)"
+            assert position is None or params.index(keyword) == position, f"{dotted}({keyword}=)"
+
+
+def _keywords_read(tracer):
+    """{"module.function": {(keyword, position or None)}} for every
+    `kwargs.get(keyword, args[position] ...)` under `if name == "module.function"`
+    in the tracer's `_meta`."""
+    meta = next(node for node in ast.walk(ast.parse(inspect.getsource(tracer)))
+                if isinstance(node, ast.FunctionDef) and node.name == "_meta")
+    read = {}
+    for branch in ast.walk(meta):
+        if not (isinstance(branch, ast.If) and isinstance(branch.test, ast.Compare)
+                and isinstance(branch.test.comparators[0], ast.Constant)):
+            continue
+        for node in (n for stmt in branch.body for n in ast.walk(stmt)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and ast.unparse(node.func.value) == "kwargs"):
+                positions = [n.slice.value for arg in node.args[1:] for n in ast.walk(arg)
+                             if isinstance(n, ast.Subscript) and ast.unparse(n.value) == "args"]
+                read.setdefault(branch.test.comparators[0].value, set()).add(
+                    (node.args[0].value, positions[0] if positions else None))
+    return read
