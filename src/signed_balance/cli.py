@@ -9,30 +9,24 @@ count exactly), 3 degenerate inference.
 Every command runs on one thread.  `--threads` is still accepted and must
 be a positive integer, but it selects nothing: outputs are the same for
 any value.
+
+Shared flags are declared once, on parent parsers.  `mc` checks its whole
+config, `study` included, before `harness.run_study` creates `--out`.
 """
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 
 from . import __version__
 from .bootstrap import bootstrap_distribution, bootstrap_report
+from .census import TARGETS
 from .census import census as run_census
 from .errors import ConfigError, DegenerateError, SignedBalanceError
 from .graph import read_edge_list, write_edge_list
 from .graphon import sample_network, spec_from_json
-from .harness import (
-    ExperimentConfig,
-    load_config,
-    run_cdf_study,
-    run_coverage,
-    run_timing,
-    write_cdf_csv,
-    write_coverage_csv,
-    write_plot_data_csv,
-    write_timing_csv,
-)
+from .harness import ExperimentConfig, load_config, run_study
 from .inference import (
     adjusted_null,
     balance_test,
@@ -71,12 +65,24 @@ def _emit(obj, pretty):
         print(json.dumps(obj))
 
 
+def _shared(*names_or_flags, **kwargs):
+    """A parent parser declaring one flag that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names_or_flags, **kwargs)
+    return parent
+
+
 def build_parser():
     parser = _Parser(prog="signed-balance", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
+    pretty = _shared("--pretty", action="store_true", help="table output instead of JSON")
+    infile = _shared("--in", dest="infile", required=True, help="edge-list file")
+    target = _shared("--target", default="balanced", choices=TARGETS, help="estimand")
+    threads = _shared("--threads", type=int, default=None,
+                      help="accepted for compatibility; runs use one thread")
 
     p_sim = sub.add_parser(
-        "simulate", help="sample a network from a graphon spec file",
+        "simulate", help="sample a network from a graphon spec file", parents=[pretty],
         description="Sample one signed network from a JSON graphon spec "
         "{name, params, rho, s, n} and write it as an edge list.",
     )
@@ -84,27 +90,20 @@ def build_parser():
     p_sim.add_argument("--n", type=int, default=None, help="node count (overrides spec n)")
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_sim.add_argument("--out", required=True, help="output edge-list path")
-    p_sim.add_argument("--pretty", action="store_true", help="table output instead of JSON")
 
-    p_census = sub.add_parser(
-        "census", help="triangle census of an edge-list file",
+    sub.add_parser(
+        "census", help="triangle census of an edge-list file", parents=[infile, pretty],
         description="Count triangles by sign type; prints "
         "{n, total, c1, c2, c3, c4, balanced}.",
     )
-    p_census.add_argument("--in", dest="infile", required=True, help="edge-list file")
-    p_census.add_argument("--pretty", action="store_true", help="table output instead of JSON")
 
     p_ci = sub.add_parser(
         "ci", help="confidence interval for a triangle-proportion target",
+        parents=[infile, target, threads, pretty],
         description="Confidence interval plus test/baseline report for the "
         "expected proportion of balanced (or per-type) triangles.",
     )
-    p_ci.add_argument("--in", dest="infile", required=True, help="edge-list file")
     p_ci.add_argument("--level", type=float, default=0.95, help="confidence level")
-    p_ci.add_argument(
-        "--target", default="balanced",
-        choices=["balanced", "type1", "type2", "type3", "type4"], help="estimand",
-    )
     p_ci.add_argument(
         "--method", default="edgeworth",
         choices=["edgeworth", "normal", "bootstrap"], help="interval construction",
@@ -114,33 +113,25 @@ def build_parser():
     p_ci.add_argument("--c-delta", type=float, default=0.0,
                       help="scale of the optional Gaussian perturbation (0 disables)")
     p_ci.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_ci.add_argument("--threads", type=int, default=None,
-                      help="accepted for compatibility; runs use one thread")
     p_ci.add_argument("--draws-out", default=None,
                       help="write bootstrap draws to this CSV (bootstrap method)")
-    p_ci.add_argument("--pretty", action="store_true", help="table output instead of JSON")
 
     p_test = sub.add_parser(
         "test", help="hypothesis test against a balance-free null",
+        parents=[infile, target, pretty],
         description="p-value for H0: target proportion equals the null "
         "value.  --null accepts a number or 'adjusted' (computed from the "
         "observed negative-edge fraction).",
     )
-    p_test.add_argument("--in", dest="infile", required=True, help="edge-list file")
     p_test.add_argument("--null", required=True,
                         help="null value: float or 'adjusted'")
     p_test.add_argument("--alt", default="greater",
                         choices=["greater", "less", "two-sided"], help="alternative")
-    p_test.add_argument(
-        "--target", default="balanced",
-        choices=["balanced", "type1", "type2", "type3", "type4"], help="estimand",
-    )
     p_test.add_argument("--method", default="edgeworth",
                         choices=["edgeworth", "normal"], help="CDF approximation")
-    p_test.add_argument("--pretty", action="store_true", help="table output instead of JSON")
 
     p_mc = sub.add_parser(
-        "mc", help="run a Monte Carlo study from a config file",
+        "mc", help="run a Monte Carlo study from a config file", parents=[threads, pretty],
         description="Runs the study named by config['study'] "
         "(coverage | cdf | timing) and writes CSV/JSON files into --out.",
     )
@@ -148,21 +139,13 @@ def build_parser():
     p_mc.add_argument("--out", required=True, help="output directory")
     p_mc.add_argument("--plot-data", action="store_true",
                       help="also write long-format CSV for plotting")
-    p_mc.add_argument("--threads", type=int, default=None,
-                      help="accepted for compatibility; runs use one thread")
-    p_mc.add_argument("--pretty", action="store_true", help="table output instead of JSON")
 
     sub.add_parser("version", help="print the package version")
     return parser
 
 
 def _cmd_simulate(args):
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"spec file is not valid JSON: {exc}") from exc
-    spec, n_spec = spec_from_json(obj)
+    spec, n_spec = spec_from_json(load_config(args.spec))
     n = args.n if args.n is not None else n_spec
     if n is None:
         raise ConfigError("node count missing: set --n or 'n' in the spec file")
@@ -239,41 +222,11 @@ def _cmd_test(args):
 
 
 def _cmd_mc(args):
-    obj = load_config(args.config)
-    study = obj.get("study", "coverage")
-    threads = args.threads if args.threads is not None else obj.get("threads", 1)
-    obj = dict(obj)
-    obj["threads"] = threads
-    config = ExperimentConfig.from_dict(obj)
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-    if study == "coverage":
-        rows = run_coverage(config)
-        path = os.path.join(args.out, "coverage.csv")
-        write_coverage_csv(rows, path)
-        written.append(path)
-        if args.plot_data:
-            p2 = os.path.join(args.out, "coverage_plot_data.csv")
-            write_plot_data_csv(rows, p2)
-            written.append(p2)
-    elif study == "cdf":
-        result = run_cdf_study(config)
-        path = os.path.join(args.out, "cdf_distances.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(result.distances_dict(), fh, indent=2)
-            fh.write("\n")
-        written.append(path)
-        p2 = os.path.join(args.out, "cdf_curves.csv")
-        write_cdf_csv(result, p2)
-        written.append(p2)
-    elif study == "timing":
-        records = run_timing(config)
-        path = os.path.join(args.out, "timing.csv")
-        write_timing_csv(records, path)
-        written.append(path)
-    else:
-        raise ConfigError(f"unknown study {study!r}, expected coverage|cdf|timing")
-    _emit({"study": study, "written": written}, args.pretty)
+    config = ExperimentConfig.from_dict(load_config(args.config))
+    if args.threads is not None:
+        config = dataclasses.replace(config, threads=args.threads)
+    written = run_study(config, args.out, args.plot_data)
+    _emit({"study": config.study, "written": written}, args.pretty)
     return EXIT_OK
 
 

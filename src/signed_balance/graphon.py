@@ -25,14 +25,15 @@ Built-in specs:
 Draw order inside sample_network is fixed and documented: n latent
 uniforms, then C(n,2) edge uniforms, then C(n,2) sign uniforms, all from
 one counter-based stream (see rng module), so samples are reproducible
-bit-for-bit from (spec, n, seed).
+bit-for-bit from (spec, n, seed).  The pair draws walk the i < j pairs in
+row-major order and fill one int8 matrix through its upper-triangle mask on
+both storages; `SignedAdjacency` converts it to CSR above `dense_threshold`.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, GraphonRangeError, NoTriangleError
 from .graph import SignedAdjacency
@@ -202,38 +203,20 @@ def sample_network(spec, n, seed, return_latent=False, dense_threshold=None):
     """Draw one network; deterministic in (spec, n, seed)."""
     if n < 1:
         raise ConfigError(f"need n >= 1 nodes, got n={n}")
-    from .graph import DENSE_THRESHOLD
-
-    threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
     rng = stream(seed)
     x = rng.uniform(size=n)
-    # pair latents for i < j in row-major order, the order of np.triu_indices
-    # and of a boolean upper-triangle mask
+    # pair latents for i < j in the row-major order of the boolean upper mask
+    node = np.arange(n)
+    upper = node[:, None] < node
     xi = np.repeat(x, np.arange(n - 1, -1, -1))
-    if n <= threshold:
-        node = np.arange(n)
-        upper = node[:, None] < node
-        xj = np.broadcast_to(x, (n, n))[upper]
-    else:
-        iu, ju = np.triu_indices(n, k=1)
-        xj = x[ju]
+    xj = np.broadcast_to(x, (n, n))[upper]
     edge = rng.random(size=xi.size) < spec.edge_probability(xi, xj)
     neg = rng.random(size=xi.size) < spec.negative_probability(xi, xj)
     vals = edge.astype(np.int8) - 2 * (edge & neg).astype(np.int8)
-
-    if n <= threshold:
-        mat = np.zeros((n, n), dtype=np.int8)
-        mat[upper] = vals
-        mat += mat.T
-    else:
-        keep = vals != 0
-        r, c, v = iu[keep], ju[keep], vals[keep]
-        mat = sp.csr_matrix(
-            (np.concatenate([v, v]), (np.concatenate([r, c]), np.concatenate([c, r]))),
-            shape=(n, n),
-            dtype=np.int8,
-        )
-    adj = SignedAdjacency(mat, dense_threshold=threshold, _validated=True)
+    mat = np.zeros((n, n), dtype=np.int8)
+    mat[upper] = vals
+    mat += mat.T
+    adj = SignedAdjacency(mat, dense_threshold=dense_threshold, _validated=True)
     if return_latent:
         return adj, x
     return adj

@@ -4,7 +4,8 @@ A study is declared by an ExperimentConfig (usually loaded from JSON) and
 expanded into cells: the cartesian product of the node-size grid and the
 graphon parameter grid.  Per cell the harness computes the population truth
 with the latent-triple oracle, simulates `replications` networks, and
-aggregates per (method, target).
+aggregates per (method, target).  The config names its study and is checked
+whole when built; `run_study` then runs that study and writes its files.
 
 Seed discipline (documented, fixed): with master seed s and cell index c,
 
@@ -27,8 +28,9 @@ table via run_timing.
 import csv
 import io
 import json
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
@@ -42,6 +44,7 @@ from .inference import (
     _delta_draw,
     _interval,
     _pipeline,
+    check_c_delta,
     check_level,
     check_threads,
     confidence_interval,
@@ -50,6 +53,7 @@ from .inference import (
 from .rng import stream_key
 
 METHODS = ("edgeworth", "normal", "bootstrap")
+STUDIES = ("coverage", "cdf", "timing")
 
 _TRUTH_SLOT = 0xFFFFFFFF
 _OBSERVED_SLOT = 0xFFFFFFFE
@@ -73,8 +77,11 @@ class ExperimentConfig:
     seed: int = 0
     c_delta: float = 0.0
     threads: int = 1
+    study: str = "coverage"
 
     def __post_init__(self):
+        if self.study not in STUDIES:
+            raise ConfigError(f"unknown study {self.study!r}, expected one of {STUDIES}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not self.n_grid:
@@ -92,6 +99,7 @@ class ExperimentConfig:
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"param_grid[{key!r}] must be a nonempty list")
         check_threads(self.threads)
+        check_c_delta(self.c_delta)
 
     @classmethod
     def from_dict(cls, obj):
@@ -100,12 +108,9 @@ class ExperimentConfig:
         graphon = obj.get("graphon")
         if not isinstance(graphon, dict) or "name" not in graphon:
             raise ConfigError("config needs graphon: {name, params?, rho?, s?}")
-        known = {
-            "graphon", "param_grid", "n_grid", "replications", "level", "methods",
-            "targets", "truth_budget", "truth_replications",
-            "bootstrap_replicates", "seed", "c_delta", "threads", "study",
-        }
-        extra = set(obj) - known
+        # the four graphon fields are read from the one "graphon" object
+        known = {f.name for f in fields(cls)} - {"graphon_name", "graphon_params", "rho", "s"}
+        extra = set(obj) - known - {"graphon"}
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
         grid = obj.get("param_grid") or {}
@@ -128,6 +133,7 @@ class ExperimentConfig:
             seed=_number(obj, "seed", int, 0),
             c_delta=_number(obj, "c_delta", float, 0.0),
             threads=_number(obj, "threads", int, 1),
+            study=obj.get("study", "coverage"),
         )
 
 
@@ -312,38 +318,28 @@ def run_coverage(config):
     return rows
 
 
-def write_coverage_csv(rows, path_or_buf):
-    def emit(fh):
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ROW_FIELDS)
-        for row in rows:
-            writer.writerow(row.csv_record())
-
-    if hasattr(path_or_buf, "write"):
-        emit(path_or_buf)
-    else:
+def _write_csv(path_or_buf, header, records):
+    """Write `header`, then one line per record, to a path or an open text file."""
+    if not hasattr(path_or_buf, "write"):
         with open(path_or_buf, "w", encoding="utf-8") as fh:
-            emit(fh)
+            return _write_csv(fh, header, records)
+    writer = csv.writer(path_or_buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(records)
+
+
+def write_coverage_csv(rows, path_or_buf):
+    _write_csv(path_or_buf, ROW_FIELDS, (row.csv_record() for row in rows))
 
 
 def write_plot_data_csv(rows, path):
     """Long-format variant: one (cell metric) per line."""
     metrics = ("coverage", "mean_ci_length", "mean_estimate", "true_w")
-    with open(path, "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("study", "cell", "n", "rho", "alpha", "method", "target", "metric", "value")
-        )
-        for row in rows:
-            for metric in metrics:
-                writer.writerow(
-                    (
-                        row.study, row.cell, row.n, repr(float(row.rho)),
-                        "" if row.alpha is None else row.alpha,
-                        row.method, row.target, metric,
-                        repr(float(getattr(row, metric))),
-                    )
-                )
+    header = ("study", "cell", "n", "rho", "alpha", "method", "target", "metric", "value")
+    _write_csv(path, header, (
+        (row.study, row.cell, row.n, repr(float(row.rho)), "" if row.alpha is None else row.alpha,
+         row.method, row.target, metric, repr(float(getattr(row, metric))))
+        for row in rows for metric in metrics))
 
 
 # ----------------------------------------------------------------- CDF study
@@ -439,12 +435,10 @@ def run_cdf_study(config):
 
 
 def write_cdf_csv(study, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("x", "target", "method", "cdf"))
-        for (target, method), values in sorted(study.curves.items()):
-            for x, v in zip(study.grid, values):
-                writer.writerow((repr(float(x)), target, method, repr(float(v))))
+    _write_csv(path, ("x", "target", "method", "cdf"), (
+        (repr(float(x)), target, method, repr(float(v)))
+        for (target, method), values in sorted(study.curves.items())
+        for x, v in zip(study.grid, values)))
 
 
 # -------------------------------------------------------------------- timing
@@ -487,12 +481,8 @@ def run_timing(config):
 
 
 def write_timing_csv(records, path):
-    fields = ("study", "n", "method", "replications", "total_seconds", "seconds_per_analysis")
-    with open(path, "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for rec in records:
-            writer.writerow([rec[f] for f in fields])
+    header = ("study", "n", "method", "replications", "total_seconds", "seconds_per_analysis")
+    _write_csv(path, header, ([rec[f] for f in header] for rec in records))
 
 
 def coverage_csv_bytes(rows):
@@ -501,10 +491,36 @@ def coverage_csv_bytes(rows):
     return buf.getvalue().encode("utf-8")
 
 
+def run_study(config, out_dir, plot_data=False):
+    """Run `config.study` and write its files into `out_dir` (created if
+    missing; `plot_data` adds the long-format coverage CSV); the paths written."""
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+
+    def path(name):
+        written.append(os.path.join(out_dir, name))
+        return written[-1]
+
+    if config.study == "coverage":
+        rows = run_coverage(config)
+        write_coverage_csv(rows, path("coverage.csv"))
+        if plot_data:
+            write_plot_data_csv(rows, path("coverage_plot_data.csv"))
+    elif config.study == "cdf":
+        result = run_cdf_study(config)
+        with open(path("cdf_distances.json"), "w", encoding="utf-8") as fh:
+            json.dump(result.distances_dict(), fh, indent=2)
+            fh.write("\n")
+        write_cdf_csv(result, path("cdf_curves.csv"))
+    else:
+        write_timing_csv(run_timing(config), path("timing.csv"))
+    return written
+
+
 def load_config(path):
+    """The JSON value in the file at `path`; ConfigError naming the path unless it parses."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return obj
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc

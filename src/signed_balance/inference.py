@@ -207,10 +207,9 @@ class EdgeworthCoefficients:
     b_hat: float
     c_hat: float
     n: int
-    delta_var: float = 0.0
 
 
-def edgeworth_coefficients(proj, c_delta=0.0):
+def edgeworth_coefficients(proj):
     if proj.xi1_sq <= 0.0:
         raise DegenerateVarianceError("xi1_hat = 0: Edgeworth coefficients undefined")
     if proj.pair is None:
@@ -233,7 +232,6 @@ def edgeworth_coefficients(proj, c_delta=0.0):
         b_hat=b_hat,
         c_hat=c_hat,
         n=n,
-        delta_var=c_delta * math.log(n) / n,
     )
 
 
@@ -336,7 +334,7 @@ class Pipeline:
         if method == "edgeworth":
             return self.coef
         if method == "normal":
-            return EdgeworthCoefficients(0.0, 0.0, 0.0, self.proj.n, 0.0)
+            return EdgeworthCoefficients(0.0, 0.0, 0.0, self.proj.n)
         raise ConfigError(f"method must be edgeworth|normal, got {method!r}")
 
 
@@ -350,6 +348,12 @@ def _pipeline(bundle, target):
 def check_level(level):
     if not 0.0 < level < 1.0:
         raise ConfigError(f"level must be in (0,1), got {level}")
+
+
+def check_c_delta(c_delta):
+    """The perturbation scale c_delta must be a finite number >= 0."""
+    if not (math.isfinite(c_delta) and c_delta >= 0.0):
+        raise ConfigError(f"c_delta must be a finite number >= 0, got {c_delta}")
 
 
 def check_threads(threads):
@@ -432,6 +436,7 @@ def confidence_interval(
 ):
     """Cornish-Fisher (or plain normal) interval plus the full report."""
     check_level(level)
+    check_c_delta(c_delta)
     pipe = _pipeline(full_census(adj), target)
     coef = pipe.coefficients(method)
     delta_draw = _delta_draw(pipe.proj.n, c_delta, seed)
@@ -473,6 +478,8 @@ def balance_test(
     one-sided test rejects about 0.003 of the time.
     """
     null_value = float(null_value)
+    if not math.isfinite(null_value):
+        raise ConfigError(f"null value must be a finite number, got {null_value}")
     pipe = _pipeline(full_census(adj), target)
     t = (pipe.estimate - null_value) / pipe.S_hat
     p = _p_value(t, pipe.coefficients(method), alternative)

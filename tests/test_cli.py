@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import importlib
 import json
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import signed_balance.cli as cli
+import signed_balance.harness as harness
 from signed_balance.bootstrap import bootstrap_ci
 from signed_balance.cli import main
 from signed_balance.graph import read_edge_list
@@ -61,6 +63,15 @@ def test_simulate_n_flag_overrides_spec(tmp_path, spec_file, capsys):
          "--out", str(out)], capsys)
     assert code == 0
     assert json.loads(stdout)["n"] == 12
+
+
+def test_simulate_bad_json_names_the_file(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text("{not json")
+    code, _, err = run_cli(
+        ["simulate", "--spec", str(spec), "--out", str(tmp_path / "n.edges")], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {spec} is not valid JSON")
 
 
 def test_simulate_deterministic(tmp_path, spec_file, capsys):
@@ -170,6 +181,21 @@ def test_test_rejects_garbage_null(edges_file, capsys):
     assert "null" in err
 
 
+@pytest.mark.parametrize("null", ["nan", "inf", "1e400", "--null=-inf"])
+def test_test_rejects_non_finite_null(edges_file, null, capsys):
+    flag = [null] if null.startswith("--") else ["--null", null]
+    code, out, err = run_cli(["test", "--in", edges_file, *flag], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "null value" in err and out == ""
+
+
+@pytest.mark.parametrize("c_delta", ["-1", "nan", "inf"])
+def test_ci_rejects_bad_c_delta(edges_file, c_delta, capsys):
+    code, out, err = run_cli(["ci", "--in", edges_file, "--c-delta", c_delta], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "c_delta" in err and out == ""
+
+
 def test_mc_coverage(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -192,12 +218,68 @@ def test_mc_coverage(tmp_path, capsys):
     assert (outdir / "coverage_plot_data.csv").exists()
 
 
+@pytest.mark.parametrize("study, files", [
+    ("cdf", ["cdf_distances.json", "cdf_curves.csv"]), ("timing", ["timing.csv"])])
+def test_mc_cdf_and_timing_studies(tmp_path, study, files, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "study": study, "graphon": {"name": "const-cos"}, "n_grid": [12], "replications": 2,
+        "truth_replications": 20, "truth_budget": 2000, "methods": ["normal"], "seed": 8,
+    }))
+    outdir = tmp_path / "results"
+    code, out, _ = run_cli(
+        ["mc", "--config", str(cfg), "--out", str(outdir), "--plot-data"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"study": study, "written": [str(outdir / f) for f in files]}
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(files)
+
+
 def test_mc_unknown_study(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"study": "wat", "graphon": {"name": "const-cos"}}))
-    code, _, err = run_cli(["mc", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    outdir = tmp_path / "results"
+    code, _, err = run_cli(["mc", "--config", str(cfg), "--out", str(outdir)], capsys)
     assert code == 1
     assert "study" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"x"', "null"])
+def test_mc_non_object_config(tmp_path, content, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    outdir = tmp_path / "results"
+    code, out, err = run_cli(
+        ["mc", "--config", str(cfg), "--out", str(outdir), "--threads", "1"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "object" in err and out == ""
+    assert not outdir.exists()
+
+
+def test_mc_threads_flag_replaces_a_checked_config_value(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    outdir = tmp_path / "results"
+    for in_config, flag, want in [(0, "1", 1), (1, "0", 1), (3, "2", 0)]:
+        cfg.write_text(json.dumps({
+            "graphon": {"name": "const-cos"}, "n_grid": [12], "replications": 2,
+            "methods": ["normal"], "truth_budget": 2000, "threads": in_config}))
+        code, _, err = run_cli(
+            ["mc", "--config", str(cfg), "--out", str(outdir), "--threads", flag], capsys)
+        assert code == want, (in_config, flag)
+        if want:
+            assert err.startswith("error:") and "threads" in err
+
+
+@pytest.mark.parametrize("c_delta", ["-1.0", "NaN", "Infinity"])
+def test_mc_refuses_bad_c_delta_before_the_truth(tmp_path, c_delta, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "population_moments", None)  # must not be reached
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"graphon": {"name": "const-cos"}, "n_grid": [12], "c_delta": %s}' % c_delta)
+    outdir = tmp_path / "results"
+    code, _, err = run_cli(["mc", "--config", str(cfg), "--out", str(outdir)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "c_delta" in err
+    assert not outdir.exists()
 
 
 def test_mc_non_numeric_config_value(tmp_path, capsys):
@@ -265,6 +347,40 @@ def test_mc_refuses_non_object_params_and_fractional_integers(tmp_path, capsys):
         code, _, err = run_cli(["mc", "--config", str(cfg), "--out", str(tmp_path)], capsys)
         assert code == 1, (key, value)
         assert err.startswith("error:") and repr(named) in err, (key, err)
+
+
+# ---------------------------------------------------------------------- flags
+
+TARGETS = ["balanced", "type1", "type2", "type3", "type4"]
+
+# subcommand -> ({option string: default}, {dest: choices})
+FLAGS = {
+    "simulate": ({"--spec": None, "--n": None, "--seed": 0, "--out": None, "--pretty": False},
+                 {}),
+    "census": ({"--in": None, "--pretty": False}, {}),
+    "ci": ({"--in": None, "--level": 0.95, "--target": "balanced", "--method": "edgeworth",
+            "--replicates": 1000, "--c-delta": 0.0, "--seed": 0, "--threads": None,
+            "--draws-out": None, "--pretty": False},
+           {"target": TARGETS, "method": ["edgeworth", "normal", "bootstrap"]}),
+    "test": ({"--in": None, "--null": None, "--alt": "greater", "--target": "balanced",
+              "--method": "edgeworth", "--pretty": False},
+             {"alt": ["greater", "less", "two-sided"], "target": TARGETS,
+              "method": ["edgeworth", "normal"]}),
+    "mc": ({"--config": None, "--out": None, "--plot-data": False, "--threads": None,
+            "--pretty": False}, {}),
+    "version": ({}, {}),
+}
+
+
+def test_subcommand_flags_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FLAGS)
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        flags = {opt: a.default for a in actions for opt in a.option_strings}
+        choices = {a.dest: list(a.choices) for a in actions if a.choices is not None}
+        assert (flags, choices) == FLAGS[name], name
 
 
 # ----------------------------------------------------------------- exit codes

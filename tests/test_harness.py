@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -59,13 +60,32 @@ def test_config_validation():
         tiny_config(methods=("bootstrap",))  # needs bootstrap_replicates
     with pytest.raises(ConfigError):
         tiny_config(threads=0)
+    for c_delta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="c_delta"):
+            tiny_config(c_delta=c_delta)
+    with pytest.raises(ConfigError, match="study"):
+        tiny_config(study="wat")
     tiny_config(methods=("bootstrap",), bootstrap_replicates=100)
+    assert tiny_config().study == "coverage"
 
 
 def test_from_dict_rejects_unknown_keys():
     obj = {"graphon": {"name": "const-cos"}, "n_grid": [12], "surprise": 1}
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(obj)
+
+
+def test_from_dict_accepts_exactly_the_config_keys():
+    obj = {"graphon": {"name": "const-cos"}, "study": "cdf", "param_grid": {}, "n_grid": [12],
+           "replications": 2, "level": 0.9, "methods": ["normal"], "targets": ["balanced"],
+           "truth_budget": 2000, "truth_replications": 10, "bootstrap_replicates": None,
+           "seed": 1, "c_delta": 0.5, "threads": 2}
+    cfg = ExperimentConfig.from_dict(obj)
+    assert (cfg.study, cfg.c_delta, cfg.threads) == ("cdf", 0.5, 2)
+    # the graphon fields are read from the "graphon" object only
+    for key in ("graphon_name", "graphon_params", "rho", "s"):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            ExperimentConfig.from_dict({**obj, key: 1})
 
 
 def test_from_dict_needs_graphon():
@@ -100,7 +120,7 @@ def test_from_dict_rejects_malformed_lists_and_graphon_numbers(key, value, named
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
         load_config(path)
 
 

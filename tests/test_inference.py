@@ -447,6 +447,12 @@ def test_delta_disabled_by_default():
     assert rep.c_delta == 0.0 and rep.delta_draw == 0.0
 
 
+@pytest.mark.parametrize("c_delta", [-2.0, float("nan"), float("inf")])
+def test_c_delta_must_be_finite_and_nonnegative(c_delta):
+    with pytest.raises(ConfigError, match="c_delta"):
+        report_for(SUITE[0], c_delta=c_delta)
+
+
 def test_per_type_targets_run():
     for target in ("type1", "type2", "type3", "type4"):
         rep = report_for(SUITE[5], target=target)
@@ -494,6 +500,12 @@ def test_statistic_is_studentized():
     rep = confidence_interval(adj)
     res = balance_test(adj, 0.4)
     assert res.statistic == pytest.approx((rep.estimate - 0.4) / rep.S_hat, rel=1e-12)
+
+
+@pytest.mark.parametrize("null", [float("nan"), float("inf"), float("-inf"), "1e400"])
+def test_non_finite_null_rejected(null):
+    with pytest.raises(ConfigError, match="null value"):
+        balance_test(from_dense(SUITE[0]), null)
 
 
 def test_extreme_null_gives_extreme_pvalues():
