@@ -22,8 +22,11 @@ Replicates where the ratio or variance is degenerate (no triangles, zero
 variance) are dropped and counted; more than 50% degenerate is a hard
 error.  Replicate r uses the derived stream (seed, r), so runs are
 reproducible.  Replicates run in order on the calling thread; `threads` is
-accepted and checked but selects nothing.  The bootstrap report is built by
-`inference._report`, the builder of the Edgeworth and normal reports.
+accepted and checked but selects nothing.  A `BootstrapDistribution` is a
+law like `inference.EdgeworthCoefficients` (`cdf`, `tails`, `quantile`), so
+`inference._report` builds its report; `reference_law` maps a method name
+to its law.  A nonzero c_delta is refused with the bootstrap: the delta
+draw reads stream (seed, 0), which replicate 0 draws from.
 """
 
 from dataclasses import dataclass
@@ -39,11 +42,23 @@ from .rng import stream
 
 @dataclass(frozen=True)
 class BootstrapDistribution:
+    """The bootstrap law of T: the empirical law of its kept draws."""
+
     draws: np.ndarray
     B: int
     seed: int
     target: str
     degenerate_count: int
+
+    def cdf(self, x):
+        return np.searchsorted(np.sort(self.draws), x, side="right") / self.draws.size
+
+    def tails(self, t):
+        """(P(T* <= t), P(T* >= t)); a draw equal to t counts in both."""
+        return float(np.mean(self.draws <= t)), float(np.mean(self.draws >= t))
+
+    def quantile(self, p):
+        return float(np.quantile(self.draws, p))
 
     def save_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -65,11 +80,15 @@ def resample_network(adj, seed=0, indices=None):
     return SignedAdjacency(adj.entries[idx][:, idx], _validated=True)
 
 
+def check_replicates(B):
+    if B < 100:
+        raise ConfigError(f"need B >= 100 bootstrap replicates, got {B}")
+
+
 def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1):
     """B studentized draws, each replicate counted on the storage of the
     census cached on `adj`."""
-    if B < 100:
-        raise ConfigError(f"need B >= 100 bootstrap replicates, got {B}")
+    check_replicates(B)
     check_threads(threads)
     bundle = full_census(adj)
     ratio_obs = _pipeline(bundle, target).estimate
@@ -93,20 +112,6 @@ def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1):
         draws=draws, B=B, seed=seed, target=target, degenerate_count=degenerate)
 
 
-def ci_from_draws(estimate, s_hat, draws, level):
-    """Percentile-of-T* interval: (est - t*_{hi} S, est - t*_{lo} S)."""
-    alpha = 1.0 - level
-    t_lo, t_hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return estimate - float(t_hi) * s_hat, estimate - float(t_lo) * s_hat
-
-
-def _bootstrap_p(draws, t_null):
-    """Two-sided bootstrap tail probability of T* beyond the null statistic."""
-    upper = float(np.mean(draws >= t_null))
-    lower = float(np.mean(draws <= t_null))
-    return float(min(max(2.0 * min(upper, lower), 0.0), 1.0))
-
-
 def bootstrap_ci(adj, level=0.95, target="balanced", B=1000, seed=0, threads=1):
     """Full InferenceReport with method='bootstrap'; see bootstrap_report."""
     check_level(level)
@@ -122,6 +127,12 @@ def bootstrap_report(adj, dist, level=0.95):
     distribution (with the observed S_hat as the scale).
     """
     check_level(level)
-    pipe = _pipeline(full_census(adj), dist.target)
-    interval = ci_from_draws(pipe.estimate, pipe.S_hat, dist.draws, level)
-    return _report(adj, pipe, level, "bootstrap", interval, lambda t: _bootstrap_p(dist.draws, t))
+    return _report(adj, _pipeline(full_census(adj), dist.target), level, "bootstrap", dist)
+
+
+def reference_law(adj, pipe, method, B, seed):
+    """The law `method` refers the statistic of `pipe` on `adj` to: B
+    bootstrap draws from seed, else `pipe.coefficients(method)`."""
+    if method == "bootstrap":
+        return bootstrap_distribution(adj, target=pipe.proj.target, B=B, seed=seed)
+    return pipe.coefficients(method)

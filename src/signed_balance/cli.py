@@ -11,7 +11,10 @@ be a positive integer, but it selects nothing: outputs are the same for
 any value.
 
 Shared flags are declared once, on parent parsers.  `mc` checks its whole
-config, `study` included, before `harness.run_study` creates `--out`.
+config, `study` included, before `harness.run_study` creates `--out`.  A
+flag the chosen method or study ignores is refused (exit 1) before any
+file is read or written: `ci --c-delta` above 0 or `--draws-out` without
+`--method bootstrap`, and `mc --plot-data` outside a coverage study.
 """
 
 import argparse
@@ -30,6 +33,7 @@ from .harness import ExperimentConfig, load_config, run_study
 from .inference import (
     adjusted_null,
     balance_test,
+    check_c_delta,
     check_level,
     check_threads,
     confidence_interval,
@@ -174,11 +178,15 @@ def _cmd_census(args):
 
 
 def _cmd_ci(args):
-    adj = read_edge_list(args.infile)
     threads = args.threads if args.threads is not None else 1
     check_threads(threads)
+    check_level(args.level)
+    check_c_delta(args.c_delta, (args.method,))
+    if args.draws_out and args.method != "bootstrap":
+        raise ConfigError("--draws-out needs --method bootstrap")
+    adj = read_edge_list(args.infile)
     if args.method == "bootstrap":
-        check_level(args.level)
+        # the draws are kept here, not left to reference_law, for --draws-out
         dist = bootstrap_distribution(
             adj, target=args.target, B=args.replicates, seed=args.seed, threads=threads,
         )

@@ -188,16 +188,15 @@ class SignedAdjacency:
     def to_edge_list_text(self):
         """Edge-list text, pairs sorted by (label_u, label_v).
 
-        Unlabeled adjacencies get canonical zero-padded ids plus the
-        ``# nodes: N`` directive so the node count round-trips even with
-        isolated nodes present.
+        Unlabeled adjacencies get canonical zero-padded ids; those ids, as
+        given or as read back, come with the ``# nodes: N`` directive so
+        the node count round-trips even with isolated nodes present.
         """
         lines = []
-        if self.labels is None:
-            labels = _canonical_labels(self.n)
+        canonical = _canonical_labels(self.n)
+        labels = canonical if self.labels is None else self.labels
+        if labels == canonical:
             lines.append(f"{_NODES_DIRECTIVE} {self.n}")
-        else:
-            labels = self.labels
         rows, cols, signs = _upper_nonzero(self._mat)
         # the pairs in (label_u, label_v) order, by the ranks of the labels
         by_rank = sorted(range(self.n), key=labels.__getitem__)

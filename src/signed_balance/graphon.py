@@ -246,6 +246,11 @@ class PopulationMoments:
 _BATCH = 1 << 20
 
 
+def check_budget(budget):
+    if budget < 1_000:
+        raise ConfigError(f"population budget must be >= 1000, got {budget}")
+
+
 def population_moments(spec, budget=10_000_000, seed=0):
     """Monte Carlo over latent triples with the exact conditional sign law.
 
@@ -257,8 +262,7 @@ def population_moments(spec, budget=10_000_000, seed=0):
     constant sign law the type split is exact.
     """
     budget = int(budget)
-    if budget < 1_000:
-        raise ConfigError(f"population budget must be >= 1000, got {budget}")
+    check_budget(budget)
     rng = stream(seed)
     sums = np.zeros(6)  # x, y1..y4, y_balanced
     sumsq = np.zeros(6)

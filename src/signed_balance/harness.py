@@ -5,7 +5,9 @@ expanded into cells: the cartesian product of the node-size grid and the
 graphon parameter grid.  Per cell the harness computes the population truth
 with the latent-triple oracle, simulates `replications` networks, and
 aggregates per (method, target).  The config names its study and is checked
-whole when built; `run_study` then runs that study and writes its files.
+whole when built, every cell's graphon included; `run_study` then runs that
+study and writes its files.  No study branches on the method:
+`bootstrap.reference_law` gives each method's law.
 
 Seed discipline (documented, fixed): with master seed s and cell index c,
 
@@ -35,20 +37,26 @@ from itertools import product
 
 import numpy as np
 
-from .bootstrap import bootstrap_ci, bootstrap_distribution, ci_from_draws
+from .bootstrap import check_replicates, reference_law
 from .census import _type_index, full_census
 from .errors import ConfigError, DegenerateError
 from .graph import SignedAdjacency
-from .graphon import _convert, _params, population_moments, sample_network, spec_from_json
+from .graphon import (
+    _convert,
+    _params,
+    check_budget,
+    population_moments,
+    sample_network,
+    spec_from_json,
+)
 from .inference import (
     _delta_draw,
     _interval,
     _pipeline,
+    _report,
     check_c_delta,
     check_level,
     check_threads,
-    confidence_interval,
-    edgeworth_cdf,
 )
 from .rng import stream_key
 
@@ -99,7 +107,14 @@ class ExperimentConfig:
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"param_grid[{key!r}] must be a nonempty list")
         check_threads(self.threads)
-        check_c_delta(self.c_delta)
+        check_c_delta(self.c_delta, self.methods)
+        check_level(self.level)
+        check_budget(self.truth_budget)
+        if self.truth_replications < 1:
+            raise ConfigError("truth_replications must be >= 1")
+        expand_cells(self)  # every cell's graphon is checked before any file is written
+        if "bootstrap" in self.methods:
+            check_replicates(self.bootstrap_replicates)
 
     @classmethod
     def from_dict(cls, obj):
@@ -260,23 +275,18 @@ def _replicate(config, cell, r):
             out.update({(method, target): None for method in config.methods})
             continue
         for method in config.methods:
-            if method == "bootstrap":
-                try:
-                    dist = bootstrap_distribution(
-                        adj, target=target, B=config.bootstrap_replicates, seed=seed)
-                except DegenerateError:
-                    out[(method, target)] = None
-                    continue
-                lo, hi = ci_from_draws(pipe.estimate, pipe.S_hat, dist.draws, config.level)
-            else:
-                lo, hi = _interval(pipe, pipe.coefficients(method), config.level, delta_draw)
+            try:
+                law = reference_law(adj, pipe, method, config.bootstrap_replicates, seed)
+            except DegenerateError:
+                out[(method, target)] = None
+                continue
+            lo, hi = _interval(pipe, law, config.level, delta_draw)
             out[(method, target)] = (lo, hi, pipe.estimate)
     return out
 
 
 def run_coverage(config):
     """Coverage/length table over all cells; deterministic given the seed."""
-    check_level(config.level)
     rows = []
     for cell in expand_cells(config):
         t0 = time.perf_counter()
@@ -394,9 +404,8 @@ def run_cdf_study(config):
         for target, pipe in pipes.items():
             draws[target].append((pipe.estimate - truth_w[target]) / pipe.S_hat)
 
-    observed = sample_network(
-        cell.spec, cell.n, seed=_replicate_seed(config, cell, _OBSERVED_SLOT)
-    )
+    observed_seed = _replicate_seed(config, cell, _OBSERVED_SLOT)
+    observed = sample_network(cell.spec, cell.n, seed=observed_seed)
     distances = {}
     curves = {}
     truth_cdf_by_target = {}
@@ -406,21 +415,11 @@ def run_cdf_study(config):
         truth_cdf = np.searchsorted(t_sorted, CDF_GRID, side="right") / used
         truth_cdf_by_target[target] = truth_cdf
         pipe = _pipeline(full_census(observed), target)
-        for method in ("edgeworth", "normal"):
-            curve = edgeworth_cdf(CDF_GRID, pipe.coefficients(method))
+        for method in config.methods:
+            law = reference_law(observed, pipe, method, config.bootstrap_replicates, observed_seed)
+            curve = law.cdf(CDF_GRID)
             curves[(target, method)] = curve
             distances[f"{target}/{method}"] = sup_distance(curve, truth_cdf)
-        if "bootstrap" in config.methods:
-            dist = bootstrap_distribution(
-                observed,
-                target=target,
-                B=config.bootstrap_replicates,
-                seed=_replicate_seed(config, cell, _OBSERVED_SLOT),
-            )
-            boot_sorted = np.sort(dist.draws)
-            boot_cdf = np.searchsorted(boot_sorted, CDF_GRID, side="right") / boot_sorted.size
-            curves[(target, "bootstrap")] = boot_cdf
-            distances[f"{target}/bootstrap"] = sup_distance(boot_cdf, truth_cdf)
 
     first_target = config.targets[0]
     return CdfStudy(
@@ -454,18 +453,9 @@ def run_timing(config):
             t0 = time.perf_counter()
             for _ in range(max(config.replications, 1)):
                 fresh = SignedAdjacency(adj.entries, _validated=True)
-                if method == "bootstrap":
-                    bootstrap_ci(
-                        fresh,
-                        level=config.level,
-                        target=config.targets[0],
-                        B=config.bootstrap_replicates,
-                        seed=config.seed,
-                    )
-                else:
-                    confidence_interval(
-                        fresh, level=config.level, target=config.targets[0], method=method
-                    )
+                pipe = _pipeline(full_census(fresh), config.targets[0])
+                law = reference_law(fresh, pipe, method, config.bootstrap_replicates, config.seed)
+                _report(fresh, pipe, config.level, method, law)
             elapsed = time.perf_counter() - t0
             records.append(
                 {
@@ -494,6 +484,8 @@ def coverage_csv_bytes(rows):
 def run_study(config, out_dir, plot_data=False):
     """Run `config.study` and write its files into `out_dir` (created if
     missing; `plot_data` adds the long-format coverage CSV); the paths written."""
+    if plot_data and config.study != "coverage":
+        raise ConfigError(f"plot data is written for a coverage study only, not {config.study!r}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
 

@@ -37,8 +37,10 @@ count.  Its Edgeworth coefficients are formed only when first read, so a
 bootstrap replicate's census needs no pairs.
 `Pipeline.coefficients` is the one place a method name is checked and its
 terms chosen (its own for edgeworth, zero for normal); target names are
-checked by the census.  `_report` assembles the InferenceReport of both the Cornish-Fisher/normal
-intervals here and the bootstrap interval.
+checked by the census.  Every interval and p-value refers T to one law with
+`cdf`, `tails` and `quantile` (these coefficients, zero for the normal, or
+`bootstrap.BootstrapDistribution`) through one `_interval`, `_p_value` and
+`_report`; only `_interval` applies the delta shift.
 
 The pairwise sum in b is evaluated without materializing q2, via
 q2(i,j) = W(i,j)/(n-2) - q1(i) - q1(j) with W = pair_bal/V - U pair_tot/V^2,
@@ -203,10 +205,23 @@ def variance_estimator(proj):
 
 @dataclass(frozen=True)
 class EdgeworthCoefficients:
+    """The empirical Edgeworth law of T; zero coefficients give the normal law."""
+
     a_hat: float
     b_hat: float
     c_hat: float
     n: int
+
+    def cdf(self, x):
+        return edgeworth_cdf(x, self)
+
+    def tails(self, t):
+        """(P(T <= t), P(T >= t))."""
+        lower = self.cdf(t)
+        return lower, 1.0 - lower
+
+    def quantile(self, p):
+        return cornish_fisher_quantile(p, self)
 
 
 def edgeworth_coefficients(proj):
@@ -252,11 +267,11 @@ def edgeworth_cdf(x, coef):
     return float(out) if out.ndim == 0 else out
 
 
-def cornish_fisher_quantile(alpha, coef, delta_draw=0.0):
+def cornish_fisher_quantile(alpha, coef):
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"quantile level must be in (0,1), got {alpha}")
     z = ndtri(alpha)
-    return float(z - _polynomial(z, coef) / math.sqrt(coef.n) - delta_draw)
+    return float(z - _polynomial(z, coef) / math.sqrt(coef.n))
 
 
 # ----------------------------------------------------------------- baselines
@@ -350,10 +365,14 @@ def check_level(level):
         raise ConfigError(f"level must be in (0,1), got {level}")
 
 
-def check_c_delta(c_delta):
-    """The perturbation scale c_delta must be a finite number >= 0."""
+def check_c_delta(c_delta, methods=()):
+    """The perturbation scale c_delta must be a finite number >= 0, and 0
+    when `methods` holds the bootstrap: the delta draw would read the
+    stream of its replicate 0."""
     if not (math.isfinite(c_delta) and c_delta >= 0.0):
         raise ConfigError(f"c_delta must be a finite number >= 0, got {c_delta}")
+    if c_delta > 0.0 and "bootstrap" in methods:
+        raise ConfigError(f"c_delta must be 0 with the bootstrap method, got {c_delta}")
 
 
 def check_threads(threads):
@@ -362,9 +381,8 @@ def check_threads(threads):
         raise ConfigError(f"threads must be >= 1, got {threads}")
 
 
-def _p_value(t, coef, alternative):
-    lower = edgeworth_cdf(t, coef)
-    upper = 1.0 - lower
+def _p_value(t, law, alternative):
+    lower, upper = law.tails(t)
     if alternative == "greater":
         p = upper
     elif alternative == "less":
@@ -385,11 +403,11 @@ def _delta_draw(n, c_delta, seed):
     return 0.0
 
 
-def _interval(pipe, coef, level, delta_draw=0.0):
-    """(lower, upper) from the Cornish-Fisher quantiles of `coef`."""
+def _interval(pipe, law, level, delta_draw=0.0):
+    """(lower, upper) from the quantiles of `law`, each shifted by `delta_draw`."""
     alpha = 1.0 - level
-    q_hi = cornish_fisher_quantile(1.0 - alpha / 2.0, coef, delta_draw)
-    q_lo = cornish_fisher_quantile(alpha / 2.0, coef, delta_draw)
+    q_hi = law.quantile(1.0 - alpha / 2.0) - delta_draw
+    q_lo = law.quantile(alpha / 2.0) - delta_draw
     return pipe.estimate - q_hi * pipe.S_hat, pipe.estimate - q_lo * pipe.S_hat
 
 
@@ -404,10 +422,11 @@ def _named_nulls(target, neg_fraction):
     return nulls
 
 
-def _report(adj, pipe, level, method, interval, p_value, c_delta=0.0, delta_draw=0.0):
-    """The InferenceReport of `pipe`: `interval` is (lower, upper) and
-    `p_value(t)` the two-sided p-value of a studentized statistic t."""
+def _report(adj, pipe, level, method, law, c_delta=0.0, delta_draw=0.0):
+    """The InferenceReport of `pipe`, its interval and two-sided p-values
+    referred to `law`."""
     target = pipe.proj.target
+    lower, upper = _interval(pipe, law, level, delta_draw)
     neg_fraction = adj.summarize().negative_fraction
     nulls = _named_nulls(target, neg_fraction)
     return InferenceReport(
@@ -423,10 +442,11 @@ def _report(adj, pipe, level, method, interval, p_value, c_delta=0.0, delta_draw
         c_delta=c_delta,
         delta_draw=delta_draw,
         level=level,
-        ci_lower=interval[0],
-        ci_upper=interval[1],
+        ci_lower=lower,
+        ci_upper=upper,
         method=method,
-        p_values={name: p_value((pipe.estimate - c) / pipe.S_hat) for name, c in nulls.items()},
+        p_values={name: _p_value((pipe.estimate - c) / pipe.S_hat, law, "two-sided")
+                  for name, c in nulls.items()},
         baselines=baselines(neg_fraction) if neg_fraction is not None else {},
     )
 
@@ -438,13 +458,8 @@ def confidence_interval(
     check_level(level)
     check_c_delta(c_delta)
     pipe = _pipeline(full_census(adj), target)
-    coef = pipe.coefficients(method)
     delta_draw = _delta_draw(pipe.proj.n, c_delta, seed)
-    interval = _interval(pipe, coef, level, delta_draw)
-    return _report(
-        adj, pipe, level, method, interval,
-        lambda t: _p_value(t, coef, "two-sided"), c_delta, delta_draw,
-    )
+    return _report(adj, pipe, level, method, pipe.coefficients(method), c_delta, delta_draw)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Node-resampling bootstrap comparator."""
 
 import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from signed_balance.bootstrap import (
     BootstrapDistribution,
     bootstrap_ci,
     bootstrap_distribution,
-    ci_from_draws,
     resample_network,
 )
 from signed_balance.census import census, full_census
 from signed_balance.errors import CensusExactnessError, ConfigError, DegenerateBootstrapError
 from signed_balance.graph import SignedAdjacency, from_dense, validate
 from signed_balance.graphon import builtin_spec, sample_network
+from signed_balance.inference import _interval, _p_value
 
 from _reference import random_signed_matrix
 
@@ -111,12 +112,32 @@ def test_save_csv_format(tmp_path):
     np.testing.assert_array_equal(back, d.draws)
 
 
+def draws_law(draws):
+    return BootstrapDistribution(draws=np.asarray(draws, dtype=np.float64), B=len(draws),
+                                 seed=0, target="balanced", degenerate_count=0)
+
+
 def test_ci_from_draws_orientation():
     draws = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    lo, hi = ci_from_draws(0.5, 0.1, draws, level=0.5)
+    pipe = SimpleNamespace(estimate=0.5, S_hat=0.1)
+    lo, hi = _interval(pipe, draws_law(draws), level=0.5)
     assert lo < hi
     # upper draw quantile sets the lower bound
     assert lo == pytest.approx(0.5 - np.quantile(draws, 0.75) * 0.1)
+
+
+def test_bootstrap_tails_count_a_tie_in_both():
+    law = draws_law([-1.0, 0.0, 0.0, 0.0, 1.0])
+    assert law.tails(0.0) == (0.8, 0.8)
+    assert _p_value(0.0, law, "two-sided") == 1.0
+
+
+def test_bootstrap_cdf_is_the_right_continuous_step_function():
+    draws = bootstrap_distribution(observed(), B=120, seed=3).draws
+    grid = np.concatenate([np.linspace(-4.0, 4.0, 33), draws[:10]])
+    # P(T* <= x), counted draw by draw: a draw equal to x is in
+    want = (draws[None, :] <= grid[:, None]).sum(axis=1) / draws.size
+    np.testing.assert_array_equal(draws_law(draws).cdf(grid), want)
 
 
 def test_bootstrap_ci_report():

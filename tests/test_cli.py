@@ -196,6 +196,23 @@ def test_ci_rejects_bad_c_delta(edges_file, c_delta, capsys):
     assert err.startswith("error:") and "c_delta" in err and out == ""
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--method", "bootstrap", "--c-delta", "0.5"], "c_delta"),
+    (["--method", "bootstrap", "--c-delta", "-5"], "c_delta"),
+    (["--draws-out", "DRAWS"], "--draws-out"),
+    (["--method", "normal", "--draws-out", "DRAWS"], "--draws-out"),
+])
+def test_ci_refuses_flags_its_method_ignores(tmp_path, edges_file, flags, named, capsys,
+                                            monkeypatch):
+    monkeypatch.setattr(cli, "read_edge_list", None)  # refused before the file is read
+    draws = tmp_path / "draws.csv"
+    flags = [str(draws) if f == "DRAWS" else f for f in flags]
+    code, out, err = run_cli(["ci", "--in", edges_file, *flags], capsys)
+    assert code == 1
+    assert err.startswith("error:") and named in err and out == ""
+    assert not draws.exists()
+
+
 def test_mc_coverage(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -227,11 +244,44 @@ def test_mc_cdf_and_timing_studies(tmp_path, study, files, capsys):
         "truth_replications": 20, "truth_budget": 2000, "methods": ["normal"], "seed": 8,
     }))
     outdir = tmp_path / "results"
-    code, out, _ = run_cli(
-        ["mc", "--config", str(cfg), "--out", str(outdir), "--plot-data"], capsys)
+    code, out, _ = run_cli(["mc", "--config", str(cfg), "--out", str(outdir)], capsys)
     assert code == 0
     assert json.loads(out) == {"study": study, "written": [str(outdir / f) for f in files]}
     assert sorted(p.name for p in outdir.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("study", ["cdf", "timing"])
+def test_mc_refuses_plot_data_outside_a_coverage_study(tmp_path, study, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"study": study, "graphon": {"name": "const-cos"},
+                               "n_grid": [12], "truth_budget": 2000}))
+    outdir = tmp_path / "results"
+    code, out, err = run_cli(
+        ["mc", "--config", str(cfg), "--out", str(outdir), "--plot-data"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "plot data" in err and out == ""
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("over, want", [
+    ({"level": 1.5}, 1),
+    ({"truth_budget": 10}, 1),
+    ({"methods": ["bootstrap"], "bootstrap_replicates": 5}, 1),
+    ({"methods": ["bootstrap"], "bootstrap_replicates": 100, "c_delta": 0.5}, 1),
+    ({"graphon": {"name": "nope"}}, 1),
+    ({"graphon": {"name": "const-cos", "rho": 2}}, 2),
+    ({"graphon": {"name": "logistic-balance"}, "param_grid": {"alpha": ["x"]}}, 1),
+    ({"study": "cdf", "truth_replications": 0}, 1),
+])
+def test_mc_checks_the_whole_config_before_creating_out(tmp_path, over, want, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graphon": {"name": "const-cos"}, "n_grid": [12],
+                               "replications": 2, "truth_budget": 2000, **over}))
+    outdir = tmp_path / "results"
+    code, out, err = run_cli(["mc", "--config", str(cfg), "--out", str(outdir)], capsys)
+    assert code == want
+    assert err.startswith("error:") and out == ""
+    assert not outdir.exists()
 
 
 def test_mc_unknown_study(tmp_path, capsys):

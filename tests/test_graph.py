@@ -141,6 +141,15 @@ def test_roundtrip_preserves_isolated_nodes(tmp_path):
     assert back.negative_count() == 1
 
 
+def test_roundtrip_of_a_read_file_keeps_isolated_nodes():
+    adj = parse_edge_list("# nodes: 5\n0 1 +1\n1 2 -1\n0 2 +1\n")
+    text = adj.to_edge_list_text()
+    assert text.startswith("# nodes: 5\n")
+    back = parse_edge_list(text)
+    assert back.n == adj.n == 5
+    assert back == adj
+
+
 def test_canonical_text_is_sorted_and_stable():
     texts = []
     for threshold in (None, 0):  # dense, then sparse storage

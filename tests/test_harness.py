@@ -65,6 +65,10 @@ def test_config_validation():
             tiny_config(c_delta=c_delta)
     with pytest.raises(ConfigError, match="study"):
         tiny_config(study="wat")
+    # the delta shift perturbs the Edgeworth and normal quantiles only
+    with pytest.raises(ConfigError, match="c_delta"):
+        tiny_config(methods=("normal", "bootstrap"), bootstrap_replicates=100, c_delta=0.5)
+    tiny_config(c_delta=0.5)
     tiny_config(methods=("bootstrap",), bootstrap_replicates=100)
     assert tiny_config().study == "coverage"
 
@@ -241,6 +245,12 @@ def test_cdf_study_outputs():
     d = study.distances_dict()
     json.dumps(d)  # serializable as-is
     assert d["n"] == 16
+
+
+def test_cdf_study_reports_the_configured_methods_only():
+    study = run_cdf_study(tiny_config(n_grid=(16,), truth_replications=50, methods=("normal",)))
+    assert list(study.distances) == ["balanced/normal"]
+    assert list(study.curves) == [("balanced", "normal")]
 
 
 def test_cdf_study_counts_the_observed_network_once(monkeypatch):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from signed_balance.bootstrap import bootstrap_ci, bootstrap_distribution
@@ -302,6 +303,14 @@ def test_quantile_normal_case():
     coef = EdgeworthCoefficients(a_hat=0.0, b_hat=0.0, c_hat=0.0, n=50)
     assert cornish_fisher_quantile(0.975, coef) == pytest.approx(1.959964, abs=1e-6)
     assert cornish_fisher_quantile(0.5, coef) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_zero_coefficients_are_the_normal_law():
+    from signed_balance.inference import EdgeworthCoefficients
+
+    law = EdgeworthCoefficients(a_hat=0.0, b_hat=0.0, c_hat=0.0, n=50)
+    assert law.quantile(0.975) == ndtri(0.975)
+    assert law.tails(1.0) == (ndtr(1.0), 1.0 - ndtr(1.0))
 
 
 def test_quantile_spread_is_coefficient_free():
