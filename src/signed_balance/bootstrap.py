@@ -25,8 +25,9 @@ reproducible.  Replicates run in order on the calling thread; `threads` is
 accepted and checked but selects nothing.  A `BootstrapDistribution` is a
 law like `inference.EdgeworthCoefficients` (`cdf`, `tails`, `quantile`), so
 `inference._report` builds its report; `reference_law` maps a method name
-to its law.  A nonzero c_delta is refused with the bootstrap: the delta
-draw reads stream (seed, 0), which replicate 0 draws from.
+to its law, and `METHODS` beside it is the one list of the names it takes.
+A nonzero c_delta is refused with the bootstrap: the delta draw reads
+stream (seed, 0), which replicate 0 draws from.
 """
 
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import numpy as np
 from .census import _resampled_bundle, full_census
 from .errors import ConfigError, DegenerateBootstrapError, DegenerateError
 from .graph import SignedAdjacency
-from .inference import _pipeline, _report, check_level, check_threads
+from .inference import EXPANSION_METHODS, _pipeline, _report, check_level, check_threads
 from .rng import stream
 
 
@@ -128,6 +129,10 @@ def bootstrap_report(adj, dist, level=0.95):
     """
     check_level(level)
     return _report(adj, _pipeline(full_census(adj), dist.target), level, "bootstrap", dist)
+
+
+# Every method a statistic can be referred by; `reference_law` maps each to its law.
+METHODS = (*EXPANSION_METHODS, "bootstrap")
 
 
 def reference_law(adj, pipe, method, B, seed):

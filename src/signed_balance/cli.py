@@ -10,11 +10,14 @@ Every command runs on one thread.  `--threads` is still accepted and must
 be a positive integer, but it selects nothing: outputs are the same for
 any value.
 
-Shared flags are declared once, on parent parsers.  `mc` checks its whole
-config, `study` included, before `harness.run_study` creates `--out`.  A
-flag the chosen method or study ignores is refused (exit 1) before any
-file is read or written: `ci --c-delta` above 0 or `--draws-out` without
-`--method bootstrap`, and `mc --plot-data` outside a coverage study.
+Each decision has one owner: shared flags are declared once, on parent
+parsers; the `--method` choices are `bootstrap.METHODS` (ci) and
+`inference.EXPANSION_METHODS` (test); `harness.ExperimentConfig` checks the
+whole `mc` config before `harness.run_study` creates `--out`.  A flag or
+key the chosen method or study ignores is refused (exit 1) before any file
+is read or written: `ci --c-delta` above 0 or `--draws-out` without
+`--method bootstrap`, `mc --plot-data` outside a coverage study, and the
+config keys `harness.ExperimentConfig` refuses for its study.
 """
 
 import argparse
@@ -23,7 +26,7 @@ import json
 import sys
 
 from . import __version__
-from .bootstrap import bootstrap_distribution, bootstrap_report
+from .bootstrap import METHODS, bootstrap_distribution, bootstrap_report
 from .census import TARGETS
 from .census import census as run_census
 from .errors import ConfigError, DegenerateError, SignedBalanceError
@@ -31,6 +34,7 @@ from .graph import read_edge_list, write_edge_list
 from .graphon import sample_network, spec_from_json
 from .harness import ExperimentConfig, load_config, run_study
 from .inference import (
+    EXPANSION_METHODS,
     adjusted_null,
     balance_test,
     check_c_delta,
@@ -108,10 +112,8 @@ def build_parser():
         "expected proportion of balanced (or per-type) triangles.",
     )
     p_ci.add_argument("--level", type=float, default=0.95, help="confidence level")
-    p_ci.add_argument(
-        "--method", default="edgeworth",
-        choices=["edgeworth", "normal", "bootstrap"], help="interval construction",
-    )
+    p_ci.add_argument("--method", default="edgeworth", choices=METHODS,
+                      help="interval construction")
     p_ci.add_argument("--replicates", type=int, default=1000,
                       help="bootstrap replicate count (bootstrap method)")
     p_ci.add_argument("--c-delta", type=float, default=0.0,
@@ -131,8 +133,8 @@ def build_parser():
                         help="null value: float or 'adjusted'")
     p_test.add_argument("--alt", default="greater",
                         choices=["greater", "less", "two-sided"], help="alternative")
-    p_test.add_argument("--method", default="edgeworth",
-                        choices=["edgeworth", "normal"], help="CDF approximation")
+    p_test.add_argument("--method", default="edgeworth", choices=EXPANSION_METHODS,
+                        help="CDF approximation")
 
     p_mc = sub.add_parser(
         "mc", help="run a Monte Carlo study from a config file", parents=[threads, pretty],

@@ -3,7 +3,8 @@
 A signed network is a symmetric matrix over {-1, 0, +1} with zero diagonal.
 Storage is a dense int8 array for n <= DENSE_THRESHOLD and scipy CSR above
 that, so the library stays usable past the sizes where a dense matrix is
-sensible.
+sensible.  `SignedAdjacency` alone makes that choice: the parser hands it
+one CSR matrix and the sampler one int8 matrix, whatever the size.
 
 Edge-list format (UTF-8 text):
 
@@ -97,15 +98,10 @@ class SignedAdjacency:
         n = mat.shape[0]
         if not _validated:
             _validate_entries(mat)
-        if sp.issparse(mat):
-            if n <= threshold:
-                mat = np.asarray(mat.todense(), dtype=np.int8)
-            else:
-                mat = mat.astype(np.int8, copy=False)
+        if n > threshold:
+            mat = sp.csr_matrix(mat, dtype=np.int8)
         else:
-            mat = mat.astype(np.int8, copy=True)
-            if n > threshold:
-                mat = sp.csr_matrix(mat)
+            mat = np.asarray(mat.todense(), np.int8) if sp.issparse(mat) else mat.astype(np.int8)
         for arr in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
             arr.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -282,19 +278,11 @@ def parse_edge_list(text, dense_threshold=None):
         edges = _line_edges(text)
     names, lo, hi, sign = edges
     n = len(names)
-    threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
-    if n <= threshold:
-        mat = np.zeros((n, n), dtype=np.int8)
-        mat[lo, hi] = sign
-        mat[hi, lo] = sign
-    else:
-        mat = sp.csr_matrix(
-            (np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-            shape=(n, n),
-        )
-    return SignedAdjacency(
-        mat, labels=names, dense_threshold=threshold, _validated=True
+    mat = sp.csr_matrix(
+        (np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+        shape=(n, n),
     )
+    return SignedAdjacency(mat, labels=names, dense_threshold=dense_threshold, _validated=True)
 
 
 def _directive_tail(line):

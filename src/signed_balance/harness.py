@@ -4,10 +4,16 @@ A study is declared by an ExperimentConfig (usually loaded from JSON) and
 expanded into cells: the cartesian product of the node-size grid and the
 graphon parameter grid.  Per cell the harness computes the population truth
 with the latent-triple oracle, simulates `replications` networks, and
-aggregates per (method, target).  The config names its study and is checked
-whole when built, every cell's graphon included; `run_study` then runs that
-study and writes its files.  No study branches on the method:
-`bootstrap.reference_law` gives each method's law.
+aggregates per (method, target).  The config is checked whole when built,
+every cell's graphon included, and refuses what its study would ignore
+(c_delta above 0 outside coverage, a second cdf cell or timing target);
+`run_study` then runs that study and writes its files.
+
+Each decision has one home: a config key's default is its field and its
+JSON conversion its row of `_READ`; the method names are
+`bootstrap.METHODS`, and `bootstrap.reference_law` gives each method's law;
+`_draw` draws replicate r of a cell and studentizes each target, for the
+coverage replicate and the cdf truth loop alike.
 
 Seed discipline (documented, fixed): with master seed s and cell index c,
 
@@ -17,14 +23,10 @@ Seed discipline (documented, fixed): with master seed s and cell index c,
     bootstrap replicates  master     derived key of the cell replicate
 
 so every cell and every replicate can be re-run in isolation.  Replicates
-run in order on one thread: each is counted once (`full_census` caches
-the census on the adjacency), and every method reads its interval from its
-target's pipeline.  The `threads` config key is accepted and checked
-(>= 1) but selects nothing, so results are the same for any value.
-
-CSV outputs have fixed headers and exclude wall-clock columns, so a given
-(config, seed) produces byte-identical files; timings go to their own
-table via run_timing.
+run in order on one thread; the `threads` key is checked (>= 1) but selects
+nothing.  CSV outputs have fixed headers (the coverage header is
+`ExperimentRow`'s fields) and no wall-clock column, so a given (config,
+seed) produces byte-identical files; timings go to their own table.
 """
 
 import csv
@@ -33,12 +35,13 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .bootstrap import check_replicates, reference_law
-from .census import _type_index, full_census
+from .bootstrap import METHODS, check_replicates, reference_law
+from .census import TARGETS, _type_index, full_census
 from .errors import ConfigError, DegenerateError
 from .graph import SignedAdjacency
 from .graphon import (
@@ -50,6 +53,7 @@ from .graphon import (
     spec_from_json,
 )
 from .inference import (
+    EXPANSION_METHODS,
     _delta_draw,
     _interval,
     _pipeline,
@@ -60,11 +64,12 @@ from .inference import (
 )
 from .rng import stream_key
 
-METHODS = ("edgeworth", "normal", "bootstrap")
 STUDIES = ("coverage", "cdf", "timing")
 
 _TRUTH_SLOT = 0xFFFFFFFF
 _OBSERVED_SLOT = 0xFFFFFFFE
+# the fields read from the config's one "graphon" object, not from its own key
+_GRAPHON_FIELDS = ("graphon_name", "graphon_params", "rho", "s")
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class ExperimentConfig:
     n_grid: tuple = (160,)
     replications: int = 1000
     level: float = 0.95
-    methods: tuple = ("edgeworth", "normal")
+    methods: tuple = EXPANSION_METHODS
     targets: tuple = ("balanced",)
     truth_budget: int = 10_000_000
     truth_replications: int = 10_000
@@ -103,6 +108,9 @@ class ExperimentConfig:
             _type_index(t)  # ConfigError for an unknown target
         if "bootstrap" in self.methods and not self.bootstrap_replicates:
             raise ConfigError("bootstrap method requires bootstrap_replicates")
+        if not isinstance(self.param_grid, dict):
+            raise ConfigError(f"config key 'param_grid' must be an object of lists, "
+                              f"got {self.param_grid!r}")
         for key, values in self.param_grid.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"param_grid[{key!r}] must be a nonempty list")
@@ -112,68 +120,60 @@ class ExperimentConfig:
         check_budget(self.truth_budget)
         if self.truth_replications < 1:
             raise ConfigError("truth_replications must be >= 1")
-        expand_cells(self)  # every cell's graphon is checked before any file is written
+        cells = expand_cells(self)  # every cell's graphon is checked before any file is written
         if "bootstrap" in self.methods:
             check_replicates(self.bootstrap_replicates)
+        # what a study would ignore is refused: only a coverage replicate
+        # reads c_delta, cdf runs one cell and timing one target
+        if self.c_delta > 0.0 and self.study != "coverage":
+            raise ConfigError(f"c_delta is read by a coverage study only, not {self.study!r}")
+        if self.study == "cdf" and len(cells) > 1:
+            raise ConfigError(f"a cdf study runs one cell, not {len(cells)}")
+        if self.study == "timing" and len(self.targets) > 1:
+            raise ConfigError(f"a timing study times one target, not {len(self.targets)}")
 
     @classmethod
     def from_dict(cls, obj):
+        """The config of a JSON object.  Each key is converted as `_READ`
+        says; a key that is missing, null or an empty list or object keeps
+        its field's default."""
         if not isinstance(obj, dict):
             raise ConfigError("experiment config must be a JSON object")
         graphon = obj.get("graphon")
         if not isinstance(graphon, dict) or "name" not in graphon:
             raise ConfigError("config needs graphon: {name, params?, rho?, s?}")
-        # the four graphon fields are read from the one "graphon" object
-        known = {f.name for f in fields(cls)} - {"graphon_name", "graphon_params", "rho", "s"}
-        extra = set(obj) - known - {"graphon"}
+        known = {f.name for f in fields(cls)} - set(_GRAPHON_FIELDS) | {"graphon"}
+        extra = set(obj) - known
         if extra:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
-        grid = obj.get("param_grid") or {}
-        if not isinstance(grid, dict):
-            raise ConfigError(f"config key 'param_grid' must be an object of lists, got {grid!r}")
-        return cls(
-            graphon_name=graphon["name"],
-            graphon_params=_params(graphon),
-            rho=graphon.get("rho"),
-            s=graphon.get("s"),
-            param_grid=dict(grid),
-            n_grid=_numbers(obj, "n_grid", int, (160,)),
-            replications=_number(obj, "replications", int, 1000),
-            level=_number(obj, "level", float, 0.95),
-            methods=_listed(obj, "methods", ("edgeworth", "normal")),
-            targets=_listed(obj, "targets", ("balanced",)),
-            truth_budget=_number(obj, "truth_budget", int, 10_000_000),
-            truth_replications=_number(obj, "truth_replications", int, 10_000),
-            bootstrap_replicates=_number(obj, "bootstrap_replicates", int, None),
-            seed=_number(obj, "seed", int, 0),
-            c_delta=_number(obj, "c_delta", float, 0.0),
-            threads=_number(obj, "threads", int, 1),
-            study=obj.get("study", "coverage"),
-        )
+        given = dict(zip(_GRAPHON_FIELDS, (graphon["name"], _params(graphon),
+                                           graphon.get("rho"), graphon.get("s"))))
+        for f in fields(cls):
+            value, read = obj.get(f.name), _READ.get(f.name)
+            if f.name not in given and value not in (None, [], {}):
+                given[f.name] = value if read is None else read(value, f.name)
+        return cls(**given)
 
 
-def _number(obj, key, kind, default):
-    """obj[key] (or the default) converted by `kind`; ConfigError naming the
-    key.  A missing or null key whose default is None stays None."""
-    value = obj.get(key, default)
-    if value is None and default is None:
-        return None
-    return _convert(kind, value, key)
+def _items(kind=None):
+    """A reader of a JSON list: the tuple of its items, each converted by
+    `kind` when given."""
+    def read(values, key):
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"config key {key!r} must be a list, got {values!r}")
+        return tuple(values if kind is None else (_convert(kind, v, key) for v in values))
+    return read
 
 
-def _listed(obj, key, default):
-    """obj[key] (or the default when missing or empty) as a tuple; ConfigError
-    naming the key unless it is a list."""
-    values = obj.get(key) or default
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"config key {key!r} must be a list, got {values!r}")
-    return tuple(values)
-
-
-def _numbers(obj, key, kind, default):
-    """obj[key] (or the default when missing or empty) as a tuple of values
-    converted by `kind`; ConfigError naming the key."""
-    return tuple(_convert(kind, value, key) for value in _listed(obj, key, default))
+# How from_dict converts a config key's JSON value; the others are taken as they are.
+_READ = {
+    "n_grid": _items(int),
+    "methods": _items(),
+    "targets": _items(),
+    **dict.fromkeys(("replications", "truth_budget", "truth_replications",
+                     "bootstrap_replicates", "seed", "threads"), partial(_convert, int)),
+    **dict.fromkeys(("level", "c_delta"), partial(_convert, float)),
+}
 
 
 @dataclass(frozen=True)
@@ -203,19 +203,8 @@ def expand_cells(config):
     return cells
 
 
-def _cell_stream_index(cell_index, slot):
-    return cell_index * (1 << 32) + slot
-
-
 def _replicate_seed(config, cell, slot):
-    return stream_key(config.seed, _cell_stream_index(cell.index, slot))
-
-
-ROW_FIELDS = (
-    "study", "cell", "n", "rho", "alpha", "method", "target", "replications",
-    "coverage", "mean_ci_length", "mean_estimate", "true_w",
-    "degenerate_count",
-)
+    return stream_key(config.seed, cell.index * (1 << 32) + slot)
 
 
 @dataclass(frozen=True)
@@ -249,36 +238,45 @@ class ExperimentRow:
         return rec
 
 
+ROW_FIELDS = tuple(f.name for f in fields(ExperimentRow) if f.name != "wall_time")
+
+
 def _truth_for(config, cell):
     truth = population_moments(
         cell.spec,
         budget=config.truth_budget,
         seed=_replicate_seed(config, cell, _TRUTH_SLOT),
     )
-    values = {"balanced": truth.w}
-    for t in range(4):
-        values[f"type{t + 1}"] = truth.w_t[t]
-    return values
+    return dict(zip(TARGETS, (truth.w, *truth.w_t)))
+
+
+def _draw(config, cell, r):
+    """(seed, network, pipeline per target) of replicate r of `cell`; a
+    target degenerate on it gets None.  The network is counted once."""
+    seed = _replicate_seed(config, cell, r)
+    adj = sample_network(cell.spec, cell.n, seed=seed)
+    pipes = {}
+    for target in config.targets:
+        try:
+            pipes[target] = _pipeline(full_census(adj), target)
+        except DegenerateError:
+            pipes[target] = None
+    return seed, adj, pipes
 
 
 def _replicate(config, cell, r):
     """(lower, upper, estimate) per (method, target) for replicate r, None where
-    the target is degenerate on it; the network is counted once."""
-    seed = _replicate_seed(config, cell, r)
-    adj = sample_network(cell.spec, cell.n, seed=seed)
+    the target is degenerate on it."""
+    seed, adj, pipes = _draw(config, cell, r)
     delta_draw = _delta_draw(cell.n, config.c_delta, seed)
-    out = {}
-    for target in config.targets:
-        try:
-            pipe = _pipeline(full_census(adj), target)
-        except DegenerateError:
-            out.update({(method, target): None for method in config.methods})
+    out = dict.fromkeys(product(config.methods, config.targets))
+    for target, pipe in pipes.items():
+        if pipe is None:
             continue
         for method in config.methods:
             try:
                 law = reference_law(adj, pipe, method, config.bootstrap_replicates, seed)
             except DegenerateError:
-                out[(method, target)] = None
                 continue
             lo, hi = _interval(pipe, law, config.level, delta_draw)
             out[(method, target)] = (lo, hi, pipe.estimate)
@@ -383,22 +381,21 @@ class CdfStudy:
 def run_cdf_study(config):
     """Sup-distance of each method's CDF approximation to the simulated truth.
 
-    Uses the first cell of the config.  Truth is the empirical CDF of the
-    studentized statistic over truth_replications simulated networks; the
-    empirical Edgeworth and bootstrap approximations come from one observed
-    network drawn from its own reserved stream.  A truth replicate that is
-    degenerate for any target is dropped for all of them, so every target's
-    truth CDF rests on the same `truth_used` draws.
+    Uses the first cell of the config (a cdf-study config has only one).
+    Truth is the empirical CDF of the studentized statistic over
+    truth_replications simulated networks; the empirical Edgeworth and
+    bootstrap approximations come from one observed network drawn from its
+    own reserved stream.  A truth replicate that is degenerate for any
+    target is dropped for all of them, so every target's truth CDF rests on
+    the same `truth_used` draws.
     """
     cell = expand_cells(config)[0]
     truth_w = _truth_for(config, cell)
     draws = {t: [] for t in config.targets}
     dropped = 0
     for r in range(config.truth_replications):
-        adj = sample_network(cell.spec, cell.n, seed=_replicate_seed(config, cell, r))
-        try:
-            pipes = {t: _pipeline(full_census(adj), t) for t in config.targets}
-        except DegenerateError:
+        pipes = _draw(config, cell, r)[2]
+        if None in pipes.values():
             dropped += 1  # a replicate counts for every target or for none
             continue
         for target, pipe in pipes.items():
@@ -421,14 +418,13 @@ def run_cdf_study(config):
             curves[(target, method)] = curve
             distances[f"{target}/{method}"] = sup_distance(curve, truth_cdf)
 
-    first_target = config.targets[0]
     return CdfStudy(
         n=cell.n,
         truth_replications=config.truth_replications,
         truth_used=config.truth_replications - dropped,
         distances=distances,
         grid=CDF_GRID.copy(),
-        truth_cdf=truth_cdf_by_target[first_target],
+        truth_cdf=truth_cdf_by_target[config.targets[0]],
         curves=curves,
     )
 

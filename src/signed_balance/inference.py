@@ -36,9 +36,10 @@ adjacency and cached on it, so every analysis of one network shares one
 count.  Its Edgeworth coefficients are formed only when first read, so a
 bootstrap replicate's census needs no pairs.
 `Pipeline.coefficients` is the one place a method name is checked and its
-terms chosen (its own for edgeworth, zero for normal); target names are
-checked by the census.  Every interval and p-value refers T to one law with
-`cdf`, `tails` and `quantile` (these coefficients, zero for the normal, or
+terms chosen (its own for edgeworth, zero for normal), beside the one list
+of those names, `EXPANSION_METHODS`; the census checks target names.
+Every interval and p-value refers T to one law with `cdf`, `tails` and
+`quantile` (these coefficients, zero for the normal, or
 `bootstrap.BootstrapDistribution`) through one `_interval`, `_p_value` and
 `_report`; only `_interval` applies the delta shift.
 
@@ -85,8 +86,8 @@ class Moments:
     ratio: float
 
 
-def sample_moments(census, n=None):
-    n = census.n if n is None else n
+def sample_moments(census):
+    n = census.n
     if n < 3:
         # fewer than 3 nodes cannot hold a triangle; same failure class
         raise NoTriangleError(f"inference needs n >= 3 nodes, got n={n}")
@@ -325,6 +326,10 @@ class InferenceReport:
         return asdict(self)
 
 
+# The methods whose law is an Edgeworth expansion; `bootstrap.METHODS` adds one.
+EXPANSION_METHODS = ("edgeworth", "normal")
+
+
 @dataclass(frozen=True)
 class Pipeline:
     """The studentized statistic of one network and target.
@@ -350,7 +355,7 @@ class Pipeline:
             return self.coef
         if method == "normal":
             return EdgeworthCoefficients(0.0, 0.0, 0.0, self.proj.n)
-        raise ConfigError(f"method must be edgeworth|normal, got {method!r}")
+        raise ConfigError(f"method must be {'|'.join(EXPANSION_METHODS)}, got {method!r}")
 
 
 def _pipeline(bundle, target):

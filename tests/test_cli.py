@@ -272,6 +272,9 @@ def test_mc_refuses_plot_data_outside_a_coverage_study(tmp_path, study, capsys):
     ({"graphon": {"name": "const-cos", "rho": 2}}, 2),
     ({"graphon": {"name": "logistic-balance"}, "param_grid": {"alpha": ["x"]}}, 1),
     ({"study": "cdf", "truth_replications": 0}, 1),
+    ({"study": "cdf", "n_grid": [12, 16]}, 1),
+    ({"study": "timing", "targets": ["balanced", "type1"]}, 1),
+    ({"study": "cdf", "c_delta": 0.5}, 1),
 ])
 def test_mc_checks_the_whole_config_before_creating_out(tmp_path, over, want, capsys):
     cfg = tmp_path / "cfg.json"

@@ -190,13 +190,14 @@ def test_immutability():
     assert adj.edge_count() == 3
 
 
-@pytest.mark.parametrize("threshold", [None, 2])
+@pytest.mark.parametrize("threshold", [None, 2, 3])
 def test_storage_arrays_are_read_only(threshold):
-    # the census cached on an adjacency relies on its storage never changing
+    # the census cached on an adjacency relies on its storage never changing;
+    # parsed or built, n = 3 nodes are stored dense up to a threshold of 3
     for adj in (parse_edge_list(triangle_text(), dense_threshold=threshold),
                 SignedAdjacency(parse_edge_list(triangle_text()).to_dense(),
                                 dense_threshold=threshold)):
-        assert adj.is_dense == (threshold is None)
+        assert adj.is_dense == (threshold != 2)
         m = adj.entries
         for arr in (m,) if adj.is_dense else (m.data, m.indices, m.indptr):
             with pytest.raises(ValueError, match="read-only"):

@@ -3,6 +3,7 @@
 import importlib
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -80,16 +81,28 @@ def test_from_dict_rejects_unknown_keys():
 
 
 def test_from_dict_accepts_exactly_the_config_keys():
-    obj = {"graphon": {"name": "const-cos"}, "study": "cdf", "param_grid": {}, "n_grid": [12],
-           "replications": 2, "level": 0.9, "methods": ["normal"], "targets": ["balanced"],
-           "truth_budget": 2000, "truth_replications": 10, "bootstrap_replicates": None,
-           "seed": 1, "c_delta": 0.5, "threads": 2}
+    obj = {"graphon": {"name": "const-cos"}, "study": "coverage", "param_grid": {},
+           "n_grid": [12], "replications": 2, "level": 0.9, "methods": ["normal"],
+           "targets": ["balanced"], "truth_budget": 2000, "truth_replications": 10,
+           "bootstrap_replicates": None, "seed": 1, "c_delta": 0.5, "threads": 2}
     cfg = ExperimentConfig.from_dict(obj)
-    assert (cfg.study, cfg.c_delta, cfg.threads) == ("cdf", 0.5, 2)
+    assert (cfg.study, cfg.c_delta, cfg.threads) == ("coverage", 0.5, 2)
     # the graphon fields are read from the "graphon" object only
     for key in ("graphon_name", "graphon_params", "rho", "s"):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({**obj, key: 1})
+
+
+def test_from_dict_defaults_are_the_field_defaults():
+    # every default is stated once, on its ExperimentConfig field; a null key takes it too
+    want = ExperimentConfig(graphon_name="const-cos")
+    keys = [f.name for f in fields(ExperimentConfig)
+            if f.name not in ("graphon_name", "graphon_params", "rho", "s")]
+    for unset in ({}, dict.fromkeys(keys)):
+        got = ExperimentConfig.from_dict({"graphon": {"name": "const-cos"}, **unset})
+        for f in fields(ExperimentConfig):
+            value = getattr(got, f.name)
+            assert (type(value), value) == (type(getattr(want, f.name)), getattr(want, f.name)), f.name
 
 
 def test_from_dict_needs_graphon():
@@ -111,6 +124,7 @@ def test_from_dict_rejects_non_numeric_values(key, value):
     ("param_grid", [5], "param_grid"),
     ("methods", "normal", "methods"),
     ("targets", "balanced", "targets"),
+    ("n_grid", 0, "n_grid"),
     ("graphon", {"name": "logistic-balance", "params": {"alpha": "x"}}, "alpha"),
     ("graphon", {"name": "const-cos", "rho": "abc"}, "rho"),
 ])
