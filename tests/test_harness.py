@@ -124,9 +124,9 @@ def test_from_dict_rejects_non_numeric_values(key, value):
     ("param_grid", [5], "param_grid"),
     ("methods", "normal", "methods"),
     ("targets", "balanced", "targets"),
-    ("n_grid", 0, "n_grid"),
     ("graphon", {"name": "logistic-balance", "params": {"alpha": "x"}}, "alpha"),
     ("graphon", {"name": "const-cos", "rho": "abc"}, "rho"),
+    ("n_grid", 0, "n_grid"),
 ])
 def test_from_dict_rejects_malformed_lists_and_graphon_numbers(key, value, named):
     obj = {"graphon": {"name": "logistic-balance", "params": {"alpha": 5}}, "n_grid": [12],
