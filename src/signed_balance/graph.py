@@ -4,7 +4,7 @@ A signed network is a symmetric matrix over {-1, 0, +1} with zero diagonal.
 Storage is a dense int8 array for n <= DENSE_THRESHOLD and scipy CSR above
 that, so the library stays usable past the sizes where a dense matrix is
 sensible.  `SignedAdjacency` alone makes that choice: the parser hands it
-one CSR matrix and the sampler one int8 matrix, whatever the size.
+one COO matrix and the sampler one int8 matrix, whatever the size.
 
 Edge-list format (UTF-8 text):
 
@@ -87,21 +87,20 @@ class SignedAdjacency:
 
     def __init__(self, entries, labels=None, dense_threshold=None, _validated=False):
         threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
-        if sp.issparse(entries):
-            # checked on its own dtype: an int8 cast first would read 0.5 as 0 and 255 as -1
-            mat = entries.tocsr().astype(np.int8 if _validated else entries.dtype, copy=True)
-            mat.eliminate_zeros()
-        else:
-            mat = np.asarray(entries)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise AlphabetError(f"adjacency must be square, got shape {mat.shape}")
+        mat = entries if sp.issparse(entries) else np.asarray(entries)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise AlphabetError(f"adjacency must be square, got shape {mat.shape}")
         n = mat.shape[0]
+        if sp.issparse(mat) and not (_validated and n <= threshold):
+            # checked on its own dtype: an int8 cast first would read 0.5 as 0 and 255 as -1
+            mat = mat.tocsr(copy=True)
+            mat.eliminate_zeros()
         if not _validated:
             _validate_entries(mat)
         if n > threshold:
             mat = sp.csr_matrix(mat, dtype=np.int8)
-        else:
-            mat = np.asarray(mat.todense(), np.int8) if sp.issparse(mat) else mat.astype(np.int8)
+        else:  # a checked sparse matrix goes to its dense array with no CSR step
+            mat = np.asarray(mat.toarray(), np.int8) if sp.issparse(mat) else mat.astype(np.int8)
         for arr in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
             arr.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -278,7 +277,7 @@ def parse_edge_list(text, dense_threshold=None):
         edges = _line_edges(text)
     names, lo, hi, sign = edges
     n = len(names)
-    mat = sp.csr_matrix(
+    mat = sp.coo_matrix(
         (np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
         shape=(n, n),
     )

@@ -111,6 +111,7 @@ class ExperimentConfig:
         if not isinstance(self.param_grid, dict):
             raise ConfigError(f"config key 'param_grid' must be an object of lists, "
                               f"got {self.param_grid!r}")
+        object.__setattr__(self, "param_grid", dict(self.param_grid))  # not the caller's dict
         for key, values in self.param_grid.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"param_grid[{key!r}] must be a nonempty list")
@@ -134,23 +135,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        """The config of a JSON object.  Each key is converted as `_READ`
-        says; a key that is missing, null or an empty list or object keeps
-        its field's default."""
+        """The config of a JSON object, each key converted as `_READ` says.
+        A missing or null key, or an empty list or object given to a list or
+        object key, keeps its field's default."""
         if not isinstance(obj, dict):
             raise ConfigError("experiment config must be a JSON object")
         graphon = obj.get("graphon")
         if not isinstance(graphon, dict) or "name" not in graphon:
             raise ConfigError("config needs graphon: {name, params?, rho?, s?}")
         known = {f.name for f in fields(cls)} - set(_GRAPHON_FIELDS) | {"graphon"}
-        extra = set(obj) - known
-        if extra:
+        if extra := set(obj) - known:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
         given = dict(zip(_GRAPHON_FIELDS, (graphon["name"], _params(graphon),
                                            graphon.get("rho"), graphon.get("s"))))
         for f in fields(cls):
             value, read = obj.get(f.name), _READ.get(f.name)
-            if f.name not in given and value not in (None, [], {}):
+            listed = isinstance(f.default, tuple) or f.default_factory is dict
+            if f.name not in given and value is not None and not (listed and value in ([], {})):
                 given[f.name] = value if read is None else read(value, f.name)
         return cls(**given)
 

@@ -11,6 +11,7 @@ import pytest
 from signed_balance.errors import ConfigError
 from signed_balance.graphon import spec_from_json
 from signed_balance.harness import (
+    _GRAPHON_FIELDS,
     CDF_GRID,
     ExperimentConfig,
     coverage_csv_bytes,
@@ -88,7 +89,7 @@ def test_from_dict_accepts_exactly_the_config_keys():
     cfg = ExperimentConfig.from_dict(obj)
     assert (cfg.study, cfg.c_delta, cfg.threads) == ("coverage", 0.5, 2)
     # the graphon fields are read from the "graphon" object only
-    for key in ("graphon_name", "graphon_params", "rho", "s"):
+    for key in _GRAPHON_FIELDS:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({**obj, key: 1})
 
@@ -97,12 +98,21 @@ def test_from_dict_defaults_are_the_field_defaults():
     # every default is stated once, on its ExperimentConfig field; a null key takes it too
     want = ExperimentConfig(graphon_name="const-cos")
     keys = [f.name for f in fields(ExperimentConfig)
-            if f.name not in ("graphon_name", "graphon_params", "rho", "s")]
+            if f.name not in _GRAPHON_FIELDS]
     for unset in ({}, dict.fromkeys(keys)):
         got = ExperimentConfig.from_dict({"graphon": {"name": "const-cos"}, **unset})
         for f in fields(ExperimentConfig):
             value = getattr(got, f.name)
             assert (type(value), value) == (type(getattr(want, f.name)), getattr(want, f.name)), f.name
+
+
+def test_config_keeps_its_own_param_grid():
+    grid = {"alpha": [5]}
+    cfg = ExperimentConfig.from_dict(
+        {"graphon": {"name": "logistic-balance"}, "n_grid": [12], "param_grid": grid})
+    grid["alpha"] = "x"
+    grid["rho"] = [0.5]
+    assert cfg.param_grid == {"alpha": [5]}
 
 
 def test_from_dict_needs_graphon():
@@ -111,7 +121,8 @@ def test_from_dict_needs_graphon():
 
 
 @pytest.mark.parametrize("key, value", [("replications", "many"), ("level", "high"),
-                                        ("seed", [1]), ("replications", 1e999)])
+                                        ("seed", [1]), ("replications", 1e999),
+                                        ("seed", []), ("replications", {})])
 def test_from_dict_rejects_non_numeric_values(key, value):
     obj = {"graphon": {"name": "const-cos"}, "n_grid": [12], key: value}
     with pytest.raises(ConfigError, match=repr(key)):
