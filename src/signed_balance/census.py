@@ -26,16 +26,33 @@ inference takes its quadratic form from the masked products
 Dense and sparse storage differ only in how the products are formed.  Dense
 storage takes two float32 BLAS squares (each partial sum is an integer of
 size at most n - 2, so float32 is exact while n - 2 < 2^24, and 4(n - 2) <
-2^24 once the per-type sums are formed).  Sparse storage takes one int64 CSR
-product, B^2 for B = P + tN with t = 2^k above the largest degree: B^2 =
-P^2 + t(PN + NP) + t^2 N^2 and every digit is below t, so M o M^2 and A o A^2
-are read off the digits of A o B^2.  Its entries stay below t^3, so a node
-of degree 2^21 or more raises CensusExactnessError.  The product is masked
-one block of rows at a time, which keeps its peak memory near the masked
-result rather than the n d^2 entries of the whole product.  Every
-reduction runs in int64 or float64; the type counts and node arrays are
-checked to be exact multiples of their divisors (CensusExactnessError
-otherwise).
+2^24 once the per-type sums are formed).  Sparse storage first orients each
+edge up the rank order (degree, then node index) as the CSR matrix L and
+forms L o (L L) in int32, one block of rows at a time: its nonzeros are the
+closed pairs, the lowest and highest ranked nodes of each triangle, and its
+sum is the triangle count T.  This costs the oriented wedges, which the
+rank order keeps small (Chiba & Nishizeki, SIAM J. Comput. 1985; Latapy,
+TCS 2008).  Then, with m edges:
+
+- T <= m, the sparse regime: the triangles are listed (`_Triangles`).  The
+  middle nodes of a closed pair (u, x) are the common entries of row u of L
+  and row x of L^T.  Each triangle adds the weight of its third node to each
+  of its edges in M o M^2, times its sign product in A o A^2.
+- T > m: one int64 CSR product, B^2 for B = P + tN with t = 2^k above the
+  largest degree (`_encoded_squares`): B^2 = P^2 + t(PN + NP) + t^2 N^2 and
+  every digit is below t, so M o M^2 and A o A^2 are read off the digits of
+  A o B^2.  Its entries stay below t^3, so a node of degree 2^21 or more
+  raises CensusExactnessError; the listing has no such limit.  The product
+  is masked one block of rows at a time, which keeps its peak memory near
+  the masked result rather than the n d^2 entries of the whole product.
+
+Both lay their result out alike: per row, A's stored entries in reverse
+stored order with the zeros dropped, which is how scipy's elementwise
+multiply lists A o B^2 (`_product_order` has the exception).  So every
+float sum over the pair matrices is taken in the same order on either
+path.  Every reduction runs in int64 or float64; the type counts and node
+arrays are checked to be exact multiples of their divisors
+(CensusExactnessError otherwise).
 
 A bootstrap replicate is counted with multiplicities instead
 (`_resampled_bundle`).  A node draw idx fixes the resampled network
@@ -49,7 +66,8 @@ gathered by inv (int64 when sparse; float64 when dense, whose integer sums,
 at most 4n * n, are far below 2^53), and the four traces are w-weighted
 totals.  The float32 bound is unchanged: (M_S W M_S)_ij <= sum w = n, so
 the products are exact while n < 2^24, and 4n < 2^24 for the per-type
-sums.  The sparse digit width comes from the largest weighted degree,
+sums.  The sparse listing or product is chosen by the triangles of A_S.
+The encoded product's digit width comes from the largest weighted degree,
 max_i sum_{k in N(i)} w_k, and a weighted degree of 2^21 or more raises
 the same CensusExactnessError.
 
@@ -143,6 +161,17 @@ _DIGIT_BITS = 21
 
 
 def _sparse_squares(a, w=None):
+    """M o (M W M) and A o (A W A) of a sparse int64 signed matrix A; W =
+    diag(w), the identity when w is None.  The triangles are listed when
+    there are no more of them than edges; otherwise the encoded product
+    forms both."""
+    triangles = _Triangles(a)
+    if triangles.count > triangles.edges:
+        return _encoded_squares(a, w)
+    return triangles.squares(w)
+
+
+def _encoded_squares(a, w=None):
     """M o (M W M) and A o (A W A) of a sparse int64 signed matrix A, from the
     one product B W B of B = P + tN; W = diag(w), the identity when w is None.
 
@@ -172,6 +201,131 @@ def _sparse_squares(a, w=None):
         signed.eliminate_zeros()
         aa.append(signed)
     return sp.vstack(mm, format="csr"), sp.vstack(aa, format="csr")
+
+
+def _pattern(x, dtype=np.int64):
+    """x with every stored entry set to 1, in x's layout."""
+    return sp.csr_array((np.ones(x.nnz, dtype=dtype), x.indices, x.indptr), shape=x.shape)
+
+
+class _Triangles:
+    """The triangles of a sparse signed matrix A, from its edges oriented up
+    the rank order (degree, then node index).
+
+    L holds each edge once, from its lower to its higher ranked end, in
+    sorted CSR; an edge's id is its place in L, stored in L as id + 1.
+    `count` is the sum of L o (L L), and `u`, `x` its nonzeros, the closed
+    pairs."""
+
+    def __init__(self, a):
+        self.a = a
+        n = a.shape[0]
+        degree = np.diff(a.indptr)
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(degree, kind="stable")] = np.arange(n)
+        # A's pattern with sorted rows; its data is the place of each entry in A
+        s = sp.csr_array((np.arange(a.nnz), a.indices, a.indptr), shape=a.shape)
+        if not s.has_sorted_indices:
+            s = s.sorted_indices()
+        rows = np.repeat(np.arange(n), degree)
+        up = rank[rows] < rank[s.indices]
+        self.edges = int(np.count_nonzero(up))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[up], minlength=n))))
+        self.l = sp.csr_array((np.arange(1, self.edges + 1), s.indices[up], indptr), shape=a.shape)
+        self.lt = self.l.T.tocsr()
+        # The entries of A against the rank order are, sorted, those of L^T:
+        # that gives the edge id at every place of A.
+        self.edge = np.empty(a.nnz, dtype=np.int64)
+        self.edge[s.data[up]] = self.l.data - 1
+        self.edge[s.data[~up]] = self.lt.data - 1
+        ones = _pattern(self.l, np.int32)
+        u, x, self.count = [np.empty(0, np.int64)], [np.empty(0, np.int64)], 0
+        for r in range(0, n, _BLOCK_ROWS):
+            block = ones[r:r + _BLOCK_ROWS]
+            closed = block * (block @ ones)
+            self.count += int(closed.data.sum(dtype=np.int64))
+            u.append(r + np.repeat(np.arange(closed.shape[0]), np.diff(closed.indptr)))
+            x.append(closed.indices)
+        self.u, self.x = np.concatenate(u), np.concatenate(x)
+
+    def squares(self, w=None):
+        """M o (M W M) and A o (A W A), laid out as `_encoded_squares` lays
+        them out (`_product_order`).
+
+        The middle nodes v of a closed pair (u, x) are the common entries of
+        row u of L and row x of L^T; both rows are sorted, so the two masks
+        below list them in the same order.  Edge (u, v) gains w_x, (v, x)
+        gains w_u and (u, x) gains w_v in M W M, times the triangle's sign
+        product in A W A.  The sums are float64 bincounts of integers below
+        2^53, so exact."""
+        a = self.a
+        n = a.shape[0]
+        out, into = self.l[self.u], self.lt[self.x]
+        uv = out * _pattern(into)  # data: id(u, v) + 1 at (pair, v)
+        vx = _pattern(out) * into  # data: id(v, x) + 1, in the same places
+        pair = np.repeat(np.arange(len(self.u)), np.diff(uv.indptr))
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(self.l.indptr)) + self.l.indices
+        ux = np.searchsorted(keys, self.u * n + self.x)[pair]
+        ids = np.concatenate((uv.data - 1, vx.data - 1, ux))  # the edges each triangle adds to
+        sign = np.empty(self.edges, dtype=np.int64)
+        sign[self.edge] = a.data
+        product = np.tile(sign[uv.data - 1] * sign[vx.data - 1] * sign[ux], 3)
+        if w is None:
+            weight = np.ones(len(ids))
+        else:
+            weight = w[np.concatenate((self.x[pair], self.u[pair], uv.indices))].astype(np.float64)
+        mm = np.bincount(ids, weight, minlength=self.edges).astype(np.int64)
+        aa = np.bincount(ids, weight * product, minlength=self.edges).astype(np.int64)
+        order = _product_order(a)
+        return _on_support(a, mm[self.edge], order), _on_support(a, aa[self.edge], order)
+
+
+def _unsorted_rows(x):
+    """Whether the stored indices of each row of CSR x fail to rise strictly."""
+    n = x.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(x.indptr))
+    late = np.flatnonzero(np.diff(x.indices) <= 0) + 1
+    late = late[x.indptr[rows[late]] != late]  # not the first entry of its row
+    return np.bincount(rows[late], minlength=n) > 0
+
+
+def _product_order(a):
+    """The places of A's stored entries in the order of `_encoded_squares`.
+
+    Scipy's elementwise multiply lists a row of A * (B B) in reverse stored
+    order, except in a block where the rows of A and of B B all rise, which
+    it merges in rising order.  A row of B B ends with the first node it
+    reaches (the first entry of the row of its first entry), so it rises only
+    if that node is its largest; a block that passes this test is checked
+    on its product."""
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    place = np.arange(a.nnz)
+    order = (a.indptr[:-1] + a.indptr[1:] - 1)[rows] - place
+    falls = _unsorted_rows(a)
+    start = a.indptr[:-1][np.diff(a.indptr) > 0]
+    if len(start):
+        top = np.zeros(n, dtype=np.int64)
+        top[rows[start]] = np.maximum.reduceat(a.indices, start)
+        reach = a.indices[a.indptr[a.indices[start]]]
+        falls[rows[start]] |= reach != np.maximum.reduceat(top[a.indices], start)
+    pattern = _pattern(a)
+    for r in range(0, n, _BLOCK_ROWS):
+        if not falls[r:r + _BLOCK_ROWS].any():
+            block = pattern[r:r + _BLOCK_ROWS]
+            if not _unsorted_rows(block @ pattern).any():
+                lo, hi = a.indptr[r], a.indptr[min(r + _BLOCK_ROWS, n)]
+                order[lo:hi] = place[lo:hi]
+    return order
+
+
+def _on_support(a, values, order):
+    """The CSR matrix with `values` (one per stored entry of A) at A's
+    places, listed in `order` with the zeros dropped."""
+    values = values[order]
+    kept = values != 0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[a.indptr]
+    return sp.csr_array((values[kept], a.indices[order][kept], indptr), shape=a.shape)
 
 
 def _scale_rows(w, y):

@@ -226,18 +226,43 @@ def test_replicate_census_of_three_nodes(threshold):
         _assert_replicate_matches(adj, np.array(idx))
 
 
+def test_listed_replicate_census_equals_the_resampled_network(monkeypatch):
+    # a triangle-poor network, whose replicates the census counts by listing
+    rng = np.random.default_rng(10)
+    mat = random_signed_matrix(rng, 60, p_edge=0.08)
+    adj = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=10)
+    storage = census_module._storage(adj)
+    idx = rng.integers(0, 60, size=60)
+    want = full_census(resample_network(adj, indices=idx), with_pairs=False)
+    triangles = census_module._Triangles(storage[np.unique(idx)][:, np.unique(idx)])
+    assert 0 < triangles.count <= triangles.edges
+
+    def refused(*args):
+        raise AssertionError("the encoded product ran")
+
+    monkeypatch.setattr(census_module, "_encoded_squares", refused)
+    got = census_module._resampled_bundle(storage, idx)
+    assert got.census.to_dict() == want.census.to_dict()
+    for attr in ("triangles", "balanced"):
+        np.testing.assert_array_equal(getattr(got.node, attr), getattr(want.node, attr))
+    np.testing.assert_array_equal(np.array(got.node.by_type), np.array(want.node.by_type))
+
+
 def test_replicate_digit_width_reads_weighted_degrees(monkeypatch):
     # K5 drawn as node 0 four times and node 1 once: node 1 has degree 1 on
     # the drawn nodes but degree 4 in the resampled network, which needs
-    # 3-bit digits
+    # 3-bit digits.  The two drawn nodes hold no triangle, so the census
+    # would list them; the encoded product is called directly.
     mat = np.ones((5, 5), dtype=np.int8) - np.eye(5, dtype=np.int8)
     storage = census_module._storage(SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2))
-    idx = np.array([0, 0, 0, 0, 1])
+    draw = census_module._Draw(np.array([0, 0, 0, 0, 1]))
+    sub = storage[draw.nodes][:, draw.nodes]
+    w = draw.counts.astype(sub.dtype)
     monkeypatch.setattr(census_module, "_DIGIT_BITS", 3)
-    census_module._resampled_bundle(storage, idx)
+    census_module._encoded_squares(sub, w)
     monkeypatch.setattr(census_module, "_DIGIT_BITS", 2)
     with pytest.raises(CensusExactnessError, match="degree"):
-        census_module._resampled_bundle(storage, idx)
+        census_module._encoded_squares(sub, w)
 
 
 def test_distribution_builds_no_resampled_network(monkeypatch):

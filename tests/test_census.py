@@ -247,14 +247,18 @@ def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
 
 
 def test_encoded_product_refuses_degrees_past_its_digit_width(monkeypatch):
-    # degree 4 needs 3-bit digits, so a 2-bit limit refuses the network
+    # degree 4 needs 3-bit digits, so a 2-bit limit refuses the network; K5
+    # has as many triangles as edges, so the census would list them, and the
+    # encoded product is called directly
     mat = _complete(-1)[:5, :5]
+    a = census_module._storage(SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2))
     monkeypatch.setattr(census_module, "_DIGIT_BITS", 3)
-    assert full_census(SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2)).census.c4 == comb(5, 3)
+    mm, aa = census_module._encoded_squares(a)
+    traces = (mm.sum(), (mm * a).sum(), (aa * a).sum(), aa.sum())
+    assert _type_counts(traces)[3] == comb(5, 3)
     monkeypatch.setattr(census_module, "_DIGIT_BITS", 2)
-    # a fresh adjacency: the first one keeps the census it cached
     with pytest.raises(CensusExactnessError, match="degree"):
-        full_census(SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2))
+        census_module._encoded_squares(a)
 
 
 def test_dense_matches_sparse_past_float32_range():
@@ -269,6 +273,143 @@ def test_dense_matches_sparse_past_float32_range():
     np.testing.assert_array_equal(dense.node.balanced, sparse.node.balanced)
     for t in range(4):
         np.testing.assert_array_equal(dense.node.by_type[t], sparse.node.by_type[t])
+
+
+# ------------------------------------------------ triangle listing (T <= m)
+
+
+def _sparse_signed(rng, n, p_edge, p_neg=0.4):
+    """int64 CSR storage of a random signed network, drawn without an n x n table."""
+    upper = sp.triu(sp.random(n, n, density=p_edge, format="csr", random_state=rng), k=1)
+    upper.data = np.where(rng.random(upper.nnz) < p_neg, -1, 1)
+    return sp.csr_array(upper + upper.T, dtype=np.int64)
+
+
+def _same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+
+
+def _assert_listing_matches_encoded(a, w=None):
+    triangles = census_module._Triangles(a)
+    got, want = triangles.squares(w), census_module._encoded_squares(a, w)
+    # the same CSR arrays, so every float sum over them is taken in the same order
+    for g, e in zip(got, want):
+        _same_csr(g, e)
+    return triangles
+
+
+# p_edge keeps the expected triangles below a fifth of the edges
+@pytest.mark.parametrize("n, p_edge", [(30, 0.15), (500, 0.03), (3000, 0.008)])
+def test_listing_matches_the_encoded_product(n, p_edge):
+    rng = np.random.default_rng(n)
+    a = _sparse_signed(rng, n, p_edge)
+    triangles = _assert_listing_matches_encoded(a)
+    assert 0 < triangles.count <= triangles.edges == a.nnz // 2
+    # a bootstrap draw: the submatrix on the drawn nodes, weighted by their counts
+    for _ in range(2):
+        draw = census_module._Draw(rng.integers(0, n, size=n))
+        sub = a[draw.nodes][:, draw.nodes]
+        _assert_listing_matches_encoded(sub, draw.counts.astype(np.int64))
+    # a submatrix in shuffled node order, whose rows are not sorted.  Only
+    # unweighted: `abs(a)` sorts a CSR matrix in place, so the census
+    # (`PairProjection`) and the weighted encoded product both sort it first.
+    s = rng.permutation(n)[: 2 * n // 3]
+    sub = a[s][:, s]
+    assert not sub.has_sorted_indices
+    _assert_listing_matches_encoded(sub)
+
+
+def _from_edges(n, edges):
+    mat = np.zeros((n, n), dtype=np.int64)
+    for i, j, sign in edges:
+        mat[i, j] = mat[j, i] = sign
+    return sp.csr_array(mat)
+
+
+# (n, edges, triangles)
+SMALL_NETWORKS = {
+    "no-edges": (6, [], 0),
+    "one-node": (1, [], 0),
+    "n-2": (2, [(0, 1, -1)], 0),
+    "path": (5, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (3, 4, 1)], 0),
+    "one-triangle": (3, [(0, 1, 1), (1, 2, -1), (0, 2, -1)], 1),
+    "triangle-and-tail": (6, [(0, 4, 1), (4, 5, -1), (0, 5, 1), (5, 1, -1), (1, 2, 1)], 1),
+    # K5: T = m = 10, the largest T the census lists
+    "k5": (5, [(i, j, 1 - 2 * ((i + j) % 2)) for i in range(5) for j in range(i + 1, 5)], 10),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_NETWORKS)
+def test_listing_matches_the_encoded_product_on_small_networks(name):
+    n, edges, count = SMALL_NETWORKS[name]
+    a = _from_edges(n, edges)
+    triangles = _assert_listing_matches_encoded(a)
+    assert (triangles.count, triangles.edges) == (count, len(edges))
+    _assert_listing_matches_encoded(a, np.arange(1, n + 1, dtype=np.int64))
+
+
+# Node 3 closes the triangle (1, 2, 3) and holds the pendant node 0.  Its row
+# of B B is reached as 3, 2, 1 and so stored rising: a block that holds row 3
+# and no falling row is merged in rising order, not reversed.  In the second
+# network node 4 takes that place and node 1 holds the pendant node 3, so
+# row 4 is reached as 4, 2, 3, 1: its first node is its largest, yet the
+# row falls.
+ROW_ORDER_NETWORKS = {
+    "rising": [(3, 0, 1), (3, 1, 1), (3, 2, -1), (1, 2, 1)],
+    "first-largest-falling": [(4, 0, 1), (4, 1, 1), (4, 2, -1), (1, 2, 1), (1, 3, 1)],
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+@pytest.mark.parametrize("name", ROW_ORDER_NETWORKS)
+def test_listing_keeps_the_product_order_of_each_row_block(monkeypatch, name, block_rows):
+    a = _from_edges(5, ROW_ORDER_NETWORKS[name])
+    monkeypatch.setattr(census_module, "_BLOCK_ROWS", block_rows)
+    _assert_listing_matches_encoded(a)
+    _assert_listing_matches_encoded(a, np.array([2, 1, 3, 1, 2], dtype=np.int64))
+
+
+def _encoded_refused(*args):
+    raise AssertionError("the encoded product ran")
+
+
+def test_sparse_census_lists_triangles_when_they_are_no_more_than_edges(monkeypatch):
+    poor = _sparse_signed(np.random.default_rng(1), 60, 0.1)
+    k5 = _from_edges(*SMALL_NETWORKS["k5"][:2])  # T = m = 10
+    k6 = sp.csr_array(_complete(1)[:6, :6], dtype=np.int64)
+    real = census_module._encoded_squares
+    monkeypatch.setattr(census_module, "_encoded_squares", _encoded_refused)
+    census_module._sparse_squares(poor)
+    census_module._sparse_squares(k5)
+    with pytest.raises(AssertionError, match="encoded product ran"):
+        census_module._sparse_squares(k6)  # 20 triangles, 15 edges
+    monkeypatch.setattr(census_module, "_encoded_squares", real)
+    for a in (poor, k5, k6):
+        for got, want in zip(census_module._sparse_squares(a), real(a)):
+            _same_csr(got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_listed_census_equals_enumeration(monkeypatch, seed):
+    # triangle-poor networks: every count below comes from the listing
+    monkeypatch.setattr(census_module, "_encoded_squares", _encoded_refused)
+    rng = np.random.default_rng(200 + seed)
+    mat = random_signed_matrix(rng, 40, p_edge=0.1, p_neg=rng.uniform(0.2, 0.8))
+    adj = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=10)
+    want = ref_full(mat)
+    assert 0 < want["census"]["total"] <= adj.edge_count() // 3
+    bundle = full_census(adj)
+    got = bundle.census.to_dict()
+    assert got.pop("n") == 40
+    assert got == want["census"]
+    np.testing.assert_array_equal(bundle.node.triangles, want["node"]["total"])
+    np.testing.assert_array_equal(bundle.node.balanced, want["node"]["balanced"])
+    np.testing.assert_array_equal(_densify(bundle.pair.triangles), want["pair"]["total"])
+    np.testing.assert_array_equal(_densify(bundle.pair.balanced), want["pair"]["balanced"])
+    for t in range(4):
+        np.testing.assert_array_equal(bundle.node.by_type[t], want["node"][t])
+        np.testing.assert_array_equal(_densify(bundle.pair.by_type[t]), want["pair"][t])
 
 
 # ------------------------------------------------------------ exactness guard

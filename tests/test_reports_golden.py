@@ -1,7 +1,8 @@
 """Report bytes pinned against recorded digests.
 
 golden/reports_sha256.json holds the SHA-256 of `json.dumps` of each report
-below, taken on one const-cos n = 40 draw on both storage paths, plus the
+below, taken on one const-cos n = 40 draw on both storage paths and on a
+sparse-const n = 300 draw with far fewer triangles than edges, plus the
 distances of a two-target cdf study and the bootstrap draws of every
 per-type target.  A change that keeps every output byte
 passes unchanged; one that means to change an output re-records the file
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from signed_balance.bootstrap import bootstrap_ci, bootstrap_distribution
+from signed_balance.census import full_census
 from signed_balance.graphon import builtin_spec, sample_network
 from signed_balance.harness import ExperimentConfig, run_cdf_study
 from signed_balance.inference import balance_test, confidence_interval
@@ -33,6 +35,14 @@ CASES = (
     + [("bootstrap",)]
 )
 
+# a sparse-const draw with 57 triangles on 1038 edges, counted by listing them
+POOR_CASES = (
+    [("ci", method, target, 0.0)
+     for method in ("edgeworth", "normal")
+     for target in ("balanced", "type2")]
+    + [("test", "two-sided", "edgeworth")]
+)
+
 # both targets have nonzero variance on every truth replicate
 CDF_CONFIG = ExperimentConfig(
     graphon_name="const-cos", n_grid=(40,), replications=1, truth_budget=2000,
@@ -44,10 +54,14 @@ CDF_CONFIG = ExperimentConfig(
 # bootstrap draws: each per-type target on the draw above, and a small sparse
 # network whose replicates partly drop (no triangle or zero variance)
 DRAW_CASES = [(storage, target) for storage in STORAGE
-              for target in ("type1", "type2", "type3", "type4")] + [("small-sparse", "balanced")]
+              for target in ("type1", "type2", "type3", "type4")] + [
+    ("small-sparse", "balanced"), ("poor-sparse", "balanced")]
 
 
 def _network(storage):
+    if storage == "poor-sparse":
+        return sample_network(builtin_spec("sparse-const", {"k": 1.5, "n": 300}), 300, seed=2,
+                              dense_threshold=10)
     return sample_network(builtin_spec("const-cos", {}), 40, seed=23,
                           dense_threshold=STORAGE[storage])
 
@@ -67,6 +81,8 @@ def _report(adj, case):
 def _draws(storage, target):
     if storage == "small-sparse":
         adj = sample_network(builtin_spec("const-cos", {}), 12, seed=1, dense_threshold=5)
+    elif storage == "poor-sparse":
+        adj = _network(storage)
     else:
         adj = _network(storage)
     dist = bootstrap_distribution(adj, target=target, B=200, seed=3)
@@ -93,6 +109,14 @@ def test_report_bytes_are_pinned(storage, case):
     assert _digest(_report(adj, case).to_dict()) == _golden()[_key(storage, case)]
 
 
+@pytest.mark.parametrize("case", POOR_CASES, ids=lambda c: " ".join(map(str, c)))
+def test_triangle_poor_report_bytes_are_pinned(case):
+    adj = _network("poor-sparse")
+    census = full_census(adj).census
+    assert not adj.is_dense and 0 < census.total <= adj.edge_count() // 10
+    assert _digest(_report(adj, case).to_dict()) == _golden()[_key("poor-sparse", case)]
+
+
 @pytest.mark.parametrize("storage, target", DRAW_CASES, ids=[" ".join(c) for c in DRAW_CASES])
 def test_bootstrap_draws_are_pinned(storage, target):
     adj, draws = _draws(storage, target)
@@ -111,6 +135,8 @@ def test_cdf_study_distances_are_pinned():
 if __name__ == "__main__":
     digests = {_key(s, c): _digest(_report(_network(s), c).to_dict())
                for s in STORAGE for c in CASES}
+    digests.update({_key("poor-sparse", c): _digest(_report(_network("poor-sparse"), c).to_dict())
+                    for c in POOR_CASES})
     digests["cdf study"] = _digest(run_cdf_study(CDF_CONFIG).distances_dict())
     digests.update({_key("draws " + s, (t,)): _digest(_draws(s, t)[1]) for s, t in DRAW_CASES})
     print(json.dumps({
