@@ -46,13 +46,16 @@ TCS 2008).  Then, with m edges:
   is masked one block of rows at a time, which keeps its peak memory near
   the masked result rather than the n d^2 entries of the whole product.
 
-Both lay their result out alike: per row, A's stored entries in reverse
-stored order with the zeros dropped, which is how scipy's elementwise
-multiply lists A o B^2 (`_product_order` has the exception).  So every
-float sum over the pair matrices is taken in the same order on either
-path.  Every reduction runs in int64 or float64; the type counts and node
-arrays are checked to be exact multiples of their divisors
-(CensusExactnessError otherwise).
+Sparse storage comes in with sorted rows (`SignedAdjacency` sorts them, and
+a bootstrap submatrix on sorted nodes keeps them sorted); the listing reads
+L and the edge ids straight off that order.  The listing writes each row of
+its result in falling column order, the reverse of A's; the encoded product
+keeps the order scipy's elementwise multiply gives it.  The two orders can
+differ, so a float sum over the pair matrices may differ in its last bits
+between the paths, but a given input always takes the same path (T against
+m), so its reports are deterministic.  Every reduction runs in int64 or
+float64; the type counts and node arrays are checked to be exact multiples
+of their divisors (CensusExactnessError otherwise).
 
 A bootstrap replicate is counted with multiplicities instead
 (`_resampled_bundle`).  A node draw idx fixes the resampled network
@@ -223,21 +226,17 @@ class _Triangles:
         degree = np.diff(a.indptr)
         rank = np.empty(n, dtype=np.int64)
         rank[np.argsort(degree, kind="stable")] = np.arange(n)
-        # A's pattern with sorted rows; its data is the place of each entry in A
-        s = sp.csr_array((np.arange(a.nnz), a.indices, a.indptr), shape=a.shape)
-        if not s.has_sorted_indices:
-            s = s.sorted_indices()
         rows = np.repeat(np.arange(n), degree)
-        up = rank[rows] < rank[s.indices]
+        up = rank[rows] < rank[a.indices]
         self.edges = int(np.count_nonzero(up))
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[up], minlength=n))))
-        self.l = sp.csr_array((np.arange(1, self.edges + 1), s.indices[up], indptr), shape=a.shape)
+        self.l = sp.csr_array((np.arange(1, self.edges + 1), a.indices[up], indptr), shape=a.shape)
         self.lt = self.l.T.tocsr()
-        # The entries of A against the rank order are, sorted, those of L^T:
-        # that gives the edge id at every place of A.
+        # A's rows are sorted, so its entries against the rank order are those
+        # of L^T in order: that gives the edge id at every place of A.
         self.edge = np.empty(a.nnz, dtype=np.int64)
-        self.edge[s.data[up]] = self.l.data - 1
-        self.edge[s.data[~up]] = self.lt.data - 1
+        self.edge[up] = self.l.data - 1
+        self.edge[~up] = self.lt.data - 1
         ones = _pattern(self.l, np.int32)
         u, x, self.count = [np.empty(0, np.int64)], [np.empty(0, np.int64)], 0
         for r in range(0, n, _BLOCK_ROWS):
@@ -249,8 +248,7 @@ class _Triangles:
         self.u, self.x = np.concatenate(u), np.concatenate(x)
 
     def squares(self, w=None):
-        """M o (M W M) and A o (A W A), laid out as `_encoded_squares` lays
-        them out (`_product_order`).
+        """M o (M W M) and A o (A W A), each row in falling column order.
 
         The middle nodes v of a closed pair (u, x) are the common entries of
         row u of L and row x of L^T; both rows are sorted, so the two masks
@@ -276,52 +274,14 @@ class _Triangles:
             weight = w[np.concatenate((self.x[pair], self.u[pair], uv.indices))].astype(np.float64)
         mm = np.bincount(ids, weight, minlength=self.edges).astype(np.int64)
         aa = np.bincount(ids, weight * product, minlength=self.edges).astype(np.int64)
-        order = _product_order(a)
-        return _on_support(a, mm[self.edge], order), _on_support(a, aa[self.edge], order)
+        return _on_support(a, mm[self.edge]), _on_support(a, aa[self.edge])
 
 
-def _unsorted_rows(x):
-    """Whether the stored indices of each row of CSR x fail to rise strictly."""
-    n = x.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(x.indptr))
-    late = np.flatnonzero(np.diff(x.indices) <= 0) + 1
-    late = late[x.indptr[rows[late]] != late]  # not the first entry of its row
-    return np.bincount(rows[late], minlength=n) > 0
-
-
-def _product_order(a):
-    """The places of A's stored entries in the order of `_encoded_squares`.
-
-    Scipy's elementwise multiply lists a row of A * (B B) in reverse stored
-    order, except in a block where the rows of A and of B B all rise, which
-    it merges in rising order.  A row of B B ends with the first node it
-    reaches (the first entry of the row of its first entry), so it rises only
-    if that node is its largest; a block that passes this test is checked
-    on its product."""
-    n = a.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
-    place = np.arange(a.nnz)
-    order = (a.indptr[:-1] + a.indptr[1:] - 1)[rows] - place
-    falls = _unsorted_rows(a)
-    start = a.indptr[:-1][np.diff(a.indptr) > 0]
-    if len(start):
-        top = np.zeros(n, dtype=np.int64)
-        top[rows[start]] = np.maximum.reduceat(a.indices, start)
-        reach = a.indices[a.indptr[a.indices[start]]]
-        falls[rows[start]] |= reach != np.maximum.reduceat(top[a.indices], start)
-    pattern = _pattern(a)
-    for r in range(0, n, _BLOCK_ROWS):
-        if not falls[r:r + _BLOCK_ROWS].any():
-            block = pattern[r:r + _BLOCK_ROWS]
-            if not _unsorted_rows(block @ pattern).any():
-                lo, hi = a.indptr[r], a.indptr[min(r + _BLOCK_ROWS, n)]
-                order[lo:hi] = place[lo:hi]
-    return order
-
-
-def _on_support(a, values, order):
+def _on_support(a, values):
     """The CSR matrix with `values` (one per stored entry of A) at A's
-    places, listed in `order` with the zeros dropped."""
+    places, each row in reverse stored order with the zeros dropped."""
+    order = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, np.diff(a.indptr))
+    order -= np.arange(a.nnz)
     values = values[order]
     kept = values != 0
     indptr = np.concatenate(([0], np.cumsum(kept)))[a.indptr]

@@ -3,8 +3,9 @@
 A signed network is a symmetric matrix over {-1, 0, +1} with zero diagonal.
 Storage is a dense int8 array for n <= DENSE_THRESHOLD and scipy CSR above
 that, so the library stays usable past the sizes where a dense matrix is
-sensible.  `SignedAdjacency` alone makes that choice: the parser hands it
-one COO matrix and the sampler one int8 matrix, whatever the size.
+sensible.  CSR storage has sorted rows: each row's column indices rise.
+`SignedAdjacency` alone makes that choice and sets that order: the parser
+hands it one COO matrix and the sampler one int8 matrix, whatever the size.
 
 Edge-list format (UTF-8 text):
 
@@ -76,6 +77,9 @@ class GraphSummary:
 class SignedAdjacency:
     """Immutable symmetric signed adjacency matrix (read-only storage arrays).
 
+    CSR storage is built on a copy of the input, with sorted rows whatever
+    the input's order; the caller's arrays are never written.
+
     Parameters
     ----------
     entries : array-like or scipy sparse, n x n over {-1, 0, +1}
@@ -99,6 +103,7 @@ class SignedAdjacency:
             _validate_entries(mat)
         if n > threshold:
             mat = sp.csr_matrix(mat, dtype=np.int8)
+            mat.sort_indices()  # in place, on the copy above; a no-op when sorted
         else:  # a checked sparse matrix goes to its dense array with no CSR step
             mat = np.asarray(mat.toarray(), np.int8) if sp.issparse(mat) else mat.astype(np.int8)
         for arr in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
@@ -125,7 +130,7 @@ class SignedAdjacency:
 
     @property
     def entries(self):
-        """Backing matrix: int8 ndarray (dense) or CSR (sparse)."""
+        """Backing matrix: int8 ndarray (dense) or CSR with sorted rows (sparse)."""
         return self._mat
 
     def to_dense(self):

@@ -388,7 +388,7 @@ def run_cdf_study(config):
     bootstrap approximations come from one observed network drawn from its
     own reserved stream.  A truth replicate that is degenerate for any
     target is dropped for all of them, so every target's truth CDF rests on
-    the same `truth_used` draws.
+    the same `truth_used` draws; DegenerateError when none is left.
     """
     cell = expand_cells(config)[0]
     truth_w = _truth_for(config, cell)
@@ -401,6 +401,9 @@ def run_cdf_study(config):
             continue
         for target, pipe in pipes.items():
             draws[target].append((pipe.estimate - truth_w[target]) / pipe.S_hat)
+    if dropped == config.truth_replications:
+        raise DegenerateError(
+            f"all {dropped} truth replicates at n={cell.n} are degenerate: no truth CDF")
 
     observed_seed = _replicate_seed(config, cell, _OBSERVED_SLOT)
     observed = sample_network(cell.spec, cell.n, seed=observed_seed)

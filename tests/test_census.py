@@ -1,17 +1,22 @@
 """Triangle census and projections against exhaustive enumeration."""
 
 import importlib
+import json
 import weakref
 from math import comb
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from signed_balance.bootstrap import resample_network
 from signed_balance.census import _exact, _type_counts, census, full_census
 from signed_balance.errors import CensusExactnessError, SignedBalanceError
 from signed_balance.graph import SignedAdjacency, from_dense, parse_edge_list
-from signed_balance.inference import edgeworth_coefficients, projections
+from signed_balance.graphon import builtin_spec, sample_network
+from signed_balance.inference import confidence_interval, edgeworth_coefficients, projections
 
 from _reference import (
     random_signed_matrix,
@@ -23,6 +28,7 @@ from _reference import (
 
 # the package's `census` attribute is the function of that name
 census_module = importlib.import_module("signed_balance.census")
+graph_module = importlib.import_module("signed_balance.graph")
 
 
 def test_single_positive_triangle():
@@ -285,18 +291,44 @@ def _sparse_signed(rng, n, p_edge, p_neg=0.4):
     return sp.csr_array(upper + upper.T, dtype=np.int64)
 
 
-def _same_csr(got, want):
-    for part in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+def _assert_same_matrix(got, want):
+    """Equal as matrices, each in its own row order."""
+    assert got.nnz == want.nnz and (got != want).nnz == 0
+
+
+def _row_steps(x):
+    """The steps between consecutive stored column indices within each row."""
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    return np.diff(x.indices)[np.diff(rows) == 0]
 
 
 def _assert_listing_matches_encoded(a, w=None):
     triangles = census_module._Triangles(a)
     got, want = triangles.squares(w), census_module._encoded_squares(a, w)
-    # the same CSR arrays, so every float sum over them is taken in the same order
     for g, e in zip(got, want):
-        _same_csr(g, e)
+        _assert_same_matrix(g, e)
+        assert (_row_steps(g) < 0).all()  # the listing writes each row falling
     return triangles
+
+
+def _shuffle_rows(x, rng):
+    """x as a CSR matrix with each row's stored entries in a random order."""
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    order = np.lexsort((rng.random(x.nnz), rows))
+    return sp.csr_matrix((x.data[order], x.indices[order], x.indptr), shape=x.shape)
+
+
+def _assert_same_bundle(got, want):
+    """The census, node arrays and pair matrices of two bundles agree."""
+    assert got.census == want.census
+    for attr in ("triangles", "balanced"):
+        np.testing.assert_array_equal(getattr(got.node, attr), getattr(want.node, attr))
+        np.testing.assert_array_equal(_densify(getattr(got.pair, attr)),
+                                      _densify(getattr(want.pair, attr)))
+    for t in range(4):
+        np.testing.assert_array_equal(got.node.by_type[t], want.node.by_type[t])
+        np.testing.assert_array_equal(_densify(got.pair.by_type[t]),
+                                      _densify(want.pair.by_type[t]))
 
 
 # p_edge keeps the expected triangles below a fifth of the edges
@@ -311,13 +343,18 @@ def test_listing_matches_the_encoded_product(n, p_edge):
         draw = census_module._Draw(rng.integers(0, n, size=n))
         sub = a[draw.nodes][:, draw.nodes]
         _assert_listing_matches_encoded(sub, draw.counts.astype(np.int64))
-    # a submatrix in shuffled node order, whose rows are not sorted.  Only
-    # unweighted: `abs(a)` sorts a CSR matrix in place, so the census
-    # (`PairProjection`) and the weighted encoded product both sort it first.
+    # a submatrix in shuffled node order, whose rows are not sorted: the
+    # adjacency stores them sorted, and counts them as the same rows sorted
     s = rng.permutation(n)[: 2 * n // 3]
     sub = a[s][:, s]
     assert not sub.has_sorted_indices
-    _assert_listing_matches_encoded(sub)
+    adj = SignedAdjacency(sub, dense_threshold=10)
+    assert adj.entries.has_sorted_indices
+    storage = census_module._storage(adj)
+    _assert_listing_matches_encoded(storage)
+    _assert_listing_matches_encoded(storage, rng.integers(1, 4, size=len(s)))
+    _assert_same_bundle(full_census(adj),
+                        full_census(SignedAdjacency(sub.sorted_indices(), dense_threshold=10)))
 
 
 def _from_edges(n, edges):
@@ -350,11 +387,11 @@ def test_listing_matches_the_encoded_product_on_small_networks(name):
 
 
 # Node 3 closes the triangle (1, 2, 3) and holds the pendant node 0.  Its row
-# of B B is reached as 3, 2, 1 and so stored rising: a block that holds row 3
-# and no falling row is merged in rising order, not reversed.  In the second
-# network node 4 takes that place and node 1 holds the pendant node 3, so
-# row 4 is reached as 4, 2, 3, 1: its first node is its largest, yet the
-# row falls.
+# of B B is reached as 3, 2, 1 and so stored rising: scipy merges a block that
+# holds row 3 and no falling row in rising order, where the listing writes
+# every row falling.  In the second network node 4 takes that place and node
+# 1 holds the pendant node 3, so row 4 is reached as 4, 2, 3, 1: its first
+# node is its largest, yet the row falls.  The values agree in either order.
 ROW_ORDER_NETWORKS = {
     "rising": [(3, 0, 1), (3, 1, 1), (3, 2, -1), (1, 2, 1)],
     "first-largest-falling": [(4, 0, 1), (4, 1, 1), (4, 2, -1), (1, 2, 1), (1, 3, 1)],
@@ -387,7 +424,7 @@ def test_sparse_census_lists_triangles_when_they_are_no_more_than_edges(monkeypa
     monkeypatch.setattr(census_module, "_encoded_squares", real)
     for a in (poor, k5, k6):
         for got, want in zip(census_module._sparse_squares(a), real(a)):
-            _same_csr(got, want)
+            _assert_same_matrix(got, want)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -410,6 +447,85 @@ def test_listed_census_equals_enumeration(monkeypatch, seed):
     for t in range(4):
         np.testing.assert_array_equal(bundle.node.by_type[t], want["node"][t])
         np.testing.assert_array_equal(_densify(bundle.pair.by_type[t]), want["pair"][t])
+
+
+# ------------------------------------------------------ sorted CSR storage
+
+
+def _sorted_storage_sources():
+    rng = np.random.default_rng(21)
+    mat = random_signed_matrix(rng, 30, p_edge=0.3)
+    csr = SignedAdjacency(sp.csr_matrix(mat))
+    edges = [f"{i} {j} {mat[i, j]:+d}" for i, j in zip(*np.nonzero(np.triu(mat, 1)))]
+    nodes = np.flatnonzero(np.bincount(rng.integers(0, 30, size=30), minlength=30))
+    return {
+        "parse": lambda: parse_edge_list("\n".join(edges[::-1])).entries,
+        "sample": lambda: sample_network(builtin_spec("const-cos"), 40, seed=3).entries,
+        "resample": lambda: resample_network(csr, seed=4).entries,
+        "row-shuffled": lambda: SignedAdjacency(_shuffle_rows(sp.csr_matrix(mat), rng)).entries,
+        # a bootstrap replicate's submatrix on its sorted distinct nodes
+        "replicate": lambda: census_module._storage(csr)[nodes][:, nodes],
+    }
+
+
+@pytest.mark.parametrize("source", ["parse", "sample", "resample", "row-shuffled", "replicate"])
+def test_sparse_storage_has_sorted_rows(monkeypatch, source):
+    # the listing reads L and the edge ids off this order
+    monkeypatch.setattr(graph_module, "DENSE_THRESHOLD", 10)
+    x = _sorted_storage_sources()[source]()
+    assert sp.issparse(x) and x.nnz
+    assert x.has_sorted_indices and (_row_steps(x) > 0).all()
+
+
+def test_reversed_rows_csr_input_counts_as_dense():
+    mat = np.zeros((4, 4), dtype=np.int8)
+    for (i, j), sign in zip([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], [1, 1, 1, 1, -1]):
+        mat[i, j] = mat[j, i] = sign
+    c = sp.csr_matrix(mat)
+    falling = np.lexsort((-c.indices, np.repeat(np.arange(4), np.diff(c.indptr))))
+    x = sp.csr_matrix((c.data[falling], c.indices[falling], c.indptr), shape=(4, 4))
+    assert not x.has_sorted_indices
+    indices, data = x.indices.copy(), x.data.copy()
+    sparse, dense = SignedAdjacency(x, dense_threshold=2), SignedAdjacency(mat)
+    assert not sparse.is_dense and dense.is_dense
+    _assert_same_bundle(full_census(sparse), full_census(dense))
+    report = [json.dumps(confidence_interval(adj).to_dict()) for adj in (sparse, dense)]
+    assert report[0] == report[1]
+    # the caller's arrays are left as they were, and writeable
+    np.testing.assert_array_equal(x.indices, indices)
+    np.testing.assert_array_equal(x.data, data)
+    assert x.indices.flags.writeable and x.data.flags.writeable
+
+
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_row_shuffled_sparse_census_equals_enumeration(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    pairs = n * (n - 1) // 2
+    upper = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=pairs, max_size=pairs))
+    w = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n), label="w")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    mat = np.zeros((n, n), dtype=np.int8)
+    mat[np.triu_indices(n, 1)] = upper
+    mat += mat.T
+    adj = SignedAdjacency(_shuffle_rows(sp.csr_matrix(mat), np.random.default_rng(seed)),
+                          dense_threshold=0)
+    assert not adj.is_dense
+    want = ref_full(mat)
+    bundle = full_census(adj)
+    got = bundle.census.to_dict()
+    assert got.pop("n") == n
+    assert got == want["census"]
+    for kind, node, pair in (("total", bundle.node.triangles, bundle.pair.triangles),
+                             ("balanced", bundle.node.balanced, bundle.pair.balanced)):
+        np.testing.assert_array_equal(node, want["node"][kind])
+        np.testing.assert_array_equal(_densify(pair), want["pair"][kind])
+    for t in range(4):
+        np.testing.assert_array_equal(bundle.node.by_type[t], want["node"][t])
+        np.testing.assert_array_equal(_densify(bundle.pair.by_type[t]), want["pair"][t])
+    storage = census_module._storage(adj)
+    _assert_listing_matches_encoded(storage)
+    _assert_listing_matches_encoded(storage, np.array(w, dtype=np.int64))
 
 
 # ------------------------------------------------------------ exactness guard

@@ -3,8 +3,10 @@
 import argparse
 import importlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from signed_balance.graph import read_edge_list
 
 # the package's `census` attribute is the function of that name
 census_module = importlib.import_module("signed_balance.census")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(args, capsys):
@@ -248,6 +251,19 @@ def test_mc_cdf_and_timing_studies(tmp_path, study, files, capsys):
     assert code == 0
     assert json.loads(out) == {"study": study, "written": [str(outdir / f) for f in files]}
     assert sorted(p.name for p in outdir.iterdir()) == sorted(files)
+
+
+def test_mc_cdf_study_with_every_truth_replicate_dropped_exits_3(tmp_path, capsys):
+    # const-cos at n = 5 whose one truth replicate (seed 2) is degenerate
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "study": "cdf", "graphon": {"name": "const-cos", "params": {"rho": 0.35}}, "n_grid": [5],
+        "truth_replications": 1, "seed": 2, "methods": ["normal"]}))
+    outdir = tmp_path / "results"
+    code, out, err = run_cli(["mc", "--config", str(cfg), "--out", str(outdir)], capsys)
+    assert code == 3
+    assert err.startswith("error:") and "truth replicates" in err and out == ""
+    assert not (outdir / "cdf_distances.json").exists()
 
 
 @pytest.mark.parametrize("study", ["cdf", "timing"])
@@ -517,16 +533,21 @@ def test_exit_degenerate_on_no_triangles(tmp_path, capsys):
     assert run_cli(["test", "--in", str(two), "--null", "0.5"], capsys)[0] == 3
 
 
+def _run_module(*args):
+    """`python -m signed_balance.cli` with src/ on PYTHONPATH, as test_demos runs the demos."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "signed_balance.cli", *args],
+                          env=env, capture_output=True, text=True)
+
+
 def test_console_script_help_exits_zero():
-    proc = subprocess.run(
-        [sys.executable, "-m", "signed_balance.cli", "--help"],
-        capture_output=True, text=True)
+    proc = _run_module("--help")
     assert proc.returncode == 0
     assert "simulate" in proc.stdout
 
 
 def test_console_script_usage_error_exit_one():
-    proc = subprocess.run(
-        [sys.executable, "-m", "signed_balance.cli", "census"],
-        capture_output=True, text=True)
+    proc = _run_module("census")
     assert proc.returncode == 1

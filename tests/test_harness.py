@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from signed_balance.errors import ConfigError
+from signed_balance.errors import ConfigError, DegenerateError
 from signed_balance.graphon import spec_from_json
 from signed_balance.harness import (
     _GRAPHON_FIELDS,
@@ -304,6 +304,16 @@ def test_cdf_truth_draws_count_for_every_target_or_none():
     # the first target's truth CDF rests on exactly truth_used draws
     steps = study.truth_cdf * study.truth_used
     np.testing.assert_allclose(steps, np.round(steps), rtol=0, atol=1e-9)
+
+
+# const-cos at n = 5 whose one truth replicate (seed 2) is degenerate
+ALL_TRUTH_DROPPED = {"study": "cdf", "graphon": {"name": "const-cos", "params": {"rho": 0.35}},
+                     "n_grid": [5], "truth_replications": 1, "seed": 2, "methods": ["normal"]}
+
+
+def test_cdf_study_with_every_truth_replicate_dropped_is_degenerate():
+    with pytest.raises(DegenerateError, match="truth replicates"):
+        run_cdf_study(ExperimentConfig.from_dict(ALL_TRUTH_DROPPED))
 
 
 def test_sup_distance():
