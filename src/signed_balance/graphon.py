@@ -243,7 +243,8 @@ class PopulationMoments:
         }
 
 
-_BATCH = 1 << 20
+_BATCH = 1 << 20  # triples per reduction: sums run over whole batches
+_CHUNK = 1 << 14  # triples per elementwise pass, sized so its temporaries stay in cache
 
 
 def check_budget(budget):
@@ -260,6 +261,14 @@ def population_moments(spec, budget=10_000_000, seed=0):
     (type t has t-1 negative signs).  Only the latent positions are
     sampled, which removes the network-level noise layer entirely; with a
     constant sign law the type split is exact.
+
+    The triples come in batches of 2^20.  Within a batch they are drawn from
+    the one stream and evaluated chunk by chunk (2^14 triples at a time), so
+    the draws are those of one call per batch; each chunk's six products fill
+    six batch-length columns, and every sum runs over a whole column.  Memory
+    is about 48 bytes per batch element (about 50 MB at a full batch).  The
+    range of every probability is checked per chunk; a GraphonRangeError
+    gives the range of the chunk where the check fired.
     """
     budget = int(budget)
     check_budget(budget)
@@ -267,31 +276,35 @@ def population_moments(spec, budget=10_000_000, seed=0):
     sums = np.zeros(6)  # x, y1..y4, y_balanced
     sumsq = np.zeros(6)
     cross = np.zeros(5)  # x*y1..x*y4, x*y_bal
+    cols = np.empty((6, min(_BATCH, budget)))  # pe, pe*p1..pe*p4, pe*pbal
     done = 0
     while done < budget:
         b = min(_BATCH, budget - done)
-        lat = rng.uniform(size=(b, 3))
-        x1, x2, x3 = lat[:, 0], lat[:, 1], lat[:, 2]
-        pe = (
-            spec.edge_probability(x1, x2)
-            * spec.edge_probability(x2, x3)
-            * spec.edge_probability(x1, x3)
-        )
-        s1 = spec.negative_probability(x1, x2)
-        s2 = spec.negative_probability(x2, x3)
-        s3 = spec.negative_probability(x1, x3)
-        t1, t2, t3 = 1.0 - s1, 1.0 - s2, 1.0 - s3
-        p1 = t1 * t2 * t3
-        p2 = s1 * t2 * t3 + t1 * s2 * t3 + t1 * t2 * s3
-        p3 = s1 * s2 * t3 + s1 * t2 * s3 + t1 * s2 * s3
-        p4 = s1 * s2 * s3
-        pbal = p1 + p3
-        cols = (pe, pe * p1, pe * p2, pe * p3, pe * p4, pe * pbal)
-        for idx, col in enumerate(cols):
+        for lo in range(0, b, _CHUNK):
+            lat = rng.uniform(size=(min(_CHUNK, b - lo), 3))
+            x1, x2, x3 = lat[:, 0], lat[:, 1], lat[:, 2]
+            pe = (
+                spec.edge_probability(x1, x2)
+                * spec.edge_probability(x2, x3)
+                * spec.edge_probability(x1, x3)
+            )
+            s1 = spec.negative_probability(x1, x2)
+            s2 = spec.negative_probability(x2, x3)
+            s3 = spec.negative_probability(x1, x3)
+            t1, t2, t3 = 1.0 - s1, 1.0 - s2, 1.0 - s3
+            p1 = t1 * t2 * t3
+            p2 = s1 * t2 * t3 + t1 * s2 * t3 + t1 * t2 * s3
+            p3 = s1 * s2 * t3 + s1 * t2 * s3 + t1 * s2 * s3
+            p4 = s1 * s2 * s3
+            pe_col, *y_cols = cols[:, lo:lo + len(lat)]
+            pe_col[:] = pe
+            for col, p in zip(y_cols, (p1, p2, p3, p4, p1 + p3)):
+                np.multiply(pe, p, out=col)
+        for idx, col in enumerate(cols[:, :b]):
             sums[idx] += float(np.einsum("i->", col))
             sumsq[idx] += float(np.einsum("i,i->", col, col))
             if idx > 0:
-                cross[idx - 1] += float(np.einsum("i,i->", col, cols[0]))
+                cross[idx - 1] += float(np.einsum("i,i->", col, cols[0, :b]))
         done += b
 
     means = sums / budget

@@ -482,14 +482,16 @@ def coverage_csv_bytes(rows):
 
 
 def run_study(config, out_dir, plot_data=False):
-    """Run `config.study` and write its files into `out_dir` (created if
-    missing; `plot_data` adds the long-format coverage CSV); the paths written."""
+    """Run `config.study` and write its files into `out_dir`; the paths
+    written.  `out_dir` is created, if missing, only once the study has
+    returned, so a failed study leaves none behind.  `plot_data` adds the
+    long-format coverage CSV."""
     if plot_data and config.study != "coverage":
         raise ConfigError(f"plot data is written for a coverage study only, not {config.study!r}")
-    os.makedirs(out_dir, exist_ok=True)
     written = []
 
     def path(name):
+        os.makedirs(out_dir, exist_ok=True)
         written.append(os.path.join(out_dir, name))
         return written[-1]
 

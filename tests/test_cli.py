@@ -228,7 +228,7 @@ def test_mc_coverage(tmp_path, capsys):
         "truth_budget": 2000,
         "seed": 8,
     }))
-    outdir = tmp_path / "results"
+    outdir = tmp_path / "runs" / "results"  # created with its parent
     code, out, _ = run_cli(
         ["mc", "--config", str(cfg), "--out", str(outdir), "--plot-data"], capsys)
     assert code == 0
@@ -263,7 +263,7 @@ def test_mc_cdf_study_with_every_truth_replicate_dropped_exits_3(tmp_path, capsy
     code, out, err = run_cli(["mc", "--config", str(cfg), "--out", str(outdir)], capsys)
     assert code == 3
     assert err.startswith("error:") and "truth replicates" in err and out == ""
-    assert not (outdir / "cdf_distances.json").exists()
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("study", ["cdf", "timing"])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from signed_balance.errors import ConfigError, GraphonRangeError, NoTriangleError
 from signed_balance.graph import validate
 from signed_balance.graphon import (
+    _CHUNK,
     BUILTIN_NAMES,
     GraphonSpec,
     builtin_spec,
@@ -231,6 +233,33 @@ def test_population_se_shrinks_with_budget():
     small = population_moments(spec, budget=2000, seed=3)
     big = population_moments(spec, budget=200000, seed=3)
     assert big.mc_se["w"] < small.mc_se["w"]
+
+
+def test_population_moments_peak_memory_is_bounded():
+    # six batch-length columns (48 MB at 10^6 triples) plus one chunk's temporaries
+    spec = builtin_spec("logistic-balance", {"alpha": 20})
+    tracemalloc.start()
+    try:
+        population_moments(spec, budget=10**6, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+
+
+def _band_sign_law(x, y):
+    # out of [0,1] only where min(x, y) is within 1e-5 of 0.618..., which no
+    # probe point hits
+    near = np.abs(np.minimum(x, y) - 0.6180339887) < 1e-5
+    return np.where(near, 1.5, 0.5)
+
+
+def test_population_moments_checks_the_range_past_the_first_chunk():
+    spec = GraphonSpec(F=_ones, G=_band_sign_law, rho=1.0, s=1.0)
+    # at seed 4 the band is first hit in the fourth chunk
+    population_moments(spec, budget=3 * _CHUNK, seed=4)
+    with pytest.raises(GraphonRangeError, match=r"s\*G left \[0,1\] \(range \[0.5, 1.5\]\)"):
+        population_moments(spec, budget=4 * _CHUNK, seed=4)
 
 
 def test_balanced_probability_identity():

@@ -3,8 +3,10 @@
 golden/reports_sha256.json holds the SHA-256 of `json.dumps` of each report
 below, taken on one const-cos n = 40 draw on both storage paths and on a
 sparse-const n = 300 draw with far fewer triangles than edges, plus the
-distances of a two-target cdf study and the bootstrap draws of every
-per-type target.  A change that keeps every output byte
+distances of a two-target cdf study, the bootstrap draws of every
+per-type target, and the population truth of each builtin graphon at budgets
+around the truth loop's chunk and batch lengths.  A change that keeps every
+output byte
 passes unchanged; one that means to change an output re-records the file
 with `PYTHONPATH=src python tests/test_reports_golden.py > tests/golden/reports_sha256.json`.
 """
@@ -17,7 +19,7 @@ import pytest
 
 from signed_balance.bootstrap import bootstrap_ci, bootstrap_distribution
 from signed_balance.census import full_census
-from signed_balance.graphon import builtin_spec, sample_network
+from signed_balance.graphon import builtin_spec, population_moments, sample_network
 from signed_balance.harness import ExperimentConfig, run_cdf_study
 from signed_balance.inference import balance_test, confidence_interval
 
@@ -56,6 +58,24 @@ CDF_CONFIG = ExperimentConfig(
 DRAW_CASES = [(storage, target) for storage in STORAGE
               for target in ("type1", "type2", "type3", "type4")] + [
     ("small-sparse", "balanced"), ("poor-sparse", "balanced")]
+
+
+# budgets: below, at and above graphon's 2^14-triple chunk, and two batches of
+# 2^20 with a short last one
+TRUTH_SPECS = {
+    "logistic-balance alpha=0": ("logistic-balance", {"alpha": 0}),
+    "logistic-balance alpha=20": ("logistic-balance", {"alpha": 20}),
+    "logistic-balance alpha=400": ("logistic-balance", {"alpha": 400}),
+    "const-cos": ("const-cos", {}),
+    "sparse-const k=1.5 n=300": ("sparse-const", {"k": 1.5, "n": 300}),
+}
+TRUTH_CASES = [(spec, budget) for spec in TRUTH_SPECS
+               for budget in (1000, 2**14 - 1, 2**14, 2**14 + 1, 2**20 + 7)]
+
+
+def _truth(spec, budget):
+    name, params = TRUTH_SPECS[spec]
+    return population_moments(builtin_spec(name, params), budget=budget, seed=11).to_dict()
 
 
 def _network(storage):
@@ -132,6 +152,12 @@ def test_cdf_study_distances_are_pinned():
     assert _digest(study.distances_dict()) == _golden()["cdf study"]
 
 
+@pytest.mark.parametrize("spec, budget", TRUTH_CASES,
+                         ids=[f"{spec} {budget}" for spec, budget in TRUTH_CASES])
+def test_population_truth_bytes_are_pinned(spec, budget):
+    assert _digest(_truth(spec, budget)) == _golden()[f"truth {spec} {budget}"]
+
+
 if __name__ == "__main__":
     digests = {_key(s, c): _digest(_report(_network(s), c).to_dict())
                for s in STORAGE for c in CASES}
@@ -139,6 +165,8 @@ if __name__ == "__main__":
                     for c in POOR_CASES})
     digests["cdf study"] = _digest(run_cdf_study(CDF_CONFIG).distances_dict())
     digests.update({_key("draws " + s, (t,)): _digest(_draws(s, t)[1]) for s, t in DRAW_CASES})
+    digests.update({f"truth {spec} {budget}": _digest(_truth(spec, budget))
+                    for spec, budget in TRUTH_CASES})
     print(json.dumps({
         "description": "SHA-256 of json.dumps of each report (see test_reports_golden.py)",
         "digests": digests,
