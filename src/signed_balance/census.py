@@ -18,21 +18,24 @@ tr(A^2 M) = sum A o A^2 o A):
 
 Per-type node and pair counts need P^2 and N^2 apart (P, N the positive and
 negative indicators): P^2 + N^2 = (M^2 + A^2)/2, PN + NP = (M^2 - A^2)/2 and
-P^2 - N^2 = (MA + AM)/2.  That third product, M A, runs only when a per-type
-count is read, and no n x n pair matrix is formed unless a caller reads one:
-inference takes its quadratic form from the masked products
-(`PairProjection.quadratic`).
+P^2 - N^2 = (MA + AM)/2.  That third product runs, as M o (M A) and its
+transpose (M is symmetric), only when a per-type count is read.  No n x n
+pair matrix is formed unless a caller reads one: inference takes its
+quadratic form from the masked products (`PairProjection.quadratic`).
 
-Dense and sparse storage differ only in how the products are formed.  Dense
-storage takes two float32 BLAS squares (each partial sum is an integer of
+One routine forms every product: `_masked(mask, x, y, w)` is mask o (x W y),
+W = diag(w) for a bootstrap replicate (below), else the identity.  Dense
+storage takes one float32 BLAS product (each partial sum is an integer of
 size at most n - 2, so float32 is exact while n - 2 < 2^24, and 4(n - 2) <
-2^24 once the per-type sums are formed).  Sparse storage first orients each
-edge up the rank order (degree, then node index) as the CSR matrix L and
-forms L o (L L) in int32, one block of rows at a time: its nonzeros are the
-closed pairs, the lowest and highest ranked nodes of each triangle, and its
-sum is the triangle count T.  This costs the oriented wedges, which the
-rank order keeps small (Chiba & Nishizeki, SIAM J. Comput. 1985; Latapy,
-TCS 2008).  Then, with m edges:
+2^24 once the per-type sums are formed).  Sparse storage masks one block of
+_BLOCK_ROWS rows at a time and stacks the blocks, so the unmasked product,
+about n d^2 entries at mean degree d, is never whole.  The sparse census
+first orients each edge up the rank order (degree, then node index) as the
+CSR matrix L and forms L o (L L) in int32: its nonzeros are the closed
+pairs, the lowest and highest ranked nodes of each triangle, and its sum is
+the triangle count T.  This costs the oriented wedges, which the rank order
+keeps small (Chiba & Nishizeki, SIAM J. Comput. 1985; Latapy, TCS 2008).
+Then, with m edges:
 
 - T <= m, the sparse regime: the triangles are listed (`_Triangles`).  The
   middle nodes of a closed pair (u, x) are the common entries of row u of L
@@ -42,18 +45,18 @@ TCS 2008).  Then, with m edges:
   largest degree (`_encoded_squares`): B^2 = P^2 + t(PN + NP) + t^2 N^2 and
   every digit is below t, so M o M^2 and A o A^2 are read off the digits of
   A o B^2.  Its entries stay below t^3, so a node of degree 2^21 or more
-  raises CensusExactnessError; the listing has no such limit.  The product
-  is masked one block of rows at a time, which keeps its peak memory near
-  the masked result rather than the n d^2 entries of the whole product.
+  raises CensusExactnessError; the listing has no such limit.
 
 Sparse storage comes in with sorted rows (`SignedAdjacency` sorts them, and
 a bootstrap submatrix on sorted nodes keeps them sorted); the listing reads
-L and the edge ids straight off that order.  The listing writes each row of
-its result in falling column order, the reverse of A's; the encoded product
-keeps the order scipy's elementwise multiply gives it.  The two orders can
-differ, so a float sum over the pair matrices may differ in its last bits
-between the paths, but a given input always takes the same path (T against
-m), so its reports are deterministic.  Every reduction runs in int64 or
+L and the edge ids straight off that order.  It writes each row of its
+products falling (`_on_support`), as scipy's elementwise multiply writes a
+masked product whose rows are not sorted already, and so is the third
+product's sum written.  The row order fixes the order of each float sum
+over a pair matrix (`PairProjection.quadratic`), so the listing's reports
+equal the encoded product's byte for byte and the T <= m split moves no
+output byte; in A's rising order, most listed networks with more than a few
+triangles report other last bits.  Every reduction runs in int64 or
 float64; the type counts and node arrays are checked to be exact multiples
 of their divisors (CensusExactnessError otherwise).
 
@@ -63,13 +66,13 @@ R_ab = A[idx_a, idx_b]; let S be the distinct drawn nodes, w_k the number
 of times node k of S was drawn, W = diag(w) and inv the place in S of each
 drawn node.  Then (R^2)_ab = (A_S W A_S)[inv_a, inv_b], and M^2 and M A
 read the same way.  So the masked products are A_S o (A_S W A_S) and
-M_S o (M_S W M_S) on the |S| x |S| submatrix (|S| is about 0.63 n), each
-product x @ (w[:, None] * y).  A row sum of R is the w-weighted row sum on S,
-gathered by inv (int64 when sparse; float64 when dense, whose integer sums,
-at most 4n * n, are far below 2^53), and the four traces are w-weighted
-totals.  The float32 bound is unchanged: (M_S W M_S)_ij <= sum w = n, so
-the products are exact while n < 2^24, and 4n < 2^24 for the per-type
-sums.  The sparse listing or product is chosen by the triangles of A_S.
+M_S o (M_S W M_S) on the |S| x |S| submatrix (|S| is about 0.63 n).  A row
+sum of R is the w-weighted row sum on S, gathered by inv (int64 when sparse;
+float64 when dense, whose integer sums, at most 4n * n, are far below 2^53),
+and the four traces are w-weighted totals.  The float32 bound is unchanged:
+(M_S W M_S)_ij <= sum w = n, so the products are exact while n < 2^24, and
+4n < 2^24 for the per-type sums.  The sparse listing or product is chosen by
+the triangles of A_S.
 The encoded product's digit width comes from the largest weighted degree,
 max_i sum_{k in N(i)} w_k, and a weighted degree of 2^21 or more raises
 the same CensusExactnessError.
@@ -175,15 +178,13 @@ def _sparse_squares(a, w=None):
 
 
 def _encoded_squares(a, w=None):
-    """M o (M W M) and A o (A W A) of a sparse int64 signed matrix A, from the
-    one product B W B of B = P + tN; W = diag(w), the identity when w is None.
+    """M o (M W M) and A o (A W A) of a sparse int64 signed matrix A, from
+    A o (B W B) for B = P + tN; W = diag(w), the identity when w is None.
 
     With t = 2^k above the largest weighted degree max_i sum_{k in N(i)} w_k,
     B W B = P W P + tX + t^2 N W N (X = P W N + N W P) has every digit below
-    t, and M W M = P W P + X + N W N, A W A = P W P - X + N W N.  The product
-    is masked by A one block of rows at a time, so the unmasked product,
-    about n d^2 entries at mean degree d, is never whole; the sign of each
-    masked entry is that of A."""
+    t, and M W M = P W P + X + N W N, A W A = P W P - X + N W N; the sign of
+    each masked entry is that of A."""
     degree = np.diff(a.indptr) if w is None else abs(a) @ w
     k = max(int(degree.max(initial=0)).bit_length(), 1)
     if k > _DIGIT_BITS:
@@ -191,19 +192,15 @@ def _encoded_squares(a, w=None):
             f"a node of degree >= 2^{k - 1} is past the int64 range of the encoded sparse product")
     b = a.copy()
     b.data = np.where(a.data > 0, 1, 1 << k)
-    bw = b if w is None else _scale_rows(w, b)
+    e = _masked(a, b, b, w)
     digit = (1 << k) - 1
-    mm, aa = [], []
-    for r in range(0, a.shape[0], _BLOCK_ROWS):
-        e = a[r:r + _BLOCK_ROWS] * (b[r:r + _BLOCK_ROWS] @ bw)
-        mag = np.abs(e.data)
-        pp, x, nn = mag & digit, (mag >> k) & digit, mag >> (2 * k)
-        mm.append(sp.csr_array((pp + x + nn, e.indices, e.indptr), shape=e.shape))
-        signed = sp.csr_array((np.sign(e.data) * (pp - x + nn), e.indices.copy(), e.indptr.copy()),
-                              shape=e.shape)
-        signed.eliminate_zeros()
-        aa.append(signed)
-    return sp.vstack(mm, format="csr"), sp.vstack(aa, format="csr")
+    mag = np.abs(e.data)
+    pp, x, nn = mag & digit, (mag >> k) & digit, mag >> (2 * k)
+    mm = sp.csr_array((pp + x + nn, e.indices, e.indptr), shape=e.shape)
+    aa = sp.csr_array((np.sign(e.data) * (pp - x + nn), e.indices.copy(), e.indptr.copy()),
+                      shape=e.shape)
+    aa.eliminate_zeros()
+    return mm, aa
 
 
 def _pattern(x, dtype=np.int64):
@@ -238,14 +235,9 @@ class _Triangles:
         self.edge[up] = self.l.data - 1
         self.edge[~up] = self.lt.data - 1
         ones = _pattern(self.l, np.int32)
-        u, x, self.count = [np.empty(0, np.int64)], [np.empty(0, np.int64)], 0
-        for r in range(0, n, _BLOCK_ROWS):
-            block = ones[r:r + _BLOCK_ROWS]
-            closed = block * (block @ ones)
-            self.count += int(closed.data.sum(dtype=np.int64))
-            u.append(r + np.repeat(np.arange(closed.shape[0]), np.diff(closed.indptr)))
-            x.append(closed.indices)
-        self.u, self.x = np.concatenate(u), np.concatenate(x)
+        closed = _masked(ones, ones, ones)
+        self.count = int(closed.data.sum(dtype=np.int64))
+        self.u, self.x = np.repeat(np.arange(n), np.diff(closed.indptr)), closed.indices
 
     def squares(self, w=None):
         """M o (M W M) and A o (A W A), each row in falling column order.
@@ -296,6 +288,18 @@ def _scale_rows(w, y):
                         shape=y.shape)
 
 
+def _masked(mask, x, y, w=None):
+    """mask o (x W y), W = diag(w) (the identity when w is None): one product
+    when dense, and when sparse one block of _BLOCK_ROWS rows at a time."""
+    if w is not None:
+        y = _scale_rows(w, y)
+    if not sp.issparse(mask):
+        return mask * (x @ y)
+    starts = range(0, max(mask.shape[0], 1), _BLOCK_ROWS)  # one empty block when n = 0
+    return sp.vstack([mask[r:r + _BLOCK_ROWS] * (x[r:r + _BLOCK_ROWS] @ y) for r in starts],
+                     format="csr")
+
+
 def _storage(adj):
     """The matrix the products run on: float32 when dense, int64 CSR when sparse."""
     if adj.is_dense:
@@ -321,12 +325,8 @@ class PairProjection(_Targeted):
         if sp.issparse(a):
             self.mm, self.aa = _sparse_squares(a, self._w)
         else:
-            self.mm, self.aa = m * self._product(m, m), a * self._product(a, a)
+            self.mm, self.aa = _masked(m, m, m, self._w), _masked(a, a, a, self._w)
         self._types = {}
-
-    def _product(self, x, y):
-        """x W y: the multiplicities weight the middle node."""
-        return x @ y if self._w is None else x @ _scale_rows(self._w, y)
 
     def rows(self, x):
         """Row sums of x over the network's nodes, in int64."""
@@ -342,9 +342,14 @@ class PairProjection(_Targeted):
 
     @cached_property
     def _diff(self):
-        """2 (P^2 - N^2) on the support; forms the third product M A."""
-        ma = self._product(self.m, self.a)
-        return self.m * (ma + ma.T)
+        """2 (P^2 - N^2) on the support: M o (M A) plus its transpose M o (A M),
+        each sparse row falling as in M o (M A + A M) formed whole."""
+        d = _masked(self.m, self.m, self.a, self._w)
+        d = d + d.T
+        if sp.issparse(d):
+            d.sort_indices()
+            d = _on_support(d, d.data)
+        return d
 
     def _paths(self, k):
         """Third nodes joined to both ends by two edges, k of them negative."""

@@ -223,7 +223,6 @@ class ExperimentRow:
     mean_estimate: float
     true_w: float
     degenerate_count: int
-    wall_time: float  # kept on the row; deliberately not written to CSV
 
     def csv_record(self):
         rec = []
@@ -239,7 +238,7 @@ class ExperimentRow:
         return rec
 
 
-ROW_FIELDS = tuple(f.name for f in fields(ExperimentRow) if f.name != "wall_time")
+ROW_FIELDS = tuple(f.name for f in fields(ExperimentRow))
 
 
 def _truth_for(config, cell):
@@ -288,10 +287,8 @@ def run_coverage(config):
     """Coverage/length table over all cells; deterministic given the seed."""
     rows = []
     for cell in expand_cells(config):
-        t0 = time.perf_counter()
         truth = _truth_for(config, cell)
         results = [_replicate(config, cell, r) for r in range(config.replications)]
-        elapsed = time.perf_counter() - t0
         for method in config.methods:
             for target in config.targets:
                 w = truth[target]
@@ -321,7 +318,6 @@ def run_coverage(config):
                         mean_estimate=estimates / used if used else float("nan"),
                         true_w=w,
                         degenerate_count=config.replications - used,
-                        wall_time=elapsed,
                     )
                 )
     return rows
@@ -388,22 +384,19 @@ def run_cdf_study(config):
     bootstrap approximations come from one observed network drawn from its
     own reserved stream.  A truth replicate that is degenerate for any
     target is dropped for all of them, so every target's truth CDF rests on
-    the same `truth_used` draws; DegenerateError when none is left.
+    the same `truth_used` draws; DegenerateError when none is left, raised
+    before the population truth is computed.
     """
     cell = expand_cells(config)[0]
-    truth_w = _truth_for(config, cell)
-    draws = {t: [] for t in config.targets}
-    dropped = 0
+    kept = []  # (estimate, S_hat) per target of each kept truth replicate
     for r in range(config.truth_replications):
         pipes = _draw(config, cell, r)[2]
-        if None in pipes.values():
-            dropped += 1  # a replicate counts for every target or for none
-            continue
-        for target, pipe in pipes.items():
-            draws[target].append((pipe.estimate - truth_w[target]) / pipe.S_hat)
-    if dropped == config.truth_replications:
-        raise DegenerateError(
-            f"all {dropped} truth replicates at n={cell.n} are degenerate: no truth CDF")
+        if None not in pipes.values():  # a replicate counts for every target or for none
+            kept.append({target: (pipe.estimate, pipe.S_hat) for target, pipe in pipes.items()})
+    if not kept:
+        raise DegenerateError(f"all {config.truth_replications} truth replicates at n={cell.n} "
+                              "are degenerate: no truth CDF")
+    truth_w = _truth_for(config, cell)
 
     observed_seed = _replicate_seed(config, cell, _OBSERVED_SLOT)
     observed = sample_network(cell.spec, cell.n, seed=observed_seed)
@@ -411,7 +404,8 @@ def run_cdf_study(config):
     curves = {}
     truth_cdf_by_target = {}
     for target in config.targets:
-        t_sorted = np.sort(np.asarray(draws[target]))
+        t_sorted = np.sort([(estimate - truth_w[target]) / s_hat
+                            for estimate, s_hat in (rep[target] for rep in kept)])
         used = t_sorted.size
         truth_cdf = np.searchsorted(t_sorted, CDF_GRID, side="right") / used
         truth_cdf_by_target[target] = truth_cdf
@@ -425,7 +419,7 @@ def run_cdf_study(config):
     return CdfStudy(
         n=cell.n,
         truth_replications=config.truth_replications,
-        truth_used=config.truth_replications - dropped,
+        truth_used=len(kept),
         distances=distances,
         grid=CDF_GRID.copy(),
         truth_cdf=truth_cdf_by_target[config.targets[0]],

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import tracemalloc
 import weakref
 from math import comb
 
@@ -239,17 +240,34 @@ def test_two_faction_complete_graph_closed_form(path):
         assert not _densify(bundle.pair.by_type[t]).any()
 
 
+def _assert_same_arrays(got, want):
+    """The same CSR arrays, so float sums over them agree."""
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+
+
 def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
     mat = random_signed_matrix(np.random.default_rng(3), 40, p_edge=0.4)
     adj = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=10)
     a = sp.csr_array(adj.entries, dtype=np.int64)
     m = abs(a)
-    monkeypatch.setattr(census_module, "_BLOCK_ROWS", 7)  # 6 blocks, the last short
-    pairs = census_module.PairProjection(census_module._storage(adj))
-    # the same CSR arrays as the whole products, so float sums over them agree
-    for got, want in ((pairs.mm, m * (m @ m)), (pairs.aa, a * (a @ a))):
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+    draw = census_module._Draw(np.random.default_rng(4).integers(0, 40, size=40))
+    sub = a[draw.nodes][:, draw.nodes]
+    for block_rows in (7, 4096):  # 6 blocks, the last short; one block
+        monkeypatch.setattr(census_module, "_BLOCK_ROWS", block_rows)
+        pairs = census_module.PairProjection(census_module._storage(adj))
+        _assert_same_arrays(pairs.mm, m * (m @ m))
+        _assert_same_arrays(pairs.aa, a * (a @ a))
+        # the third product against M o (M W A + (M W A)^T) formed whole,
+        # unweighted and for one draw
+        for pairs in (pairs, census_module.PairProjection(sub, draw)):
+            w = pairs._w
+            ma = pairs.m @ (pairs.a if w is None else census_module._scale_rows(w, pairs.a))
+            whole = census_module.PairProjection(pairs.a, pairs.draw)
+            whole._diff = pairs.m * (ma + ma.T)
+            _assert_same_arrays(pairs._diff, whole._diff)
+            for k in range(4):
+                _assert_same_arrays(pairs.type_pairs(k), whole.type_pairs(k))
 
 
 def test_encoded_product_refuses_degrees_past_its_digit_width(monkeypatch):
@@ -427,6 +445,30 @@ def test_sparse_census_lists_triangles_when_they_are_no_more_than_edges(monkeypa
             _assert_same_matrix(got, want)
 
 
+# const-cos draws (rho, n, seed) whose triangles are about a quarter of their edges
+LISTED_DRAWS = [(0.05, 300, 1), (0.04, 400, 0)]
+
+
+@pytest.mark.parametrize("rho, n, seed", LISTED_DRAWS)
+def test_listed_reports_equal_the_encoded_product_reports(monkeypatch, rho, n, seed):
+    # the listing writes each row falling, the order scipy's elementwise
+    # multiply gives the encoded product; float sums over the pair matrices
+    # then run in one order, so the T <= m split moves no report byte
+    def reports():
+        out = {}
+        for target in ("balanced", "type2"):
+            adj = sample_network(builtin_spec("const-cos", {"rho": rho}), n, seed=seed,
+                                 dense_threshold=10)
+            out[target] = json.dumps(confidence_interval(adj, target=target).to_dict())
+        return out
+
+    adj = sample_network(builtin_spec("const-cos", {"rho": rho}), n, seed=seed, dense_threshold=10)
+    assert not adj.is_dense and 0 < full_census(adj).census.total <= adj.edge_count()
+    listed = reports()
+    monkeypatch.setattr(census_module, "_sparse_squares", census_module._encoded_squares)
+    assert reports() == listed
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_listed_census_equals_enumeration(monkeypatch, seed):
     # triangle-poor networks: every count below comes from the listing
@@ -565,6 +607,21 @@ def test_cached_census_lives_as_long_as_its_adjacency(path):
     assert ref() is not None  # held by the adjacency
     del adj
     assert ref() is None
+
+
+def test_third_product_peak_memory_is_bounded():
+    # about 270k edges on 20000 nodes: M A formed whole holds about n d^2
+    # entries (over 800 MB), while its row blocks keep the peak near the
+    # masked result
+    adj = SignedAdjacency(_sparse_signed(np.random.default_rng(0), 20000, 1.35e-3))
+    assert not adj.is_dense and 260_000 < adj.edge_count() < 280_000
+    tracemalloc.start()
+    try:
+        full_census(adj).pair.type_pairs(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * 2**20
 
 
 # --------------------------------------------------------------- laziness

@@ -27,6 +27,7 @@ from signed_balance.harness import (
 
 # the package's `census` attribute is the function of that name
 census_module = importlib.import_module("signed_balance.census")
+harness_module = importlib.import_module("signed_balance.harness")
 
 
 def tiny_config(**over):
@@ -311,7 +312,12 @@ ALL_TRUTH_DROPPED = {"study": "cdf", "graphon": {"name": "const-cos", "params": 
                      "n_grid": [5], "truth_replications": 1, "seed": 2, "methods": ["normal"]}
 
 
-def test_cdf_study_with_every_truth_replicate_dropped_is_degenerate():
+def test_cdf_study_with_every_truth_replicate_dropped_is_degenerate(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the population truth was computed")
+
+    # it fails before it pays for the truth
+    monkeypatch.setattr(harness_module, "population_moments", refused)
     with pytest.raises(DegenerateError, match="truth replicates"):
         run_cdf_study(ExperimentConfig.from_dict(ALL_TRUTH_DROPPED))
 

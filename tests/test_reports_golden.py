@@ -1,8 +1,9 @@
 """Report bytes pinned against recorded digests.
 
 golden/reports_sha256.json holds the SHA-256 of `json.dumps` of each report
-below, taken on one const-cos n = 40 draw on both storage paths and on a
-sparse-const n = 300 draw with far fewer triangles than edges, plus the
+below, taken on one const-cos n = 40 draw on both storage paths, on a
+sparse-const n = 300 draw with far fewer triangles than edges and on a
+sparse const-cos n = 300 draw with a quarter as many, plus the
 distances of a two-target cdf study, the bootstrap draws of every
 per-type target, and the population truth of each builtin graphon at budgets
 around the truth loop's chunk and batch lengths.  A change that keeps every
@@ -45,6 +46,10 @@ POOR_CASES = (
     + [("test", "two-sided", "edgeworth")]
 )
 
+# a const-cos rho = 0.05 draw with 497 triangles on 2169 edges, also listed:
+# its bytes move if the listing's rows do not fall (see census.py)
+RICH_CASE = ("ci", "edgeworth", "balanced", 0.0)
+
 # both targets have nonzero variance on every truth replicate
 CDF_CONFIG = ExperimentConfig(
     graphon_name="const-cos", n_grid=(40,), replications=1, truth_budget=2000,
@@ -81,6 +86,9 @@ def _truth(spec, budget):
 def _network(storage):
     if storage == "poor-sparse":
         return sample_network(builtin_spec("sparse-const", {"k": 1.5, "n": 300}), 300, seed=2,
+                              dense_threshold=10)
+    if storage == "rich-sparse":
+        return sample_network(builtin_spec("const-cos", {"rho": 0.05}), 300, seed=1,
                               dense_threshold=10)
     return sample_network(builtin_spec("const-cos", {}), 40, seed=23,
                           dense_threshold=STORAGE[storage])
@@ -137,6 +145,13 @@ def test_triangle_poor_report_bytes_are_pinned(case):
     assert _digest(_report(adj, case).to_dict()) == _golden()[_key("poor-sparse", case)]
 
 
+def test_triangle_richer_listed_report_bytes_are_pinned():
+    adj = _network("rich-sparse")
+    census = full_census(adj).census
+    assert not adj.is_dense and adj.edge_count() // 10 < census.total <= adj.edge_count()
+    assert _digest(_report(adj, RICH_CASE).to_dict()) == _golden()[_key("rich-sparse", RICH_CASE)]
+
+
 @pytest.mark.parametrize("storage, target", DRAW_CASES, ids=[" ".join(c) for c in DRAW_CASES])
 def test_bootstrap_draws_are_pinned(storage, target):
     adj, draws = _draws(storage, target)
@@ -163,6 +178,8 @@ if __name__ == "__main__":
                for s in STORAGE for c in CASES}
     digests.update({_key("poor-sparse", c): _digest(_report(_network("poor-sparse"), c).to_dict())
                     for c in POOR_CASES})
+    digests[_key("rich-sparse", RICH_CASE)] = _digest(_report(_network("rich-sparse"),
+                                                              RICH_CASE).to_dict())
     digests["cdf study"] = _digest(run_cdf_study(CDF_CONFIG).distances_dict())
     digests.update({_key("draws " + s, (t,)): _digest(_draws(s, t)[1]) for s, t in DRAW_CASES})
     digests.update({f"truth {spec} {budget}": _digest(_truth(spec, budget))
