@@ -20,10 +20,11 @@ replicates are counted on, are the census `census.full_census` cached on
 the adjacency, so an adjacency already counted is not counted again.
 Replicates where the ratio or variance is degenerate (no triangles, zero
 variance) are dropped and counted; more than 50% degenerate is a hard
-error.  Replicate r uses the derived stream (seed, r), so runs are
-reproducible.  Replicates run in order on the calling thread; `threads` is
-accepted and checked but selects nothing.  A `BootstrapDistribution` is a
-law like `inference.EdgeworthCoefficients` (`cdf`, `tails`, `quantile`), so
+error.  Replicate r uses the derived stream (seed, r), drawn through one
+re-keyed Philox (`rng.streams`), so runs are reproducible.  Replicates run
+in order on the calling thread; `threads` is accepted and checked but
+selects nothing.  A `BootstrapDistribution` is a law like
+`inference.EdgeworthCoefficients` (`cdf`, `tails`, `quantile`), so
 `inference._report` builds its report; `reference_law` maps a method name
 to its law, and `METHODS` beside it is the one list of the names it takes.
 A nonzero c_delta is refused with the bootstrap: the delta draw reads
@@ -38,7 +39,7 @@ from .census import _resampled_bundle, full_census
 from .errors import ConfigError, DegenerateBootstrapError, DegenerateError
 from .graph import SignedAdjacency
 from .inference import EXPANSION_METHODS, _pipeline, _report, check_level, check_threads
-from .rng import stream
+from .rng import stream, streams
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,15 @@ def bootstrap_distribution(adj, target="balanced", B=1000, seed=0, threads=1):
     bundle = full_census(adj)
     ratio_obs = _pipeline(bundle, target).estimate
 
-    def one(r):
-        idx = stream(seed, r).integers(0, adj.n, size=adj.n)
+    def one(rng):
+        idx = rng.integers(0, adj.n, size=adj.n)
         try:
             star = _pipeline(_resampled_bundle(bundle.pair.a, idx), target)
         except DegenerateError:
             return None
         return (star.estimate - ratio_obs) / star.S_hat
 
-    results = [one(r) for r in range(B)]
+    results = [one(rng) for rng in streams(seed, B)]
     draws = np.array([t for t in results if t is not None], dtype=np.float64)
     degenerate = B - draws.size
     if degenerate * 2 > B:

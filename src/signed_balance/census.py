@@ -92,7 +92,6 @@ from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CensusExactnessError, ConfigError
 
@@ -156,7 +155,7 @@ def _type_counts(traces):
 
 def _quad(s, x):
     """x' S x in float64, summed in a fixed order (no BLAS threads involved)."""
-    sx = s @ x if sp.issparse(s) else np.einsum("ij,j->i", s, x)
+    sx = np.einsum("ij,j->i", s, x) if isinstance(s, np.ndarray) else s @ x
     return float(np.einsum("i,i->", x, sx))
 
 
@@ -185,6 +184,8 @@ def _encoded_squares(a, w=None):
     B W B = P W P + tX + t^2 N W N (X = P W N + N W P) has every digit below
     t, and M W M = P W P + X + N W N, A W A = P W P - X + N W N; the sign of
     each masked entry is that of A."""
+    import scipy.sparse as sp
+
     degree = np.diff(a.indptr) if w is None else abs(a) @ w
     k = max(int(degree.max(initial=0)).bit_length(), 1)
     if k > _DIGIT_BITS:
@@ -205,6 +206,8 @@ def _encoded_squares(a, w=None):
 
 def _pattern(x, dtype=np.int64):
     """x with every stored entry set to 1, in x's layout."""
+    import scipy.sparse as sp
+
     return sp.csr_array((np.ones(x.nnz, dtype=dtype), x.indices, x.indptr), shape=x.shape)
 
 
@@ -218,6 +221,8 @@ class _Triangles:
     pairs."""
 
     def __init__(self, a):
+        import scipy.sparse as sp
+
         self.a = a
         n = a.shape[0]
         degree = np.diff(a.indptr)
@@ -272,6 +277,8 @@ class _Triangles:
 def _on_support(a, values):
     """The CSR matrix with `values` (one per stored entry of A) at A's
     places, each row in reverse stored order with the zeros dropped."""
+    import scipy.sparse as sp
+
     order = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, np.diff(a.indptr))
     order -= np.arange(a.nnz)
     values = values[order]
@@ -282,8 +289,10 @@ def _on_support(a, values):
 
 def _scale_rows(w, y):
     """W y: row i of y times w_i, on either storage."""
-    if not sp.issparse(y):
+    if isinstance(y, np.ndarray):
         return w[:, None] * y
+    import scipy.sparse as sp
+
     return sp.csr_array((y.data * np.repeat(w, np.diff(y.indptr)), y.indices, y.indptr),
                         shape=y.shape)
 
@@ -293,8 +302,10 @@ def _masked(mask, x, y, w=None):
     when dense, and when sparse one block of _BLOCK_ROWS rows at a time."""
     if w is not None:
         y = _scale_rows(w, y)
-    if not sp.issparse(mask):
+    if isinstance(mask, np.ndarray):
         return mask * (x @ y)
+    import scipy.sparse as sp
+
     starts = range(0, max(mask.shape[0], 1), _BLOCK_ROWS)  # one empty block when n = 0
     return sp.vstack([mask[r:r + _BLOCK_ROWS] * (x[r:r + _BLOCK_ROWS] @ y) for r in starts],
                      format="csr")
@@ -304,6 +315,8 @@ def _storage(adj):
     """The matrix the products run on: float32 when dense, int64 CSR when sparse."""
     if adj.is_dense:
         return adj.entries.astype(np.float32)
+    import scipy.sparse as sp
+
     return sp.csr_array(adj.entries, dtype=np.int64)
 
 
@@ -322,10 +335,10 @@ class PairProjection(_Targeted):
         self.draw = draw
         # the multiplicities in the storage dtype; float32 holds each count (<= n) exactly
         self._w = None if draw is None else draw.counts.astype(a.dtype)
-        if sp.issparse(a):
-            self.mm, self.aa = _sparse_squares(a, self._w)
-        else:
+        if isinstance(a, np.ndarray):
             self.mm, self.aa = _masked(m, m, m, self._w), _masked(a, a, a, self._w)
+        else:
+            self.mm, self.aa = _sparse_squares(a, self._w)
         self._types = {}
 
     def rows(self, x):
@@ -346,7 +359,7 @@ class PairProjection(_Targeted):
         each sparse row falling as in M o (M A + A M) formed whole."""
         d = _masked(self.m, self.m, self.a, self._w)
         d = d + d.T
-        if sp.issparse(d):
+        if not isinstance(d, np.ndarray):
             d.sort_indices()
             d = _on_support(d, d.data)
         return d
@@ -455,10 +468,10 @@ class _Draw:
         w-weighted row sums of x, one per drawn node.  Exact: int64 for
         sparse x; float64 for dense x, whose entries (at most 4n, integers)
         times sum w = n stay far below 2^53."""
-        if sp.issparse(x):
-            sums = x @ self.counts
-        else:
+        if isinstance(x, np.ndarray):
             sums = x @ self.counts.astype(np.float64)
+        else:
+            sums = x @ self.counts
         return sums.astype(np.int64)[self.where]
 
 
@@ -468,10 +481,10 @@ def _resampled_bundle(storage, idx):
     drawn nodes, weighted by how often each was drawn."""
     draw = _Draw(idx)
     s = draw.nodes
-    if sp.issparse(storage):
-        sub = storage[s][:, s]
-    else:
+    if isinstance(storage, np.ndarray):
         sub = storage.take(s, axis=0).take(s, axis=1)
+    else:
+        sub = storage[s][:, s]
     return _census(sub, len(idx), draw)
 
 

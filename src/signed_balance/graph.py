@@ -4,8 +4,11 @@ A signed network is a symmetric matrix over {-1, 0, +1} with zero diagonal.
 Storage is a dense int8 array for n <= DENSE_THRESHOLD and scipy CSR above
 that, so the library stays usable past the sizes where a dense matrix is
 sensible.  CSR storage has sorted rows: each row's column indices rise.
-`SignedAdjacency` alone makes that choice and sets that order: the parser
-hands it one COO matrix and the sampler one int8 matrix, whatever the size.
+`SignedAdjacency` alone makes that choice and sets that order: the sampler
+hands it one int8 matrix whatever the size, and the parser its checked
+edges (`SignedAdjacency._from_edges`).  scipy.sparse is imported only where
+storage is sparse, so a dense network loads no scipy module; inside the
+package, storage that is not an ndarray is scipy sparse.
 
 Edge-list format (UTF-8 text):
 
@@ -39,10 +42,10 @@ the line of its first bad byte.  The writer orders pairs by label ranks.
 """
 
 import re
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     AlphabetError,
@@ -90,23 +93,28 @@ class SignedAdjacency:
     __slots__ = ("n", "labels", "_mat", "_bundle")
 
     def __init__(self, entries, labels=None, dense_threshold=None, _validated=False):
-        threshold = DENSE_THRESHOLD if dense_threshold is None else dense_threshold
-        mat = entries if sp.issparse(entries) else np.asarray(entries)
+        threshold = _threshold(dense_threshold)
+        mat = entries if _is_scipy_sparse(entries) else np.asarray(entries)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise AlphabetError(f"adjacency must be square, got shape {mat.shape}")
         n = mat.shape[0]
-        if sp.issparse(mat) and not (_validated and n <= threshold):
+        sparse = not isinstance(mat, np.ndarray)
+        if sparse and not (_validated and n <= threshold):
             # checked on its own dtype: an int8 cast first would read 0.5 as 0 and 255 as -1
             mat = mat.tocsr(copy=True)
             mat.eliminate_zeros()
         if not _validated:
             _validate_entries(mat)
         if n > threshold:
+            import scipy.sparse as sp
+
             mat = sp.csr_matrix(mat, dtype=np.int8)
             mat.sort_indices()  # in place, on the copy above; a no-op when sorted
-        else:  # a checked sparse matrix goes to its dense array with no CSR step
-            mat = np.asarray(mat.toarray(), np.int8) if sp.issparse(mat) else mat.astype(np.int8)
-        for arr in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
+        elif sparse:  # a checked sparse matrix goes to its dense array with no CSR step
+            mat = np.asarray(mat.toarray(), np.int8)
+        else:  # checked storage is handed over, uncopied, by the package code that made it
+            mat = mat.astype(np.int8, copy=not _validated)
+        for arr in (mat,) if isinstance(mat, np.ndarray) else (mat.data, mat.indices, mat.indptr):
             arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_mat", mat)
@@ -119,6 +127,25 @@ class SignedAdjacency:
                 raise AlphabetError("duplicate node labels")
         object.__setattr__(self, "labels", labels)
 
+    @classmethod
+    def _from_edges(cls, names, lo, hi, sign, dense_threshold=None):
+        """The adjacency of checked edges, each pair (lo, hi) once with its
+        sign, on nodes labelled `names`: an int8 matrix filled in place up
+        to the threshold, a COO matrix to convert above it."""
+        n = len(names)
+        if n <= _threshold(dense_threshold):
+            mat = np.zeros((n, n), dtype=np.int8)
+            mat[lo, hi] = sign
+            mat[hi, lo] = sign
+        else:
+            import scipy.sparse as sp
+
+            mat = sp.coo_matrix(
+                (np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+                shape=(n, n),
+            )
+        return cls(mat, labels=names, dense_threshold=dense_threshold, _validated=True)
+
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("SignedAdjacency is immutable")
 
@@ -126,7 +153,7 @@ class SignedAdjacency:
 
     @property
     def is_dense(self):
-        return not sp.issparse(self._mat)
+        return isinstance(self._mat, np.ndarray)
 
     @property
     def entries(self):
@@ -159,9 +186,11 @@ class SignedAdjacency:
         if self.n != other.n or self.labels != other.labels:
             return False
         a, b = self._mat, other._mat
-        if sp.issparse(a) or sp.issparse(b):
-            return (sp.csr_matrix(a) != sp.csr_matrix(b)).nnz == 0
-        return bool(np.array_equal(a, b))
+        if self.is_dense and other.is_dense:
+            return bool(np.array_equal(a, b))
+        import scipy.sparse as sp
+
+        return (sp.csr_matrix(a) != sp.csr_matrix(b)).nnz == 0
 
     def __repr__(self):
         kind = "dense" if self.is_dense else "sparse"
@@ -211,6 +240,17 @@ class SignedAdjacency:
         return "\n".join(lines) + "\n"
 
 
+def _threshold(dense_threshold):
+    return DENSE_THRESHOLD if dense_threshold is None else dense_threshold
+
+
+def _is_scipy_sparse(x):
+    """Whether x is a scipy sparse matrix or array.  A caller who passes one
+    has imported scipy.sparse, so this never imports it."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(x)
+
+
 def _canonical_labels(n):
     width = len(str(max(n - 1, 0)))
     return tuple(str(i).zfill(width) for i in range(n))
@@ -218,19 +258,19 @@ def _canonical_labels(n):
 
 def _upper_nonzero(mat):
     """Rows, columns and values of the nonzero entries with row < col."""
-    if sp.issparse(mat):
-        coo = mat.tocoo()
-        keep = coo.row < coo.col
-        return coo.row[keep], coo.col[keep], coo.data[keep]
-    rows, cols = np.nonzero(np.triu(mat, 1))
-    return rows, cols, mat[rows, cols]
+    if isinstance(mat, np.ndarray):
+        rows, cols = np.nonzero(np.triu(mat, 1))
+        return rows, cols, mat[rows, cols]
+    coo = mat.tocoo()
+    keep = coo.row < coo.col
+    return coo.row[keep], coo.col[keep], coo.data[keep]
 
 
 # ------------------------------------------------------------------ validate
 
 
 def _validate_entries(mat):
-    if sp.issparse(mat):
+    if not isinstance(mat, np.ndarray):
         if mat.shape[0] != mat.shape[1]:
             raise AlphabetError(f"adjacency must be square, got shape {mat.shape}")
         if mat.nnz and not np.isin(mat.data, (-1, 1)).all():
@@ -280,13 +320,7 @@ def parse_edge_list(text, dense_threshold=None):
     edges = _bulk_edges(text)
     if edges is None:
         edges = _line_edges(text)
-    names, lo, hi, sign = edges
-    n = len(names)
-    mat = sp.coo_matrix(
-        (np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-        shape=(n, n),
-    )
-    return SignedAdjacency(mat, labels=names, dense_threshold=dense_threshold, _validated=True)
+    return SignedAdjacency._from_edges(*edges, dense_threshold=dense_threshold)
 
 
 def _directive_tail(line):

@@ -439,7 +439,8 @@ def write_cdf_csv(study, path):
 
 def run_timing(config):
     """Seconds per analysis per method per n (wall clock; not deterministic);
-    each analysis runs on a fresh copy of the network, so it counts it anew."""
+    each analysis runs on a fresh adjacency of the network (on the same
+    read-only storage), so it counts it anew."""
     records = []
     for cell in expand_cells(config):
         adj = sample_network(cell.spec, cell.n, seed=_replicate_seed(config, cell, 0))

@@ -50,6 +50,10 @@ projection supplies q1' pair_tot q1 and q1' pair_bal q1 straight from the
 census products (`PairProjection.quadratic`), so no per-pair matrix is
 built.  Float reductions go through np.einsum (fixed order) so results do
 not depend on BLAS thread count.
+
+The normal cdf and quantile are `_normal.ndtr` and `_normal.ndtri`, ports
+of the Cephes routines scipy.special uses, equal to scipy's bit for bit, so
+a dense analysis loads no scipy module.
 """
 
 import math
@@ -57,9 +61,8 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .census import _type_index, full_census
 from .errors import ConfigError, DegenerateVarianceError, NoTriangleError
 from .rng import stream
@@ -135,9 +138,9 @@ class Projections:
 
 
 def _to_dense(mat):
-    if sp.issparse(mat):
-        return np.asarray(mat.todense())
-    return np.asarray(mat)
+    if isinstance(mat, np.ndarray):
+        return mat
+    return np.asarray(mat.todense())
 
 
 def projections(census, node, pair, target="balanced"):
@@ -263,7 +266,8 @@ def edgeworth_cdf(x, coef):
     """Empirical Edgeworth CDF value(s) at x, clamped to [0, 1]."""
     x = np.asarray(x, dtype=np.float64)
     phi = np.exp(-x * x / 2.0) / SQRT_2PI
-    val = ndtr(x) + phi * _polynomial(x, coef) / math.sqrt(coef.n)
+    cdf = np.array([ndtr(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    val = cdf + phi * _polynomial(x, coef) / math.sqrt(coef.n)
     out = np.clip(val, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -271,7 +275,7 @@ def edgeworth_cdf(x, coef):
 def cornish_fisher_quantile(alpha, coef):
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"quantile level must be in (0,1), got {alpha}")
-    z = ndtri(alpha)
+    z = ndtri(float(alpha))
     return float(z - _polynomial(z, coef) / math.sqrt(coef.n))
 
 

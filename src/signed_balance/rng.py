@@ -10,6 +10,10 @@ Contract (documented in the README and pinned by tests/golden/rng_seed0.json):
 Distinct (seed, r) pairs therefore get statistically independent streams,
 and any replicate can be regenerated in isolation, which is what makes
 parallel Monte Carlo runs independent of scheduling.
+
+`streams(seed, count)` yields the streams 0 .. count - 1 of one seed in
+turn through one Generator, re-keying its Philox instead of building one
+per stream; each draws the same numbers as `stream(seed, r)`.
 """
 
 import numpy as np
@@ -35,3 +39,16 @@ def stream_key(seed, index=0):
 def stream(seed, index=0):
     """Independent Generator for (seed, index)."""
     return np.random.Generator(np.random.Philox(key=stream_key(seed, index)))
+
+
+def streams(seed, count):
+    """stream(seed, r) for r = 0 .. count - 1, in turn, as one Generator
+    whose Philox is re-keyed in place: each stream is good until the next
+    is drawn.  Setting the public state resets the counter and the buffer,
+    so each draws what a fresh `stream(seed, r)` draws."""
+    gen = stream(seed)
+    state = gen.bit_generator.state  # a zero counter and an empty buffer
+    for r in range(count):
+        state["state"]["key"][0] = stream_key(seed, r)
+        gen.bit_generator.state = state
+        yield gen

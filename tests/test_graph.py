@@ -325,3 +325,54 @@ def test_non_utf8_file_names_the_line(tmp_path):
         read_edge_list(path)
     assert err.value.line_no == 4
     assert "0xe9" in str(err.value)
+
+
+# ------------------------------------------------------------- storage build
+
+
+@pytest.mark.parametrize("text", [
+    "# nodes: 8\n3 1 +1\n1 3 1\n0 5 -1\n5 0 -1\n2 3 -1\n1 2 +1\n",
+    "bob alice +1\nalice bob 1\ncarol alice -1\nzed bob -1\nalice carol -1\n",
+], ids=["directive-isolated-nodes", "string-labels"])
+@pytest.mark.parametrize("route", ["bulk", "loop"])
+@pytest.mark.parametrize("threshold", [None, 0])
+def test_parsed_storage_equals_the_coo_build(text, route, threshold):
+    # duplicate rows in both pair orders; the storage filled from the parsed
+    # edges equals the adjacency of their symmetric COO matrix
+    edges = graph_module._bulk_edges(text) if route == "bulk" else graph_module._line_edges(text)
+    assert edges is not None
+    names, lo, hi, sign = edges
+    n = len(names)
+    coo = sp.coo_matrix((np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+                        shape=(n, n))
+    want = SignedAdjacency(coo, labels=names, dense_threshold=threshold)
+    got = parse_edge_list(text, dense_threshold=threshold)
+    assert got == want and got.labels == want.labels and got.is_dense == want.is_dense
+    if got.is_dense:
+        assert got.entries.dtype == np.int8
+        np.testing.assert_array_equal(got.entries, want.entries)
+    else:
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got.entries, part), getattr(want.entries, part))
+
+
+SPARSE_FORMATS = [f"{fmt}_{kind}" for fmt in ("coo", "csc", "csr", "lil", "dok")
+                  for kind in ("matrix", "array")]
+
+
+@pytest.mark.parametrize("threshold", [None, 10])
+@pytest.mark.parametrize("cls", SPARSE_FORMATS)
+def test_every_scipy_sparse_input_is_recognised(cls, threshold):
+    from signed_balance.census import full_census
+    from signed_balance.graphon import builtin_spec, sample_network
+
+    dense = sample_network(builtin_spec("const-cos"), 30, seed=4).to_dense()
+    want = SignedAdjacency(dense, dense_threshold=threshold)
+    got = SignedAdjacency(getattr(sp, cls)(dense), dense_threshold=threshold)
+    assert got.is_dense == want.is_dense == (threshold is None)
+    if got.is_dense:
+        np.testing.assert_array_equal(got.entries, want.entries)
+    else:
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got.entries, part), getattr(want.entries, part))
+    assert full_census(got).census == full_census(want).census

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signed_balance.rng import GOLDEN64, MASK64, splitmix64, stream, stream_key
+from signed_balance.rng import GOLDEN64, MASK64, splitmix64, stream, stream_key, streams
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "rng_seed0.json"
 
@@ -60,3 +60,17 @@ def test_streams_do_not_overlap():
 def test_stream_accepts_wide_indices(index):
     g = stream(0, index)
     assert g.random() >= 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 7, MASK64])
+def test_rekeyed_streams_draw_what_fresh_streams_draw(seed):
+    # a replicate's node draw, for every replicate of a B = 2000 bootstrap
+    for r, rng in enumerate(streams(seed, 2000)):
+        np.testing.assert_array_equal(rng.integers(0, 160, size=160),
+                                      stream(seed, r).integers(0, 160, size=160))
+    # 32-bit draws leave a half word buffered, which the next key must drop
+    for r, rng in enumerate(streams(seed, 20)):
+        fresh = stream(seed, r)
+        for draw in (lambda g: g.integers(0, 9, size=3, dtype=np.uint32), lambda g: g.random(5),
+                     lambda g: g.normal(size=3)):
+            np.testing.assert_array_equal(draw(rng), draw(fresh))
