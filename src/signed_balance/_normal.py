@@ -70,30 +70,22 @@ def _p1evl(x, coef):
 
 
 def _erf(x):
-    if x < 0.0:
-        return -_erf(-x)
-    if x > 1.0:
-        return 1.0 - _erfc(x)
+    """erf(x) for |x| < 1, the only arguments ndtr passes."""
     z = x * x
     return x * _polevl(z, _T) / _p1evl(z, _U)
 
 
-def _erfc(a):
-    x = -a if a < 0.0 else a
+def _erfc(x):
+    """erfc(x) for x >= sqrt(1/2), the only arguments ndtr passes; 0 on underflow."""
     if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
-    if z >= -_MAXLOG:
-        z = math.exp(z)
-        if x < 8.0:
-            y = (z * _polevl(x, _P)) / _p1evl(x, _Q)
-        else:
-            y = (z * _polevl(x, _R)) / _p1evl(x, _S)
-        if a < 0.0:
-            y = 2.0 - y
-        if y != 0.0:
-            return y
-    return 2.0 if a < 0.0 else 0.0  # underflow
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        return (z * _polevl(x, _P)) / _p1evl(x, _Q)
+    return (z * _polevl(x, _R)) / _p1evl(x, _S)
 
 
 def ndtr(a):

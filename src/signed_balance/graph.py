@@ -271,8 +271,6 @@ def _upper_nonzero(mat):
 
 def _validate_entries(mat):
     if not isinstance(mat, np.ndarray):
-        if mat.shape[0] != mat.shape[1]:
-            raise AlphabetError(f"adjacency must be square, got shape {mat.shape}")
         if mat.nnz and not np.isin(mat.data, (-1, 1)).all():
             bad = mat.data[~np.isin(mat.data, (-1, 1))][0]
             raise AlphabetError(f"entry {bad} outside {{-1, 0, +1}}")

@@ -11,16 +11,8 @@ sparsity scalars.  Spec construction probes symmetry and the [0,1] range on
 a fixed grid plus random points and refuses out-of-range combinations; the
 sampler re-checks every probability it actually evaluates.
 
-Built-in specs:
-
-  const-cos         F = 1, rho = 0.8 (params: rho), sign law
-                    s*G(x,y) = 2 cos(x^2 + y^2)/3 + 0.3
-  logistic-balance  sign law s*G(x,y) = 1/(1 + exp(alpha (x-0.4)(y-0.4))),
-                    params: alpha (required), rho (default 0.8); alpha = 0
-                    is the balance-free case (every sign fair), larger
-                    alpha pushes toward a two-block balanced structure
-  sparse-const      F = 1, rho = n^(-1/k), params: k and n (required),
-                    same cosine sign law as const-cos
+The built-in laws are the rows of `_LAWS`: each gives the law's params,
+its sign law G and its rho; `builtin_spec` and `spec_from_json` build them.
 
 Draw order inside sample_network is fixed and documented: n latent
 uniforms, then C(n,2) edge uniforms, then C(n,2) sign uniforms, all from
@@ -105,7 +97,35 @@ def _ones(x, y):
     return np.ones_like(np.asarray(x, dtype=np.float64))
 
 
-BUILTIN_NAMES = ("const-cos", "logistic-balance", "sparse-const")
+def _logistic_sign_law(params):
+    def sign_law(x, y, _a=params["alpha"]):
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(_a * (x - 0.4) * (y - 0.4)))
+
+    return sign_law
+
+
+def _root_rho(params):
+    k, n = params["k"], params["n"]
+    if k <= 0 or n < 2:
+        raise ConfigError(f"rho = n^(-1/k) needs k > 0 and n >= 2, got k={k} n={n}")
+    return float(n ** (-1.0 / k))
+
+
+# One row per built-in law: its params as name -> (type, default), a default of
+# None marking a required one; its sign law G of the params; its rho of the
+# params.  Every law has F = 1, and s = 1 unless the graphon object sets s.
+_LAWS = {
+    # rho = 0.8 by default; s*G(x,y) = 2 cos(x^2 + y^2)/3 + 0.3
+    "const-cos": ({"rho": (float, 0.8)}, lambda p: _cos_sign_law, lambda p: p["rho"]),
+    # s*G(x,y) = 1/(1 + exp(alpha (x-0.4)(y-0.4))): alpha = 0 is the balance-free
+    # case (every sign fair), larger alpha pushes toward two balanced blocks
+    "logistic-balance": ({"alpha": (float, None), "rho": (float, 0.8)}, _logistic_sign_law,
+                         lambda p: p["rho"]),
+    # the sparse regime rho = n^(-1/k), with the cosine sign law
+    "sparse-const": ({"k": (float, None), "n": (int, None)}, lambda p: _cos_sign_law, _root_rho),
+}
+BUILTIN_NAMES = tuple(_LAWS)
 
 
 def _convert(kind, value, key):
@@ -119,81 +139,56 @@ def _convert(kind, value, key):
         raise ConfigError(f"config key {key!r} must be {what}, got {value!r}") from None
 
 
-def _params(obj):
-    """The graphon's `params` as a new dict ({} when missing); ConfigError unless an object."""
+def _read_graphon(obj, keys=("name", "params", "rho", "s", "n")):
+    """The values of a graphon object's `keys`, in order: None where missing,
+    and `params` a new dict ({} where missing).  ConfigError for a non-object,
+    a missing name, a key outside `keys` or `params` not an object."""
+    if not isinstance(obj, dict) or obj.get("name") is None:
+        raise ConfigError(f"a graphon must be a JSON object with a 'name', keys among {keys}")
+    if extra := sorted(set(obj) - set(keys)):
+        raise ConfigError(f"unknown graphon keys {extra}, expected some of {keys}")
     params = obj.get("params") or {}
     if not isinstance(params, dict):
         raise ConfigError(f"graphon key 'params' must be an object, got {params!r}")
-    return dict(params)
+    return tuple(dict(params) if key == "params" else obj.get(key) for key in keys)
+
+
+def _law_spec(name, params, rho=None, s=None, n=None):
+    """The GraphonSpec of the built-in law `name`, built (and probed) once.
+    A top-level `rho` is the law's rho param, so it may not be a param too;
+    `n` fills an `n` param left unset."""
+    if name not in BUILTIN_NAMES:
+        raise ConfigError(f"unknown builtin graphon {name!r}, expected one of {BUILTIN_NAMES}")
+    declared, sign_law, rho_of = _LAWS[name]
+    params = dict(params)
+    if rho is not None:
+        if "rho" in params:
+            raise ConfigError("'rho' is given twice: as the graphon's top-level 'rho' "
+                              "and as a param")
+        params["rho"] = rho
+    if n is not None and "n" in declared:
+        params.setdefault("n", n)
+    if unknown := sorted(set(params) - set(declared)):
+        raise ConfigError(f"{name} got unknown params {unknown}, expected some of {list(declared)}")
+    values = {}
+    for key, (kind, default) in declared.items():
+        if key not in params and default is None:
+            raise ConfigError(f"{name} requires params[{key!r}]")
+        values[key] = _convert(kind, params.get(key, default), key)
+    return GraphonSpec(F=_ones, G=sign_law(values), rho=rho_of(values),
+                       s=1.0 if s is None else _convert(float, s, "s"), name=name, params=values)
 
 
 def builtin_spec(name, params=None):
     """Construct one of the built-in graphon specs by name."""
-    params = dict(params or {})
-    if name == "const-cos":
-        rho = _convert(float, params.pop("rho", 0.8), "rho")
-        if params:
-            raise ConfigError(f"const-cos got unknown params {sorted(params)}")
-        return GraphonSpec(
-            F=_ones, G=_cos_sign_law, rho=rho, s=1.0, name=name, params={"rho": rho}
-        )
-    if name == "logistic-balance":
-        if "alpha" not in params:
-            raise ConfigError("logistic-balance requires params['alpha']")
-        alpha = _convert(float, params.pop("alpha"), "alpha")
-        rho = _convert(float, params.pop("rho", 0.8), "rho")
-        if params:
-            raise ConfigError(f"logistic-balance got unknown params {sorted(params)}")
-
-        def sign_law(x, y, _a=alpha):
-            with np.errstate(over="ignore"):
-                return 1.0 / (1.0 + np.exp(_a * (x - 0.4) * (y - 0.4)))
-
-        return GraphonSpec(
-            F=_ones, G=sign_law, rho=rho, s=1.0, name=name,
-            params={"alpha": alpha, "rho": rho},
-        )
-    if name == "sparse-const":
-        if "k" not in params or "n" not in params:
-            raise ConfigError("sparse-const requires params['k'] and params['n']")
-        k = _convert(float, params.pop("k"), "k")
-        n = _convert(int, params.pop("n"), "n")
-        if params:
-            raise ConfigError(f"sparse-const got unknown params {sorted(params)}")
-        if k <= 0 or n < 2:
-            raise ConfigError(f"sparse-const needs k > 0 and n >= 2, got k={k} n={n}")
-        rho = float(n ** (-1.0 / k))
-        return GraphonSpec(
-            F=_ones, G=_cos_sign_law, rho=rho, s=1.0, name=name,
-            params={"k": k, "n": n},
-        )
-    raise ConfigError(f"unknown builtin graphon {name!r}, expected one of {BUILTIN_NAMES}")
+    return _law_spec(name, params or {})
 
 
 def spec_from_json(obj):
     """Build (GraphonSpec, n_or_None) from {name, params, rho, s, n}."""
-    if not isinstance(obj, dict):
-        raise ConfigError("graphon spec JSON must be an object")
-    name = obj.get("name")
-    if name is None:
-        raise ConfigError("graphon spec JSON needs a 'name'")
-    params = _params(obj)
-    n = obj.get("n")
-    if name == "sparse-const" and n is not None:
-        params.setdefault("n", n)
-    spec = builtin_spec(name, params)
-    rho = obj.get("rho")
-    s = obj.get("s")
-    if rho is not None or s is not None:
-        spec = GraphonSpec(
-            F=spec.F,
-            G=spec.G,
-            rho=_convert(float, rho, "rho") if rho is not None else spec.rho,
-            s=_convert(float, s, "s") if s is not None else spec.s,
-            name=spec.name,
-            params=spec.params,
-        )
-    return spec, (_convert(int, n, "n") if n is not None else None)
+    name, params, rho, s, n = _read_graphon(obj)
+    n = None if n is None else _convert(int, n, "n")
+    return _law_spec(name, params, rho, s, n), n
 
 
 # ------------------------------------------------------------------- sampler

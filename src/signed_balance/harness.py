@@ -10,7 +10,9 @@ every cell's graphon included, and refuses what its study would ignore
 `run_study` then runs that study and writes its files.
 
 Each decision has one home: a config key's default is its field and its
-JSON conversion its row of `_READ`; the method names are
+JSON conversion its row of `_READ`; the graphon object is read, and each
+cell's spec built once, by the graphon module's one reader and builder, which
+refuse a graphon key no cell would read; the method names are
 `bootstrap.METHODS`, and `bootstrap.reference_law` gives each method's law;
 `_draw` draws replicate r of a cell and studentizes each target, for the
 coverage replicate and the cdf truth loop alike.
@@ -46,11 +48,11 @@ from .errors import ConfigError, DegenerateError
 from .graph import SignedAdjacency
 from .graphon import (
     _convert,
-    _params,
+    _law_spec,
+    _read_graphon,
     check_budget,
     population_moments,
     sample_network,
-    spec_from_json,
 )
 from .inference import (
     EXPANSION_METHODS,
@@ -68,8 +70,9 @@ STUDIES = ("coverage", "cdf", "timing")
 
 _TRUTH_SLOT = 0xFFFFFFFF
 _OBSERVED_SLOT = 0xFFFFFFFE
-# the fields read from the config's one "graphon" object, not from its own key
-_GRAPHON_FIELDS = ("graphon_name", "graphon_params", "rho", "s")
+# the fields read from the config's one "graphon" object, not from a key of their
+# own, each with its key there; a cell's n comes from n_grid, so "n" is refused
+_GRAPHON_FIELDS = {"graphon_name": "name", "graphon_params": "params", "rho": "rho", "s": "s"}
 
 
 @dataclass(frozen=True)
@@ -140,14 +143,11 @@ class ExperimentConfig:
         object key, keeps its field's default."""
         if not isinstance(obj, dict):
             raise ConfigError("experiment config must be a JSON object")
-        graphon = obj.get("graphon")
-        if not isinstance(graphon, dict) or "name" not in graphon:
-            raise ConfigError("config needs graphon: {name, params?, rho?, s?}")
         known = {f.name for f in fields(cls)} - set(_GRAPHON_FIELDS) | {"graphon"}
         if extra := set(obj) - known:
             raise ConfigError(f"unknown config keys {sorted(extra)}")
-        given = dict(zip(_GRAPHON_FIELDS, (graphon["name"], _params(graphon),
-                                           graphon.get("rho"), graphon.get("s"))))
+        given = dict(zip(_GRAPHON_FIELDS, _read_graphon(obj.get("graphon"),
+                                                        tuple(_GRAPHON_FIELDS.values()))))
         for f in fields(cls):
             value, read = obj.get(f.name), _READ.get(f.name)
             listed = isinstance(f.default, tuple) or f.default_factory is dict
@@ -193,13 +193,10 @@ def expand_cells(config):
     idx = 0
     for n in config.n_grid:
         for combo in combos:
-            params = dict(config.graphon_params)
-            params.update(dict(zip(keys, combo)))
-            spec, _ = spec_from_json(
-                {"name": config.graphon_name, "params": params, "n": n,
-                 "rho": config.rho, "s": config.s}
-            )
-            cells.append(Cell(index=idx, n=n, params=dict(zip(keys, combo)), spec=spec))
+            varied = dict(zip(keys, combo))
+            spec = _law_spec(config.graphon_name, {**config.graphon_params, **varied},
+                             config.rho, config.s, n)
+            cells.append(Cell(index=idx, n=n, params=varied, spec=spec))
             idx += 1
     return cells
 

@@ -100,6 +100,19 @@ def test_census_pretty_is_not_json(edges_file, capsys):
     assert "balanced" in out
 
 
+def test_ci_pretty_nests_the_p_values_and_baselines(edges_file, capsys):
+    report = json.loads(run_cli(["ci", "--in", edges_file], capsys)[1])
+    code, out, _ = run_cli(["ci", "--in", edges_file, "--pretty"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["target", report["target"]]
+    for key in ("p_values", "baselines"):
+        at = lines.index(f"{key}:")
+        nested = lines[at + 1:at + 1 + len(report[key])]
+        assert [line.split() for line in nested] == [[k, str(v)] for k, v in report[key].items()]
+        assert all(line.startswith("  ") for line in nested)
+
+
 def test_ci_fields(edges_file, capsys):
     code, out, _ = run_cli(["ci", "--in", edges_file, "--level", "0.9"], capsys)
     assert code == 0
@@ -389,6 +402,10 @@ def test_simulate_non_numeric_spec_value(tmp_path, spec, key, capsys):
     ({"name": "const-cos", "n": 12.9}, "n"),
     ({"name": "sparse-const", "params": {"k": 3, "n": 12.5}, "n": 12}, "n"),
     ({"name": "const-cos", "n": 12.0}, None),  # an integral float is that integer
+    # a key no law reads, rho given twice, and rho on a law whose rho comes from k and n
+    ({"name": "const-cos", "rhoo": 0.05, "n": 30}, "rhoo"),
+    ({"name": "const-cos", "params": {"rho": 0.3}, "rho": 0.05, "n": 30}, "rho"),
+    ({"name": "sparse-const", "params": {"k": 3}, "rho": 0.5, "n": 30}, "rho"),
 ])
 def test_simulate_refuses_non_object_params_and_fractional_integers(tmp_path, spec, key, capsys):
     path = tmp_path / "spec.json"
@@ -400,6 +417,24 @@ def test_simulate_refuses_non_object_params_and_fractional_integers(tmp_path, sp
     else:
         assert code == 1
         assert err.startswith("error:") and repr(key) in err
+        assert not (tmp_path / "n.edges").exists()
+
+
+@pytest.mark.parametrize("graphon, over, key", [
+    ({"name": "const-cos", "rho": 0.5}, {"param_grid": {"rho": [0.3, 0.9]}}, "rho"),
+    ({"name": "const-cos", "params": {"rho": 0.3}, "rho": 0.5}, {}, "rho"),
+    ({"name": "sparse-const", "params": {"k": 3}, "n": 999}, {}, "n"),
+    ({"name": "const-cos", "rhoo": 0.05}, {}, "rhoo"),
+])
+def test_mc_refuses_a_graphon_key_it_would_ignore(tmp_path, graphon, over, key, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graphon": graphon, "n_grid": [12], "replications": 2,
+                               "truth_budget": 2000, **over}))
+    outdir = tmp_path / "results"
+    code, out, err = run_cli(["mc", "--config", str(cfg), "--out", str(outdir)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and repr(key) in err and out == ""
+    assert not outdir.exists()
 
 
 def test_mc_refuses_non_object_params_and_fractional_integers(tmp_path, capsys):

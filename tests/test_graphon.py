@@ -1,8 +1,10 @@
 """Graphon sampling and population moments."""
 
 import hashlib
+import importlib
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from signed_balance.errors import ConfigError, GraphonRangeError, NoTriangleErro
 from signed_balance.graph import validate
 from signed_balance.graphon import (
     _CHUNK,
+    _LAWS,
     BUILTIN_NAMES,
     GraphonSpec,
     builtin_spec,
@@ -22,6 +25,9 @@ from signed_balance.graphon import (
 )
 
 from _reference import ref_balanced_probability, ref_type_probability
+
+graphon_module = importlib.import_module("signed_balance.graphon")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _ones(x, y):
@@ -73,6 +79,29 @@ def test_spec_from_json_roundtrip():
     spec2, _ = spec_from_json({"name": "logistic-balance",
                                "params": {"alpha": 50}, "n": 10})
     assert spec2.params["alpha"] == 50
+
+
+def test_every_law_builds_from_its_required_params_and_round_trips():
+    for name, (declared, _, _) in _LAWS.items():
+        required = {key: kind(3) for key, (kind, default) in declared.items() if default is None}
+        spec = builtin_spec(name, required)
+        assert list(spec.params) == list(declared), name
+        again, _ = spec_from_json({"name": name, "params": spec.params})
+        assert (again.params, again.rho, again.s) == (spec.params, spec.rho, spec.s), name
+    # README's law table lists exactly the table's laws
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("**Graphon spec**")[1]
+    table = section.split("\n\n| name |", 1)[1].split("\n\n", 1)[0]
+    assert tuple(re.findall(r"^\| `([\w-]+)` \|", table, re.M)) == BUILTIN_NAMES
+
+
+def test_spec_from_json_probes_one_spec_and_records_the_rho_in_force(monkeypatch):
+    probes = []
+    real = graphon_module._probe_points
+    monkeypatch.setattr(graphon_module, "_probe_points", lambda: probes.append(1) or real())
+    spec, _ = spec_from_json({"name": "logistic-balance", "params": {"alpha": 5},
+                              "rho": 0.5, "s": 0.9})
+    assert len(probes) == 1
+    assert (spec.rho, spec.s, spec.params) == (0.5, 0.9, {"alpha": 5.0, "rho": 0.5})
 
 
 def test_spec_rejects_asymmetric_graphon():

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import re
 from dataclasses import fields
 
@@ -208,6 +209,19 @@ def test_run_coverage_rows():
         assert row.degenerate_count <= 8
         assert row.replications == 8
         assert row.n == 12
+
+
+def test_coverage_counts_the_replicates_it_drops():
+    # const-cos at rho = 0.35, n = 8: most replicates have no triangle, and on
+    # those that do the bootstrap's resamples are mostly degenerate
+    cfg = tiny_config(graphon_params={"rho": 0.35}, n_grid=(8,), replications=10,
+                      methods=("normal", "bootstrap"), bootstrap_replicates=100)
+    normal, boot = run_coverage(cfg)
+    assert 0 < normal.degenerate_count < boot.degenerate_count == cfg.replications
+    assert not math.isnan(normal.coverage)
+    # a cell that drops every replicate has no coverage, length or estimate
+    assert all(math.isnan(v) for v in (boot.coverage, boot.mean_ci_length, boot.mean_estimate))
+    assert "bootstrap,balanced,10,nan,nan,nan," in coverage_csv_bytes([boot]).decode()
 
 
 def test_coverage_csv_deterministic_and_thread_invariant():
