@@ -8,7 +8,7 @@ type 1 = 0 negatives, type 2 = 1, type 3 = 2, type 4 = 3.
 
 import numpy as np
 
-from signed_balance import from_dense, full_census, parse_edge_list
+from signed_balance import SignedAdjacency, full_census, parse_edge_list
 
 # Two cliques of friends joined by rivalries.
 text = """\
@@ -46,6 +46,6 @@ mat = np.array([
     [1, 0, -1],
     [1, -1, 0],
 ])
-tri = full_census(from_dense(mat)).census
+tri = full_census(SignedAdjacency(mat)).census
 print("\nsingle triangle with one negative edge ->", tri.to_dict())
 assert tri.c2 == 1 and tri.balanced == 0

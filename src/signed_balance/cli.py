@@ -151,8 +151,10 @@ def build_parser():
 
 
 def _cmd_simulate(args):
-    spec, n_spec = spec_from_json(load_config(args.spec))
-    n = args.n if args.n is not None else n_spec
+    obj = load_config(args.spec)
+    if args.n is not None and isinstance(obj, dict):
+        obj = {**obj, "n": args.n}  # so a law's n param left unset follows --n too
+    spec, n = spec_from_json(obj)
     if n is None:
         raise ConfigError("node count missing: set --n or 'n' in the spec file")
     adj = sample_network(spec, n, seed=args.seed)

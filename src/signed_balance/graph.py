@@ -87,25 +87,23 @@ class SignedAdjacency:
     ----------
     entries : array-like or scipy sparse, n x n over {-1, 0, +1}
     labels : optional sequence of node-id strings, length n
-    dense_threshold : storage switch; defaults to DENSE_THRESHOLD
     """
 
     __slots__ = ("n", "labels", "_mat", "_bundle")
 
-    def __init__(self, entries, labels=None, dense_threshold=None, _validated=False):
-        threshold = _threshold(dense_threshold)
+    def __init__(self, entries, labels=None, _validated=False):
         mat = entries if _is_scipy_sparse(entries) else np.asarray(entries)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise AlphabetError(f"adjacency must be square, got shape {mat.shape}")
         n = mat.shape[0]
         sparse = not isinstance(mat, np.ndarray)
-        if sparse and not (_validated and n <= threshold):
+        if sparse and not (_validated and n <= DENSE_THRESHOLD):
             # checked on its own dtype: an int8 cast first would read 0.5 as 0 and 255 as -1
             mat = mat.tocsr(copy=True)
             mat.eliminate_zeros()
         if not _validated:
             _validate_entries(mat)
-        if n > threshold:
+        if n > DENSE_THRESHOLD:
             import scipy.sparse as sp
 
             mat = sp.csr_matrix(mat, dtype=np.int8)
@@ -128,12 +126,12 @@ class SignedAdjacency:
         object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def _from_edges(cls, names, lo, hi, sign, dense_threshold=None):
+    def _from_edges(cls, names, lo, hi, sign):
         """The adjacency of checked edges, each pair (lo, hi) once with its
         sign, on nodes labelled `names`: an int8 matrix filled in place up
-        to the threshold, a COO matrix to convert above it."""
+        to DENSE_THRESHOLD nodes, a COO matrix to convert above it."""
         n = len(names)
-        if n <= _threshold(dense_threshold):
+        if n <= DENSE_THRESHOLD:
             mat = np.zeros((n, n), dtype=np.int8)
             mat[lo, hi] = sign
             mat[hi, lo] = sign
@@ -144,7 +142,7 @@ class SignedAdjacency:
                 (np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
                 shape=(n, n),
             )
-        return cls(mat, labels=names, dense_threshold=dense_threshold, _validated=True)
+        return cls(mat, labels=names, _validated=True)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("SignedAdjacency is immutable")
@@ -240,10 +238,6 @@ class SignedAdjacency:
         return "\n".join(lines) + "\n"
 
 
-def _threshold(dense_threshold):
-    return DENSE_THRESHOLD if dense_threshold is None else dense_threshold
-
-
 def _is_scipy_sparse(x):
     """Whether x is a scipy sparse matrix or array.  A caller who passes one
     has imported scipy.sparse, so this never imports it."""
@@ -293,10 +287,6 @@ def validate(adj):
     _validate_entries(adj.entries)
 
 
-def from_dense(array, labels=None, dense_threshold=None):
-    return SignedAdjacency(array, labels=labels, dense_threshold=dense_threshold)
-
-
 # --------------------------------------------------------------------- parse
 
 # Byte kinds of the bulk pass: 0 a label byte, 1 a space or tab, 3 a line
@@ -311,14 +301,14 @@ _KIND[[0, 11, 12, 28, 29, 30, 31]] = 4
 _LOOP_ONLY = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 
 
-def parse_edge_list(text, dense_threshold=None):
+def parse_edge_list(text):
     """Parse edge-list text (see module docstring) into a SignedAdjacency."""
     if hasattr(text, "read"):
         text = text.read()
     edges = _bulk_edges(text)
     if edges is None:
         edges = _line_edges(text)
-    return SignedAdjacency._from_edges(*edges, dense_threshold=dense_threshold)
+    return SignedAdjacency._from_edges(*edges)
 
 
 def _directive_tail(line):
@@ -485,9 +475,9 @@ def _unique_rows(table):
     return order[new], inv
 
 
-def read_edge_list(path, dense_threshold=None):
+def read_edge_list(path):
     with open(path, "rb") as fh:
-        return parse_edge_list(_decode(fh.read()), dense_threshold=dense_threshold)
+        return parse_edge_list(_decode(fh.read()))
 
 
 def _decode(data):

@@ -19,7 +19,7 @@ uniforms, then C(n,2) edge uniforms, then C(n,2) sign uniforms, all from
 one counter-based stream (see rng module), so samples are reproducible
 bit-for-bit from (spec, n, seed).  The pair draws walk the i < j pairs in
 row-major order and fill one int8 matrix through its upper-triangle mask on
-both storages; `SignedAdjacency` converts it to CSR above `dense_threshold`.
+both storages; `SignedAdjacency` converts it to CSR above `DENSE_THRESHOLD`.
 """
 
 import math
@@ -141,15 +141,16 @@ def _convert(kind, value, key):
 
 def _read_graphon(obj, keys=("name", "params", "rho", "s", "n")):
     """The values of a graphon object's `keys`, in order: None where missing,
-    and `params` a new dict ({} where missing).  ConfigError for a non-object,
-    a missing name, a key outside `keys` or `params` not an object."""
+    and `params` a new dict ({} where missing or null).  ConfigError for a
+    non-object, a missing name, a key outside `keys` or `params` neither an
+    object nor null."""
     if not isinstance(obj, dict) or obj.get("name") is None:
         raise ConfigError(f"a graphon must be a JSON object with a 'name', keys among {keys}")
     if extra := sorted(set(obj) - set(keys)):
         raise ConfigError(f"unknown graphon keys {extra}, expected some of {keys}")
-    params = obj.get("params") or {}
+    params = {} if obj.get("params") is None else obj["params"]
     if not isinstance(params, dict):
-        raise ConfigError(f"graphon key 'params' must be an object, got {params!r}")
+        raise ConfigError(f"graphon key 'params' must be an object or null, got {params!r}")
     return tuple(dict(params) if key == "params" else obj.get(key) for key in keys)
 
 
@@ -194,7 +195,7 @@ def spec_from_json(obj):
 # ------------------------------------------------------------------- sampler
 
 
-def sample_network(spec, n, seed, return_latent=False, dense_threshold=None):
+def sample_network(spec, n, seed, return_latent=False):
     """Draw one network; deterministic in (spec, n, seed)."""
     if n < 1:
         raise ConfigError(f"need n >= 1 nodes, got n={n}")
@@ -211,7 +212,7 @@ def sample_network(spec, n, seed, return_latent=False, dense_threshold=None):
     mat = np.zeros((n, n), dtype=np.int8)
     mat[upper] = vals
     mat += mat.T
-    adj = SignedAdjacency(mat, dense_threshold=dense_threshold, _validated=True)
+    adj = SignedAdjacency(mat, _validated=True)
     if return_latent:
         return adj, x
     return adj

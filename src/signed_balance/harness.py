@@ -186,7 +186,9 @@ class Cell:
 
 
 def expand_cells(config):
-    """Cells in deterministic order: n_grid outer, sorted param keys inner."""
+    """Cells in deterministic order: n_grid outer, sorted param keys inner.
+    A param given both in the graphon's `params` and in `param_grid` takes
+    the grid's values in every cell."""
     keys = sorted(config.param_grid)
     combos = list(product(*(config.param_grid[k] for k in keys))) or [()]
     cells = []
@@ -443,7 +445,7 @@ def run_timing(config):
         adj = sample_network(cell.spec, cell.n, seed=_replicate_seed(config, cell, 0))
         for method in config.methods:
             t0 = time.perf_counter()
-            for _ in range(max(config.replications, 1)):
+            for _ in range(config.replications):
                 fresh = SignedAdjacency(adj.entries, _validated=True)
                 pipe = _pipeline(full_census(fresh), config.targets[0])
                 law = reference_law(fresh, pipe, method, config.bootstrap_replicates, config.seed)
@@ -456,7 +458,7 @@ def run_timing(config):
                     "method": method,
                     "replications": config.replications,
                     "total_seconds": elapsed,
-                    "seconds_per_analysis": elapsed / max(config.replications, 1),
+                    "seconds_per_analysis": elapsed / config.replications,
                 }
             )
     return records

@@ -3,12 +3,19 @@
 Everything here is written the dumb way on purpose: explicit loops over
 node triples, scalar arithmetic, no linear algebra.  The production code
 must agree with these to float precision on small inputs.
+
+The storage helpers at the end build an adjacency on a named storage, for
+the tests that run one check on both.
 """
 
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
+import scipy.sparse as sp
+
+import signed_balance.graph as graph
 
 
 def ref_census(mat):
@@ -185,3 +192,32 @@ def random_signed_matrix(rng, n, p_edge=0.6, p_neg=0.4):
                 mat[i, j] = -1 if rng.random() < p_neg else 1
                 mat[j, i] = mat[i, j]
     return mat
+
+
+# ------------------------------------------------------------------ storage
+
+STORAGE = {"dense": None, "sparse": 0}  # the DENSE_THRESHOLD each storage is built at
+
+
+@contextmanager
+def dense_up_to(k):
+    """Inside the block, adjacencies are built dense up to k nodes and CSR
+    above: graph.DENSE_THRESHOLD is k (None leaves it as it is)."""
+    saved = graph.DENSE_THRESHOLD
+    if k is not None:
+        graph.DENSE_THRESHOLD = k
+    try:
+        yield
+    finally:
+        graph.DENSE_THRESHOLD = saved
+
+
+def on_storage(entries, storage, labels=None):
+    """SignedAdjacency(entries, labels) on "dense" or "sparse" storage."""
+    with dense_up_to(STORAGE[storage]):
+        return graph.SignedAdjacency(entries, labels)
+
+
+def densify(x):
+    """A pair matrix of either storage as an ndarray."""
+    return x.toarray() if sp.issparse(x) else np.asarray(x)

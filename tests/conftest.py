@@ -1,5 +1,16 @@
 import sys
 
+import pytest
+
+import signed_balance.graph as graph
+
+
+@pytest.fixture
+def storage_threshold(monkeypatch):
+    """storage_threshold(k) sets graph.DENSE_THRESHOLD to k for the rest of
+    the test, so storage built from then on is dense up to k nodes."""
+    return lambda k: monkeypatch.setattr(graph, "DENSE_THRESHOLD", k)
+
 
 def pytest_terminal_summary(terminalreporter):
     # re-print the acceptance verdict lines; normal capture would

@@ -32,7 +32,7 @@ from signed_balance.bootstrap import bootstrap_ci
 from signed_balance.census import full_census
 from signed_balance.cli import main as cli_main
 from signed_balance.errors import DegenerateError
-from signed_balance.graph import from_dense, read_edge_list
+from signed_balance.graph import SignedAdjacency, read_edge_list
 from signed_balance.graphon import builtin_spec, population_moments, sample_network
 from signed_balance.harness import (
     ExperimentConfig,
@@ -108,7 +108,7 @@ def suite():
 
 
 def _production_pieces(mat):
-    adj = from_dense(mat)
+    adj = SignedAdjacency(mat)
     bundle = full_census(adj, with_pairs=True)
     moments = sample_moments(bundle.census)
     proj = projections(bundle.census, bundle.node, bundle.pair, "balanced")
@@ -119,7 +119,7 @@ def test_criterion_01_census_oracle_equivalence(suite):
     t0 = time.perf_counter()
     checked = 0
     for mat, ref in suite:
-        bundle = full_census(from_dense(mat), with_pairs=True)
+        bundle = full_census(SignedAdjacency(mat), with_pairs=True)
         c = bundle.census
         want = ref["census"]
         assert (c.total, c.c1, c.c2, c.c3, c.c4, c.balanced) == (
@@ -210,7 +210,7 @@ def test_criterion_04_ci_length_identity(suite):
     for mat, counts in suite:
         if counts["census"]["total"] == 0:
             continue
-        adj = from_dense(mat)
+        adj = SignedAdjacency(mat)
         try:
             for method in ("edgeworth", "normal"):
                 rep = confidence_interval(adj, level=0.95, method=method)

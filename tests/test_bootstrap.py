@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from signed_balance.bootstrap import (
     BootstrapDistribution,
@@ -15,11 +14,11 @@ from signed_balance.bootstrap import (
 )
 from signed_balance.census import census, full_census
 from signed_balance.errors import CensusExactnessError, ConfigError, DegenerateBootstrapError
-from signed_balance.graph import SignedAdjacency, from_dense, validate
+from signed_balance.graph import SignedAdjacency, validate
 from signed_balance.graphon import builtin_spec, sample_network
 from signed_balance.inference import _interval, _p_value
 
-from _reference import random_signed_matrix
+from _reference import dense_up_to, on_storage, random_signed_matrix
 
 # the package's `census` attribute is the function of that name
 census_module = importlib.import_module("signed_balance.census")
@@ -64,7 +63,7 @@ def test_resample_duplicate_indices_zero_their_edges():
 def test_resample_rejects_tiny_source():
     mat = np.zeros((2, 2), dtype=np.int8)
     with pytest.raises(ConfigError):
-        resample_network(from_dense(mat))
+        resample_network(SignedAdjacency(mat))
 
 
 def test_distribution_shape_and_determinism():
@@ -98,7 +97,7 @@ def test_mostly_degenerate_resamples_raise():
     for u, v in ((3, 4), (4, 5), (3, 5)):
         mat[u, v] = mat[v, u] = -1
     with pytest.raises(DegenerateBootstrapError):
-        bootstrap_distribution(from_dense(mat), B=100, seed=0)
+        bootstrap_distribution(SignedAdjacency(mat), B=100, seed=0)
 
 
 def test_save_csv_format(tmp_path):
@@ -202,8 +201,7 @@ def test_replicate_census_equals_the_resampled_network(storage):
     rng = np.random.default_rng(8)
     for n, p_edge in ((30, 0.5), (25, 0.9)):
         mat = random_signed_matrix(rng, n, p_edge=p_edge)
-        adj = from_dense(mat) if storage == "dense" else SignedAdjacency(
-            sp.csr_matrix(mat), dense_threshold=10)
+        adj = on_storage(mat, storage)
         assert adj.is_dense == (storage == "dense")
         for idx in _draws(n, rng):
             _assert_replicate_matches(adj, idx)
@@ -211,8 +209,7 @@ def test_replicate_census_equals_the_resampled_network(storage):
 
 def test_replicate_census_in_small_row_blocks(monkeypatch):
     rng = np.random.default_rng(9)
-    adj = SignedAdjacency(sp.csr_matrix(random_signed_matrix(rng, 40, p_edge=0.5)),
-                          dense_threshold=10)
+    adj = on_storage(random_signed_matrix(rng, 40, p_edge=0.5), "sparse")
     monkeypatch.setattr(census_module, "_BLOCK_ROWS", 7)
     for idx in _draws(40, rng):
         _assert_replicate_matches(adj, idx)
@@ -221,7 +218,8 @@ def test_replicate_census_in_small_row_blocks(monkeypatch):
 @pytest.mark.parametrize("threshold", [None, 2])
 def test_replicate_census_of_three_nodes(threshold):
     mat = np.array([[0, 1, -1], [1, 0, -1], [-1, -1, 0]], dtype=np.int8)
-    adj = SignedAdjacency(mat, dense_threshold=threshold)
+    with dense_up_to(threshold):
+        adj = SignedAdjacency(mat)
     for idx in ([0, 1, 2], [2, 0, 1], [0, 0, 1], [1, 1, 1], [2, 1, 2]):
         _assert_replicate_matches(adj, np.array(idx))
 
@@ -230,7 +228,7 @@ def test_listed_replicate_census_equals_the_resampled_network(monkeypatch):
     # a triangle-poor network, whose replicates the census counts by listing
     rng = np.random.default_rng(10)
     mat = random_signed_matrix(rng, 60, p_edge=0.08)
-    adj = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=10)
+    adj = on_storage(mat, "sparse")
     storage = census_module._storage(adj)
     idx = rng.integers(0, 60, size=60)
     want = full_census(resample_network(adj, indices=idx), with_pairs=False)
@@ -254,7 +252,7 @@ def test_replicate_digit_width_reads_weighted_degrees(monkeypatch):
     # 3-bit digits.  The two drawn nodes hold no triangle, so the census
     # would list them; the encoded product is called directly.
     mat = np.ones((5, 5), dtype=np.int8) - np.eye(5, dtype=np.int8)
-    storage = census_module._storage(SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2))
+    storage = census_module._storage(on_storage(mat, "sparse"))
     draw = census_module._Draw(np.array([0, 0, 0, 0, 1]))
     sub = storage[draw.nodes][:, draw.nodes]
     w = draw.counts.astype(sub.dtype)

@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 from signed_balance.bootstrap import resample_network
 from signed_balance.census import _exact, _type_counts, census, full_census
 from signed_balance.errors import CensusExactnessError, SignedBalanceError
-from signed_balance.graph import SignedAdjacency, from_dense, parse_edge_list
+from signed_balance.graph import SignedAdjacency, parse_edge_list
 from signed_balance.graphon import builtin_spec, sample_network
 from signed_balance.inference import confidence_interval, edgeworth_coefficients, projections
 
 from _reference import (
+    dense_up_to,
+    densify,
+    on_storage,
     random_signed_matrix,
     ref_census,
     ref_full,
@@ -29,7 +32,6 @@ from _reference import (
 
 # the package's `census` attribute is the function of that name
 census_module = importlib.import_module("signed_balance.census")
-graph_module = importlib.import_module("signed_balance.graph")
 
 
 def test_single_positive_triangle():
@@ -61,7 +63,7 @@ def test_two_negative_edges_triangle():
 def test_k4_all_negative():
     mat = -np.ones((4, 4), dtype=np.int8)
     np.fill_diagonal(mat, 0)
-    c = census(from_dense(mat))
+    c = census(SignedAdjacency(mat))
     assert c.total == 4 and c.c4 == 4 and c.balanced == 0
 
 
@@ -79,7 +81,7 @@ def test_to_dict_keys():
 def test_by_type_and_balanced_identities():
     rng = np.random.default_rng(0)
     mat = random_signed_matrix(rng, 10)
-    c = census(from_dense(mat))
+    c = census(SignedAdjacency(mat))
     assert sum(c.by_type) == c.total
     assert c.balanced == c.c1 + c.c3
 
@@ -91,7 +93,7 @@ def test_matrix_census_equals_enumeration(seed):
     mat = random_signed_matrix(rng, n, p_edge=rng.uniform(0.3, 0.9),
                                p_neg=rng.uniform(0.1, 0.9))
     want = ref_census(mat)
-    got = census(from_dense(mat))
+    got = census(SignedAdjacency(mat))
     assert got.total == want["total"]
     assert (got.c1, got.c2, got.c3, got.c4) == (
         want["c1"], want["c2"], want["c3"], want["c4"])
@@ -102,7 +104,7 @@ def test_node_and_pair_projections_equal_enumeration(seed):
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(5, 12))
     mat = random_signed_matrix(rng, n)
-    bundle = full_census(from_dense(mat), with_pairs=True)
+    bundle = full_census(SignedAdjacency(mat), with_pairs=True)
 
     np.testing.assert_array_equal(bundle.node.triangles, ref_node_counts(mat, "total"))
     np.testing.assert_array_equal(bundle.node.balanced, ref_node_counts(mat, "balanced"))
@@ -113,52 +115,48 @@ def test_node_and_pair_projections_equal_enumeration(seed):
         np.testing.assert_array_equal(bundle.pair.by_type[t], ref_pair_counts(mat, t))
 
 
-def _densify(x):
-    return x.toarray() if sp.issparse(x) else np.asarray(x)
-
-
 def test_sparse_path_matches_dense():
     rng = np.random.default_rng(7)
     mat = random_signed_matrix(rng, 30, p_edge=0.2)
-    dense = from_dense(mat)
-    sparse = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=10)
+    dense = SignedAdjacency(mat)
+    sparse = on_storage(sp.csr_matrix(mat), "sparse")
     assert not sparse.is_dense
     cd = full_census(dense, with_pairs=True)
     cs = full_census(sparse, with_pairs=True)
     assert cd.census.to_dict() == cs.census.to_dict()
     np.testing.assert_array_equal(cd.node.balanced, cs.node.balanced)
     np.testing.assert_array_equal(
-        _densify(cd.pair.triangles), _densify(cs.pair.triangles))
+        densify(cd.pair.triangles), densify(cs.pair.triangles))
     for t in range(4):
         np.testing.assert_array_equal(
-            _densify(cd.pair.by_type[t]), _densify(cs.pair.by_type[t]))
+            densify(cd.pair.by_type[t]), densify(cs.pair.by_type[t]))
 
 
 def test_projection_row_sums_triple_count():
     # each triangle contributes 3 node slots, so the node counts sum to 3*total
     rng = np.random.default_rng(3)
     mat = random_signed_matrix(rng, 12)
-    bundle = full_census(from_dense(mat), with_pairs=True)
+    bundle = full_census(SignedAdjacency(mat), with_pairs=True)
     assert bundle.node.triangles.sum() == 3 * bundle.census.total
     assert bundle.node.balanced.sum() == 3 * bundle.census.balanced
     # and 3 pair slots, each stored symmetrically
-    assert _densify(bundle.pair.triangles).sum() == 6 * bundle.census.total
+    assert densify(bundle.pair.triangles).sum() == 6 * bundle.census.total
 
 
 def test_census_matches_ref_full():
     rng = np.random.default_rng(11)
     mat = random_signed_matrix(rng, 9)
     want = ref_full(mat)
-    fast = full_census(from_dense(mat), with_pairs=True)
+    fast = full_census(SignedAdjacency(mat), with_pairs=True)
     got = fast.census.to_dict()
     assert got.pop("n") == 9
     assert got == want["census"]
     np.testing.assert_array_equal(fast.node.triangles, want["node"]["total"])
-    np.testing.assert_array_equal(_densify(fast.pair.balanced), want["pair"]["balanced"])
+    np.testing.assert_array_equal(densify(fast.pair.balanced), want["pair"]["balanced"])
 
 
 def test_census_on_empty_graph():
-    c = census(from_dense(np.zeros((5, 5), dtype=np.int8)))
+    c = census(SignedAdjacency(np.zeros((5, 5), dtype=np.int8)))
     assert c.total == 0 and c.balanced == 0
 
 
@@ -184,16 +182,10 @@ def _two_factions():
     return mat
 
 
-def _on_path(mat, path):
-    if path == "dense":
-        return from_dense(mat)
-    return SignedAdjacency(sp.csr_matrix(mat), dense_threshold=10)
-
-
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 @pytest.mark.parametrize("sign, slot", [(1, 0), (-1, 3)])
 def test_complete_graph_closed_form(sign, slot, path):
-    adj = _on_path(_complete(sign), path)
+    adj = on_storage(_complete(sign), path)
     bundle = full_census(adj)
     want = [0, 0, 0, 0]
     want[slot] = comb(N_CLOSED, 3)
@@ -205,13 +197,13 @@ def test_complete_graph_closed_form(sign, slot, path):
     np.testing.assert_array_equal(bundle.node.balanced, per_node if sign > 0 else 0)
     np.testing.assert_array_equal(bundle.node.by_type[slot], per_node)
     off = 1 - np.eye(N_CLOSED, dtype=np.int64)
-    np.testing.assert_array_equal(_densify(bundle.pair.triangles), (N_CLOSED - 2) * off)
-    np.testing.assert_array_equal(_densify(bundle.pair.by_type[slot]), (N_CLOSED - 2) * off)
+    np.testing.assert_array_equal(densify(bundle.pair.triangles), (N_CLOSED - 2) * off)
+    np.testing.assert_array_equal(densify(bundle.pair.by_type[slot]), (N_CLOSED - 2) * off)
 
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 def test_two_faction_complete_graph_closed_form(path):
-    adj = _on_path(_two_factions(), path)
+    adj = on_storage(_two_factions(), path)
     small, big = FACTION, N_CLOSED - FACTION
     bundle = full_census(adj)
     c1 = comb(small, 3) + comb(big, 3)
@@ -233,11 +225,11 @@ def test_two_faction_complete_graph_closed_form(path):
     inside = mat == 1
     want1 = np.where(inside, own[:, None] - 2, 0)
     want3 = np.where(inside, N_CLOSED - own[:, None], np.where(mat == -1, N_CLOSED - 2, 0))
-    np.testing.assert_array_equal(_densify(bundle.pair.by_type[0]), want1)
-    np.testing.assert_array_equal(_densify(bundle.pair.by_type[2]), want3)
-    np.testing.assert_array_equal(_densify(bundle.pair.balanced), want1 + want3)
+    np.testing.assert_array_equal(densify(bundle.pair.by_type[0]), want1)
+    np.testing.assert_array_equal(densify(bundle.pair.by_type[2]), want3)
+    np.testing.assert_array_equal(densify(bundle.pair.balanced), want1 + want3)
     for t in (1, 3):
-        assert not _densify(bundle.pair.by_type[t]).any()
+        assert not densify(bundle.pair.by_type[t]).any()
 
 
 def _assert_same_arrays(got, want):
@@ -248,7 +240,7 @@ def _assert_same_arrays(got, want):
 
 def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
     mat = random_signed_matrix(np.random.default_rng(3), 40, p_edge=0.4)
-    adj = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=10)
+    adj = on_storage(sp.csr_matrix(mat), "sparse")
     a = sp.csr_array(adj.entries, dtype=np.int64)
     m = abs(a)
     draw = census_module._Draw(np.random.default_rng(4).integers(0, 40, size=40))
@@ -275,7 +267,7 @@ def test_encoded_product_refuses_degrees_past_its_digit_width(monkeypatch):
     # has as many triangles as edges, so the census would list them, and the
     # encoded product is called directly
     mat = _complete(-1)[:5, :5]
-    a = census_module._storage(SignedAdjacency(sp.csr_matrix(mat), dense_threshold=2))
+    a = census_module._storage(on_storage(sp.csr_matrix(mat), "sparse"))
     monkeypatch.setattr(census_module, "_DIGIT_BITS", 3)
     mm, aa = census_module._encoded_squares(a)
     traces = (mm.sum(), (mm * a).sum(), (aa * a).sum(), aa.sum())
@@ -290,7 +282,7 @@ def test_dense_matches_sparse_past_float32_range():
     # a float32 reduction would round the traces and fail the exactness
     # check or the comparison
     mat = random_signed_matrix(np.random.default_rng(0), 600, p_edge=0.9)
-    dense, sparse = (full_census(_on_path(mat, path)) for path in ("dense", "sparse"))
+    dense, sparse = (full_census(on_storage(mat, path)) for path in ("dense", "sparse"))
     assert 6 * dense.census.total > 2**25
     assert dense.census == sparse.census
     np.testing.assert_array_equal(dense.node.triangles, sparse.node.triangles)
@@ -341,12 +333,12 @@ def _assert_same_bundle(got, want):
     assert got.census == want.census
     for attr in ("triangles", "balanced"):
         np.testing.assert_array_equal(getattr(got.node, attr), getattr(want.node, attr))
-        np.testing.assert_array_equal(_densify(getattr(got.pair, attr)),
-                                      _densify(getattr(want.pair, attr)))
+        np.testing.assert_array_equal(densify(getattr(got.pair, attr)),
+                                      densify(getattr(want.pair, attr)))
     for t in range(4):
         np.testing.assert_array_equal(got.node.by_type[t], want.node.by_type[t])
-        np.testing.assert_array_equal(_densify(got.pair.by_type[t]),
-                                      _densify(want.pair.by_type[t]))
+        np.testing.assert_array_equal(densify(got.pair.by_type[t]),
+                                      densify(want.pair.by_type[t]))
 
 
 # p_edge keeps the expected triangles below a fifth of the edges
@@ -366,13 +358,13 @@ def test_listing_matches_the_encoded_product(n, p_edge):
     s = rng.permutation(n)[: 2 * n // 3]
     sub = a[s][:, s]
     assert not sub.has_sorted_indices
-    adj = SignedAdjacency(sub, dense_threshold=10)
+    adj = on_storage(sub, "sparse")
     assert adj.entries.has_sorted_indices
     storage = census_module._storage(adj)
     _assert_listing_matches_encoded(storage)
     _assert_listing_matches_encoded(storage, rng.integers(1, 4, size=len(s)))
     _assert_same_bundle(full_census(adj),
-                        full_census(SignedAdjacency(sub.sorted_indices(), dense_threshold=10)))
+                        full_census(on_storage(sub.sorted_indices(), "sparse")))
 
 
 def _from_edges(n, edges):
@@ -457,12 +449,13 @@ def test_listed_reports_equal_the_encoded_product_reports(monkeypatch, rho, n, s
     def reports():
         out = {}
         for target in ("balanced", "type2"):
-            adj = sample_network(builtin_spec("const-cos", {"rho": rho}), n, seed=seed,
-                                 dense_threshold=10)
+            with dense_up_to(10):
+                adj = sample_network(builtin_spec("const-cos", {"rho": rho}), n, seed=seed)
             out[target] = json.dumps(confidence_interval(adj, target=target).to_dict())
         return out
 
-    adj = sample_network(builtin_spec("const-cos", {"rho": rho}), n, seed=seed, dense_threshold=10)
+    with dense_up_to(10):
+        adj = sample_network(builtin_spec("const-cos", {"rho": rho}), n, seed=seed)
     assert not adj.is_dense and 0 < full_census(adj).census.total <= adj.edge_count()
     listed = reports()
     monkeypatch.setattr(census_module, "_sparse_squares", census_module._encoded_squares)
@@ -475,7 +468,7 @@ def test_listed_census_equals_enumeration(monkeypatch, seed):
     monkeypatch.setattr(census_module, "_encoded_squares", _encoded_refused)
     rng = np.random.default_rng(200 + seed)
     mat = random_signed_matrix(rng, 40, p_edge=0.1, p_neg=rng.uniform(0.2, 0.8))
-    adj = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=10)
+    adj = on_storage(sp.csr_matrix(mat), "sparse")
     want = ref_full(mat)
     assert 0 < want["census"]["total"] <= adj.edge_count() // 3
     bundle = full_census(adj)
@@ -484,11 +477,11 @@ def test_listed_census_equals_enumeration(monkeypatch, seed):
     assert got == want["census"]
     np.testing.assert_array_equal(bundle.node.triangles, want["node"]["total"])
     np.testing.assert_array_equal(bundle.node.balanced, want["node"]["balanced"])
-    np.testing.assert_array_equal(_densify(bundle.pair.triangles), want["pair"]["total"])
-    np.testing.assert_array_equal(_densify(bundle.pair.balanced), want["pair"]["balanced"])
+    np.testing.assert_array_equal(densify(bundle.pair.triangles), want["pair"]["total"])
+    np.testing.assert_array_equal(densify(bundle.pair.balanced), want["pair"]["balanced"])
     for t in range(4):
         np.testing.assert_array_equal(bundle.node.by_type[t], want["node"][t])
-        np.testing.assert_array_equal(_densify(bundle.pair.by_type[t]), want["pair"][t])
+        np.testing.assert_array_equal(densify(bundle.pair.by_type[t]), want["pair"][t])
 
 
 # ------------------------------------------------------ sorted CSR storage
@@ -511,9 +504,9 @@ def _sorted_storage_sources():
 
 
 @pytest.mark.parametrize("source", ["parse", "sample", "resample", "row-shuffled", "replicate"])
-def test_sparse_storage_has_sorted_rows(monkeypatch, source):
+def test_sparse_storage_has_sorted_rows(storage_threshold, source):
     # the listing reads L and the edge ids off this order
-    monkeypatch.setattr(graph_module, "DENSE_THRESHOLD", 10)
+    storage_threshold(10)
     x = _sorted_storage_sources()[source]()
     assert sp.issparse(x) and x.nnz
     assert x.has_sorted_indices and (_row_steps(x) > 0).all()
@@ -528,7 +521,7 @@ def test_reversed_rows_csr_input_counts_as_dense():
     x = sp.csr_matrix((c.data[falling], c.indices[falling], c.indptr), shape=(4, 4))
     assert not x.has_sorted_indices
     indices, data = x.indices.copy(), x.data.copy()
-    sparse, dense = SignedAdjacency(x, dense_threshold=2), SignedAdjacency(mat)
+    sparse, dense = on_storage(x, "sparse"), SignedAdjacency(mat)
     assert not sparse.is_dense and dense.is_dense
     _assert_same_bundle(full_census(sparse), full_census(dense))
     report = [json.dumps(confidence_interval(adj).to_dict()) for adj in (sparse, dense)]
@@ -550,8 +543,7 @@ def test_row_shuffled_sparse_census_equals_enumeration(data):
     mat = np.zeros((n, n), dtype=np.int8)
     mat[np.triu_indices(n, 1)] = upper
     mat += mat.T
-    adj = SignedAdjacency(_shuffle_rows(sp.csr_matrix(mat), np.random.default_rng(seed)),
-                          dense_threshold=0)
+    adj = on_storage(_shuffle_rows(sp.csr_matrix(mat), np.random.default_rng(seed)), "sparse")
     assert not adj.is_dense
     want = ref_full(mat)
     bundle = full_census(adj)
@@ -561,10 +553,10 @@ def test_row_shuffled_sparse_census_equals_enumeration(data):
     for kind, node, pair in (("total", bundle.node.triangles, bundle.pair.triangles),
                              ("balanced", bundle.node.balanced, bundle.pair.balanced)):
         np.testing.assert_array_equal(node, want["node"][kind])
-        np.testing.assert_array_equal(_densify(pair), want["pair"][kind])
+        np.testing.assert_array_equal(densify(pair), want["pair"][kind])
     for t in range(4):
         np.testing.assert_array_equal(bundle.node.by_type[t], want["node"][t])
-        np.testing.assert_array_equal(_densify(bundle.pair.by_type[t]), want["pair"][t])
+        np.testing.assert_array_equal(densify(bundle.pair.by_type[t]), want["pair"][t])
     storage = census_module._storage(adj)
     _assert_listing_matches_encoded(storage)
     _assert_listing_matches_encoded(storage, np.array(w, dtype=np.int64))
@@ -594,7 +586,7 @@ def test_odd_node_row_sum_raises_typed_error():
 
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 def test_cached_census_lives_as_long_as_its_adjacency(path):
-    adj = _on_path(random_signed_matrix(np.random.default_rng(12), 20), path)
+    adj = on_storage(random_signed_matrix(np.random.default_rng(12), 20), path)
     bundle = full_census(adj, with_pairs=True)
     assert bundle.pair is not None and full_census(adj) is bundle
     # without pairs after a with-pairs call: the same counts, no pair projection
@@ -630,7 +622,7 @@ def test_third_product_peak_memory_is_bounded():
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 def test_balanced_target_forms_no_pair_matrix(path):
     rng = np.random.default_rng(5)
-    adj = _on_path(random_signed_matrix(rng, 30), path)
+    adj = on_storage(random_signed_matrix(rng, 30), path)
     bundle = full_census(adj)
     proj = projections(bundle.census, bundle.node, bundle.pair, "balanced")
     edgeworth_coefficients(proj)

@@ -15,6 +15,7 @@ import signed_balance.harness as harness
 from signed_balance.bootstrap import bootstrap_ci
 from signed_balance.cli import main
 from signed_balance.graph import read_edge_list
+from signed_balance.graphon import builtin_spec, sample_network
 
 # the package's `census` attribute is the function of that name
 census_module = importlib.import_module("signed_balance.census")
@@ -66,6 +67,19 @@ def test_simulate_n_flag_overrides_spec(tmp_path, spec_file, capsys):
          "--out", str(out)], capsys)
     assert code == 0
     assert json.loads(stdout)["n"] == 12
+
+
+@pytest.mark.parametrize("params, law_n", [({"k": 3}, 50), ({"k": 3, "n": 1000}, 1000)])
+def test_simulate_n_flag_reaches_the_law_n_param(tmp_path, params, law_n, capsys):
+    # --n replaces the spec's n, so sparse-const draws at rho = 50^(-1/3)
+    # unless the spec gives the law's n param itself
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"name": "sparse-const", "params": params, "n": 1000}))
+    code, stdout, _ = run_cli(["simulate", "--spec", str(path), "--n", "50", "--seed", "0",
+                               "--out", str(tmp_path / "n.edges")], capsys)
+    assert code == 0
+    want = sample_network(builtin_spec("sparse-const", {"k": 3, "n": law_n}), 50, seed=0)
+    assert json.loads(stdout)["edges"] == want.edge_count()
 
 
 def test_simulate_bad_json_names_the_file(tmp_path, capsys):
@@ -406,6 +420,11 @@ def test_simulate_non_numeric_spec_value(tmp_path, spec, key, capsys):
     ({"name": "const-cos", "rhoo": 0.05, "n": 30}, "rhoo"),
     ({"name": "const-cos", "params": {"rho": 0.3}, "rho": 0.05, "n": 30}, "rho"),
     ({"name": "sparse-const", "params": {"k": 3}, "rho": 0.5, "n": 30}, "rho"),
+    # params that are neither an object nor null
+    ({"name": "const-cos", "params": 0, "n": 12}, "params"),
+    ({"name": "const-cos", "params": False, "n": 12}, "params"),
+    ({"name": "const-cos", "params": "", "n": 12}, "params"),
+    ({"name": "const-cos", "params": [], "n": 12}, "params"),
 ])
 def test_simulate_refuses_non_object_params_and_fractional_integers(tmp_path, spec, key, capsys):
     path = tmp_path / "spec.json"
@@ -439,7 +458,7 @@ def test_mc_refuses_a_graphon_key_it_would_ignore(tmp_path, graphon, over, key, 
 
 def test_mc_refuses_non_object_params_and_fractional_integers(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cases = [("graphon", {"name": "const-cos", "params": "abc"}, "params")] + [
+    cases = [("graphon", {"name": "const-cos", "params": p}, "params") for p in ("abc", [])] + [
         (key, value, key) for key, value in [
             ("n_grid", [12.9]), ("replications", 8.5), ("seed", 1.5), ("truth_budget", 2000.5),
             ("truth_replications", 10.5), ("bootstrap_replicates", 100.5), ("threads", 1.5)]

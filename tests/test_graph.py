@@ -1,11 +1,14 @@
 """Edge-list parsing, validation, and the adjacency container."""
 
 import importlib
+import inspect
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import signed_balance
+from signed_balance.bootstrap import resample_network
 from signed_balance.errors import (
     AlphabetError,
     AsymmetricMatrixError,
@@ -17,11 +20,13 @@ from signed_balance.errors import (
 from signed_balance.graph import (
     DENSE_THRESHOLD,
     SignedAdjacency,
-    from_dense,
     parse_edge_list,
     read_edge_list,
     write_edge_list,
 )
+from signed_balance.graphon import builtin_spec, sample_network
+
+from _reference import dense_up_to
 
 graph_module = importlib.import_module("signed_balance.graph")
 
@@ -90,25 +95,25 @@ def test_parse_reports_line_numbers():
     assert err.value.line_no == 2
 
 
-def test_from_dense_checks_symmetry():
+def test_dense_input_checks_symmetry():
     mat = np.zeros((3, 3), dtype=np.int8)
     mat[0, 1] = 1  # missing the mirror entry
     with pytest.raises(AsymmetricMatrixError):
-        from_dense(mat)
+        SignedAdjacency(mat)
 
 
-def test_from_dense_checks_diagonal():
+def test_dense_input_checks_diagonal():
     mat = np.zeros((3, 3), dtype=np.int8)
     mat[1, 1] = 1
     with pytest.raises(NonzeroDiagonalError):
-        from_dense(mat)
+        SignedAdjacency(mat)
 
 
-def test_from_dense_checks_alphabet():
+def test_dense_input_checks_alphabet():
     mat = np.zeros((3, 3), dtype=np.int8)
     mat[0, 1] = mat[1, 0] = 2
     with pytest.raises(AlphabetError):
-        from_dense(mat)
+        SignedAdjacency(mat)
 
 
 @pytest.mark.parametrize("value, dtype", [(0.5, np.float64), (255, np.uint8), (257, np.int16)])
@@ -118,8 +123,8 @@ def test_sparse_input_is_checked_before_its_cast(value, dtype, threshold):
     mat = np.zeros((3, 3), dtype=dtype)
     mat[0, 1] = mat[1, 0] = value
     mat[1, 2] = mat[2, 1] = 1
-    with pytest.raises(AlphabetError):
-        SignedAdjacency(sp.csr_matrix(mat), dense_threshold=threshold)
+    with dense_up_to(threshold), pytest.raises(AlphabetError):
+        SignedAdjacency(sp.csr_matrix(mat))
 
 
 def test_roundtrip_through_text():
@@ -131,7 +136,7 @@ def test_roundtrip_through_text():
 def test_roundtrip_preserves_isolated_nodes(tmp_path):
     mat = np.zeros((4, 4), dtype=np.int8)
     mat[0, 1] = mat[1, 0] = -1
-    adj = from_dense(mat)
+    adj = SignedAdjacency(mat)
     path = tmp_path / "net.edges"
     write_edge_list(adj, path)
     text = path.read_text()
@@ -153,7 +158,8 @@ def test_roundtrip_of_a_read_file_keeps_isolated_nodes():
 def test_canonical_text_is_sorted_and_stable():
     texts = []
     for threshold in (None, 0):  # dense, then sparse storage
-        adj = parse_edge_list("b c -1\na b +1\na c -1\n", dense_threshold=threshold)
+        with dense_up_to(threshold):
+            adj = parse_edge_list("b c -1\na b +1\na c -1\n")
         assert adj.is_dense == (threshold is None)
         text = adj.to_edge_list_text()
         assert text == adj.to_edge_list_text()
@@ -175,7 +181,7 @@ def test_summary_values():
 
 
 def test_summary_empty_graph_negative_fraction_none():
-    adj = from_dense(np.zeros((4, 4), dtype=np.int8))
+    adj = SignedAdjacency(np.zeros((4, 4), dtype=np.int8))
     s = adj.summarize()
     assert s.edge_proportion == 0.0
     assert s.negative_fraction is None
@@ -194,9 +200,10 @@ def test_immutability():
 def test_storage_arrays_are_read_only(threshold):
     # the census cached on an adjacency relies on its storage never changing;
     # parsed or built, n = 3 nodes are stored dense up to a threshold of 3
-    for adj in (parse_edge_list(triangle_text(), dense_threshold=threshold),
-                SignedAdjacency(parse_edge_list(triangle_text()).to_dense(),
-                                dense_threshold=threshold)):
+    dense = parse_edge_list(triangle_text()).to_dense()
+    with dense_up_to(threshold):
+        built = parse_edge_list(triangle_text()), SignedAdjacency(dense)
+    for adj in built:
         assert adj.is_dense == (threshold != 2)
         m = adj.entries
         for arr in (m,) if adj.is_dense else (m.data, m.indices, m.indptr):
@@ -214,6 +221,35 @@ def test_sparse_storage_above_threshold():
     adj = SignedAdjacency(mat)
     assert not adj.is_dense
     assert adj.edge_count() == 1
+
+
+def test_dense_threshold_alone_picks_every_storage(tmp_path, storage_threshold):
+    # no public callable takes a storage switch of its own...
+    for name in signed_balance.__all__:
+        try:
+            params = inspect.signature(getattr(signed_balance, name)).parameters
+        except (TypeError, ValueError):  # not callable, or a builtin without a signature
+            continue
+        assert "dense_threshold" not in params, name
+    # ...so graph.DENSE_THRESHOLD, read when an adjacency is built, picks its
+    # storage whichever way it is built
+    k = 6
+    storage_threshold(k)
+    spec = builtin_spec("const-cos")
+    for n in (k, k + 1):
+        path = tmp_path / f"{n}.edges"
+        write_edge_list(sample_network(spec, n, seed=1), path)
+        mat = read_edge_list(path).to_dense()
+        built = {
+            "ndarray": SignedAdjacency(mat),
+            "scipy": SignedAdjacency(sp.csr_matrix(mat)),
+            "parse": parse_edge_list(path.read_text()),
+            "read": read_edge_list(path),
+            "sample": sample_network(spec, n, seed=1),
+            "resample": resample_network(SignedAdjacency(mat), seed=2),
+        }
+        for source, adj in built.items():
+            assert adj.n == n and adj.is_dense == (n == k), (source, n)
 
 
 def test_eq_rejects_other_types():
@@ -275,9 +311,9 @@ PARSE_TABLE = [
 ]
 
 
-def _outcome(text, dense_threshold=None):
+def _outcome(text):
     try:
-        adj = parse_edge_list(text, dense_threshold=dense_threshold)
+        adj = parse_edge_list(text)
     except Exception as exc:  # the outcome under test includes the class
         return type(exc), str(exc), getattr(exc, "line_no", None)
     return adj
@@ -285,23 +321,25 @@ def _outcome(text, dense_threshold=None):
 
 @pytest.mark.parametrize("text, route", [c[1:] for c in PARSE_TABLE],
                          ids=[c[0] for c in PARSE_TABLE])
-@pytest.mark.parametrize("dense_threshold", [None, 0])
-def test_bulk_pass_matches_line_loop(text, route, dense_threshold, monkeypatch):
+@pytest.mark.parametrize("threshold", [None, 0])
+def test_bulk_pass_matches_line_loop(text, route, threshold, monkeypatch):
     assert (graph_module._bulk_edges(text) is not None) == (route == "bulk")
-    got = _outcome(text, dense_threshold)
-    monkeypatch.setattr(graph_module, "_bulk_edges", lambda text: None)
-    want = _outcome(text, dense_threshold)
+    with dense_up_to(threshold):
+        got = _outcome(text)
+        monkeypatch.setattr(graph_module, "_bulk_edges", lambda text: None)
+        want = _outcome(text)
     assert got == want
     if isinstance(want, SignedAdjacency):
         assert got.labels == want.labels and got.is_dense == want.is_dense
 
 
-def test_bulk_pass_matches_line_loop_on_random_irregular_file(monkeypatch):
+def test_bulk_pass_matches_line_loop_on_random_irregular_file(monkeypatch, storage_threshold):
     text = _random_irregular_text(np.random.default_rng(11))
     assert graph_module._bulk_edges(text) is not None
-    got = parse_edge_list(text, dense_threshold=100)
+    storage_threshold(100)
+    got = parse_edge_list(text)
     monkeypatch.setattr(graph_module, "_bulk_edges", lambda text: None)
-    want = parse_edge_list(text, dense_threshold=100)
+    want = parse_edge_list(text)
     assert want.n == 600 and not want.is_dense
     assert got == want and got.labels == want.labels
     for part in ("indptr", "indices", "data"):
@@ -345,8 +383,9 @@ def test_parsed_storage_equals_the_coo_build(text, route, threshold):
     n = len(names)
     coo = sp.coo_matrix((np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
                         shape=(n, n))
-    want = SignedAdjacency(coo, labels=names, dense_threshold=threshold)
-    got = parse_edge_list(text, dense_threshold=threshold)
+    with dense_up_to(threshold):
+        want = SignedAdjacency(coo, labels=names)
+        got = parse_edge_list(text)
     assert got == want and got.labels == want.labels and got.is_dense == want.is_dense
     if got.is_dense:
         assert got.entries.dtype == np.int8
@@ -364,11 +403,11 @@ SPARSE_FORMATS = [f"{fmt}_{kind}" for fmt in ("coo", "csc", "csr", "lil", "dok")
 @pytest.mark.parametrize("cls", SPARSE_FORMATS)
 def test_every_scipy_sparse_input_is_recognised(cls, threshold):
     from signed_balance.census import full_census
-    from signed_balance.graphon import builtin_spec, sample_network
 
     dense = sample_network(builtin_spec("const-cos"), 30, seed=4).to_dense()
-    want = SignedAdjacency(dense, dense_threshold=threshold)
-    got = SignedAdjacency(getattr(sp, cls)(dense), dense_threshold=threshold)
+    with dense_up_to(threshold):
+        want = SignedAdjacency(dense)
+        got = SignedAdjacency(getattr(sp, cls)(dense))
     assert got.is_dense == want.is_dense == (threshold is None)
     if got.is_dense:
         np.testing.assert_array_equal(got.entries, want.entries)

@@ -24,7 +24,7 @@ from signed_balance.graphon import (
     spec_from_json,
 )
 
-from _reference import ref_balanced_probability, ref_type_probability
+from _reference import dense_up_to, ref_balanced_probability, ref_type_probability
 
 graphon_module = importlib.import_module("signed_balance.graphon")
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,7 +171,8 @@ def test_edge_proportion_matches_rho():
 
 def test_sparse_storage_kicks_in():
     spec = builtin_spec("const-cos", {})
-    adj = sample_network(spec, 30, seed=0, dense_threshold=10)
+    with dense_up_to(10):
+        adj = sample_network(spec, 30, seed=0)
     assert not adj.is_dense
     dense = sample_network(spec, 30, seed=0)
     assert dense.is_dense
@@ -188,9 +189,9 @@ SAMPLER_CASES = [
 ] + [("const-cos", {}, 40, 10)]  # sparse storage
 
 
-def _sample_digest(name, params, n, dense_threshold, seed=17):
-    adj, latent = sample_network(builtin_spec(name, params), n, seed=seed,
-                                 return_latent=True, dense_threshold=dense_threshold)
+def _sample_digest(name, params, n, threshold, seed=17):
+    with dense_up_to(threshold):
+        adj, latent = sample_network(builtin_spec(name, params), n, seed=seed, return_latent=True)
     entries = adj.to_dense().astype(np.int8, copy=False)
     return {
         "dense": adj.is_dense,
@@ -199,8 +200,9 @@ def _sample_digest(name, params, n, dense_threshold, seed=17):
     }
 
 
-def _case_key(name, params, n, dense_threshold):
-    return f"{name} {json.dumps(params, sort_keys=True)} n={n} dense_threshold={dense_threshold}"
+def _case_key(name, params, n, threshold):
+    # a golden file key; its `dense_threshold` is the DENSE_THRESHOLD of the draw
+    return f"{name} {json.dumps(params, sort_keys=True)} n={n} dense_threshold={threshold}"
 
 
 @pytest.mark.parametrize("case", SAMPLER_CASES, ids=lambda c: _case_key(*c))

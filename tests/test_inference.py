@@ -17,7 +17,7 @@ from signed_balance.errors import (
     DegenerateVarianceError,
     NoTriangleError,
 )
-from signed_balance.graph import SignedAdjacency, from_dense, parse_edge_list
+from signed_balance.graph import SignedAdjacency, parse_edge_list
 from signed_balance.inference import (
     adjusted_null,
     balance_test,
@@ -31,7 +31,7 @@ from signed_balance.inference import (
     variance_estimator,
 )
 
-from _reference import random_signed_matrix, ref_inference
+from _reference import densify, on_storage, random_signed_matrix, ref_inference
 
 # the package's `census` attribute is the function of that name
 census_module = importlib.import_module("signed_balance.census")
@@ -40,7 +40,7 @@ Z975 = norm.ppf(0.975)
 
 
 def _pipeline(mat, target="balanced"):
-    adj = from_dense(mat)
+    adj = SignedAdjacency(mat)
     bundle = full_census(adj, with_pairs=True)
     moments = sample_moments(bundle.census)
     proj = projections(bundle.census, bundle.node, bundle.pair, target=target)
@@ -55,7 +55,7 @@ def suite_instances():
         n = int(rng.integers(8, 14))
         mat = random_signed_matrix(rng, n, p_edge=rng.uniform(0.5, 0.9),
                                    p_neg=rng.uniform(0.2, 0.8))
-        if census(from_dense(mat)).total >= 5:
+        if census(SignedAdjacency(mat)).total >= 5:
             out.append(mat)
     return out
 
@@ -75,7 +75,7 @@ def test_single_triangle_moments():
 def test_k4_all_negative_moments():
     mat = -np.ones((4, 4), dtype=np.int8)
     np.fill_diagonal(mat, 0)
-    m = sample_moments(census(from_dense(mat)))
+    m = sample_moments(census(SignedAdjacency(mat)))
     assert m.V_hat == 1.0
     assert m.U_hat == 0.0 and m.ratio == 0.0
 
@@ -172,7 +172,7 @@ def test_coefficients_match_reference_per_type():
 
 def test_sparse_inference_matches_dense():
     mat = SUITE[4]
-    adj_sparse = SignedAdjacency(sp.csr_matrix(mat), dense_threshold=4)
+    adj_sparse = on_storage(sp.csr_matrix(mat), "sparse")
     bundle = full_census(adj_sparse, with_pairs=True)
     proj = projections(bundle.census, bundle.node, bundle.pair, target="balanced")
     coef = edgeworth_coefficients(proj)
@@ -185,21 +185,11 @@ def test_sparse_inference_matches_dense():
 TYPE_TARGETS = ("type1", "type2", "type3", "type4")
 
 
-def _on_path(mat, path):
-    if path == "dense":
-        return from_dense(mat)
-    return SignedAdjacency(sp.csr_matrix(mat), dense_threshold=4)
-
-
-def _densify(x):
-    return x.toarray() if sp.issparse(x) else np.asarray(x)
-
-
 @pytest.mark.parametrize("path", ["dense", "sparse"])
 @pytest.mark.parametrize("target", TYPE_TARGETS)
 def test_per_type_coefficients_match_reference_on_both_paths(target, path):
     mat = SUITE[5]
-    bundle = full_census(_on_path(mat, path))
+    bundle = full_census(on_storage(mat, path))
     proj = projections(bundle.census, bundle.node, bundle.pair, target=target)
     coef = edgeworth_coefficients(proj)
     want = ref_inference(mat, target=target)
@@ -215,14 +205,14 @@ def test_lazy_quadratic_form_equals_materialised(target, path):
     # q' W q read from the census products equals the form built from the
     # materialised int64 pair matrices
     mat = random_signed_matrix(np.random.default_rng(41), 60)
-    bundle = full_census(_on_path(mat, path))
+    bundle = full_census(on_storage(mat, path))
     proj = projections(bundle.census, bundle.node, bundle.pair, target=target)
     q = proj.q1
     total, counts = bundle.pair.quadratic(target, q)
     # the projections and the form used only the target's own pair counts
     assert "types" not in vars(bundle.pair)
-    tt = _densify(bundle.pair.triangles).astype(np.float64)
-    pt = _densify(bundle.pair.for_target(target)).astype(np.float64)
+    tt = densify(bundle.pair.triangles).astype(np.float64)
+    pt = densify(bundle.pair.for_target(target)).astype(np.float64)
     assert total == pytest.approx(q @ tt @ q, rel=1e-13)
     assert counts == pytest.approx(q @ pt @ q, rel=1e-13)
 
@@ -250,12 +240,12 @@ def test_analyses_of_one_adjacency_share_one_census(path, monkeypatch):
 
     mat = random_signed_matrix(np.random.default_rng(43), 30)
     monkeypatch.setattr(census_module, "_census", counting)
-    adj = _on_path(mat, path)
+    adj = on_storage(mat, path)
     shared = analyses(lambda: adj)
     assert calls.count(True) == 1  # the observed network; replicates have a draw
     assert calls.count(False) == 200
     calls.clear()
-    fresh = analyses(lambda: _on_path(mat, path))
+    fresh = analyses(lambda: on_storage(mat, path))
     assert calls.count(True) == 7
     assert shared == fresh
 
@@ -373,7 +363,7 @@ def test_adjusted_null_dispatch():
 
 
 def report_for(mat, **kw):
-    return confidence_interval(from_dense(mat), **kw)
+    return confidence_interval(SignedAdjacency(mat), **kw)
 
 
 def test_report_json_fields_exact():
@@ -478,7 +468,7 @@ def test_unknown_target_rejected():
 
 
 def test_pvalue_tail_conventions():
-    adj = from_dense(SUITE[0])
+    adj = SignedAdjacency(SUITE[0])
     null = 0.5
     greater = balance_test(adj, null, alternative="greater")
     less = balance_test(adj, null, alternative="less")
@@ -490,13 +480,13 @@ def test_pvalue_tail_conventions():
 
 
 def test_pvalue_normal_method_matches_phi():
-    adj = from_dense(SUITE[0])
+    adj = SignedAdjacency(SUITE[0])
     res = balance_test(adj, 0.5, alternative="greater", method="normal")
     assert res.p_value == pytest.approx(1 - norm.cdf(res.statistic), rel=1e-12)
 
 
 def test_test_result_dict_fields():
-    adj = from_dense(SUITE[0])
+    adj = SignedAdjacency(SUITE[0])
     d = balance_test(adj, 0.4, alternative="two-sided").to_dict()
     assert list(d) == [
         "target", "n", "estimate", "S_hat", "null_value",
@@ -505,7 +495,7 @@ def test_test_result_dict_fields():
 
 
 def test_statistic_is_studentized():
-    adj = from_dense(SUITE[0])
+    adj = SignedAdjacency(SUITE[0])
     rep = confidence_interval(adj)
     res = balance_test(adj, 0.4)
     assert res.statistic == pytest.approx((rep.estimate - 0.4) / rep.S_hat, rel=1e-12)
@@ -514,10 +504,10 @@ def test_statistic_is_studentized():
 @pytest.mark.parametrize("null", [float("nan"), float("inf"), float("-inf"), "1e400"])
 def test_non_finite_null_rejected(null):
     with pytest.raises(ConfigError, match="null value"):
-        balance_test(from_dense(SUITE[0]), null)
+        balance_test(SignedAdjacency(SUITE[0]), null)
 
 
 def test_extreme_null_gives_extreme_pvalues():
-    adj = from_dense(SUITE[0])
+    adj = SignedAdjacency(SUITE[0])
     assert balance_test(adj, 0.9999, alternative="greater").p_value > 0.99
     assert balance_test(adj, 0.9999, alternative="less").p_value < 0.01

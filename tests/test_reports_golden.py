@@ -24,8 +24,9 @@ from signed_balance.graphon import builtin_spec, population_moments, sample_netw
 from signed_balance.harness import ExperimentConfig, run_cdf_study
 from signed_balance.inference import balance_test, confidence_interval
 
+from _reference import STORAGE, dense_up_to
+
 GOLDEN = Path(__file__).parent / "golden" / "reports_sha256.json"
-STORAGE = {"dense": None, "sparse": 10}  # the draw's dense_threshold
 
 CASES = (
     [("ci", method, target, c_delta)
@@ -84,14 +85,12 @@ def _truth(spec, budget):
 
 
 def _network(storage):
-    if storage == "poor-sparse":
-        return sample_network(builtin_spec("sparse-const", {"k": 1.5, "n": 300}), 300, seed=2,
-                              dense_threshold=10)
-    if storage == "rich-sparse":
-        return sample_network(builtin_spec("const-cos", {"rho": 0.05}), 300, seed=1,
-                              dense_threshold=10)
-    return sample_network(builtin_spec("const-cos", {}), 40, seed=23,
-                          dense_threshold=STORAGE[storage])
+    with dense_up_to(STORAGE.get(storage, 0)):  # every draw but "dense" is sparse
+        if storage == "poor-sparse":
+            return sample_network(builtin_spec("sparse-const", {"k": 1.5, "n": 300}), 300, seed=2)
+        if storage == "rich-sparse":
+            return sample_network(builtin_spec("const-cos", {"rho": 0.05}), 300, seed=1)
+        return sample_network(builtin_spec("const-cos", {}), 40, seed=23)
 
 
 def _report(adj, case):
@@ -108,7 +107,8 @@ def _report(adj, case):
 
 def _draws(storage, target):
     if storage == "small-sparse":
-        adj = sample_network(builtin_spec("const-cos", {}), 12, seed=1, dense_threshold=5)
+        with dense_up_to(5):
+            adj = sample_network(builtin_spec("const-cos", {}), 12, seed=1)
     elif storage == "poor-sparse":
         adj = _network(storage)
     else:
