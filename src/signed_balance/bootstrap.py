@@ -17,7 +17,9 @@ T* = (ratio* - ratio_observed)/S* through the same `inference._pipeline` as
 the observed network, on a census without pairs (a replicate never reads
 the Edgeworth coefficients).  The observed census, and the storage the
 replicates are counted on, are the census `census.full_census` cached on
-the adjacency, so an adjacency already counted is not counted again.
+the adjacency, so an adjacency already counted is not counted again, and
+the observed pipeline is the one kept on that census: `bootstrap_ci`
+studentizes the observed network once.
 Replicates where the ratio or variance is degenerate (no triangles, zero
 variance) are dropped and counted; more than 50% degenerate is a hard
 error.  Replicate r uses the derived stream (seed, r), drawn through one

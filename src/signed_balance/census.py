@@ -25,7 +25,8 @@ quadratic form from the masked products (`PairProjection.quadratic`).
 
 One routine forms every product: `_masked(mask, x, y, w)` is mask o (x W y),
 W = diag(w) for a bootstrap replicate (below), else the identity.  Dense
-storage takes one float32 BLAS product (each partial sum is an integer of
+storage takes one float32 BLAS product, a symmetric rank-k one (syrk) for
+the unweighted squares M M and A A (each partial sum is an integer of
 size at most n - 2, so float32 is exact while n - 2 < 2^24, and 4(n - 2) <
 2^24 once the per-type sums are formed).  Sparse storage masks one block of
 _BLOCK_ROWS rows at a time and stacks the blocks, so the unmasked product,
@@ -83,12 +84,16 @@ enumeration the counts are checked against lives with the tests
 
 `full_census` counts a SignedAdjacency once and caches the bundle, pairs
 included, on it; the storage is read-only, so the cache cannot go stale.
-While the adjacency lives, a dense bundle keeps 16 n^2 bytes (the float32
-storage, M, M o M^2 and A o A^2: 64 MB at n = 2000), plus any per-type pair
-matrix once read.  One census peaks above that anyway; `del adj` frees it.
+The bundle also keeps the studentized pipeline of each target read
+(`CensusBundle.pipelines`, filled by `inference._pipeline`), so a network
+is counted once and studentized once per target.  While the adjacency
+lives, a dense bundle keeps 16 n^2 bytes (the float32 storage, M, M o M^2
+and A o A^2: 64 MB at n = 2000), plus any per-type pair matrix once read,
+plus O(n) floats per target read.  One census peaks above that anyway;
+`del adj` frees it.
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -299,11 +304,15 @@ def _scale_rows(w, y):
 
 def _masked(mask, x, y, w=None):
     """mask o (x W y), W = diag(w) (the identity when w is None): one product
-    when dense, and when sparse one block of _BLOCK_ROWS rows at a time."""
+    when dense, and when sparse one block of _BLOCK_ROWS rows at a time.
+
+    A dense square x x of the symmetric storage is formed as x x^T, which
+    numpy hands to BLAS syrk (half the flops of a GEMM); its integer sums
+    are exact, so it equals x @ x."""
     if w is not None:
         y = _scale_rows(w, y)
     if isinstance(mask, np.ndarray):
-        return mask * (x @ y)
+        return mask * (x @ (x.T if x is y else y))
     import scipy.sparse as sp
 
     starts = range(0, max(mask.shape[0], 1), _BLOCK_ROWS)  # one empty block when n = 0
@@ -435,9 +444,14 @@ class NodeProjection:
 
 @dataclass(frozen=True)
 class CensusBundle:
+    """The census of one network and its projections.  `pipelines` holds
+    the studentized pipeline of each target read so far
+    (`inference._pipeline`), filled only on a bundle with pairs."""
+
     census: TriangleCensus
     node: NodeProjection
     pair: PairProjection | None
+    pipelines: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def full_census(adj, with_pairs=True):

@@ -81,7 +81,10 @@ class SignedAdjacency:
     """Immutable symmetric signed adjacency matrix (read-only storage arrays).
 
     CSR storage is built on a copy of the input, with sorted rows whatever
-    the input's order; the caller's arrays are never written.
+    the input's order; the caller's arrays are never written.  The census
+    (`census.full_census`) and the edge and negative-edge counts are formed
+    on first read and kept; the storage is read-only, so they cannot go
+    stale.
 
     Parameters
     ----------
@@ -89,7 +92,7 @@ class SignedAdjacency:
     labels : optional sequence of node-id strings, length n
     """
 
-    __slots__ = ("n", "labels", "_mat", "_bundle")
+    __slots__ = ("n", "labels", "_mat", "_bundle", "_edges", "_negatives")
 
     def __init__(self, entries, labels=None, _validated=False):
         mat = entries if _is_scipy_sparse(entries) else np.asarray(entries)
@@ -117,6 +120,8 @@ class SignedAdjacency:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_mat", mat)
         object.__setattr__(self, "_bundle", None)  # filled by census.full_census
+        object.__setattr__(self, "_edges", None)  # filled on first read, as is _negatives
+        object.__setattr__(self, "_negatives", None)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -164,14 +169,16 @@ class SignedAdjacency:
         return np.asarray(self._mat.todense(), dtype=np.int8)
 
     def edge_count(self):
-        if self.is_dense:
-            return int(np.count_nonzero(self._mat)) // 2
-        return int(self._mat.nnz) // 2
+        if self._edges is None:
+            stored = np.count_nonzero(self._mat) if self.is_dense else self._mat.nnz
+            object.__setattr__(self, "_edges", int(stored) // 2)
+        return self._edges
 
     def negative_count(self):
-        if self.is_dense:
-            return int(np.count_nonzero(self._mat == -1)) // 2
-        return int(np.count_nonzero(self._mat.data == -1)) // 2
+        if self._negatives is None:
+            values = self._mat if self.is_dense else self._mat.data
+            object.__setattr__(self, "_negatives", int(np.count_nonzero(values == -1)) // 2)
+        return self._negatives
 
     def label_of(self, i):
         if self.labels is not None:

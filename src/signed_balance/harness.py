@@ -251,7 +251,9 @@ def _truth_for(config, cell):
 
 def _draw(config, cell, r):
     """(seed, network, pipeline per target) of replicate r of `cell`; a
-    target degenerate on it gets None.  The network is counted once."""
+    target degenerate on it gets None.  The network is counted once and
+    studentized once per target: the pipelines are the ones kept on its
+    census, so a method that reads the network again reuses them."""
     seed = _replicate_seed(config, cell, r)
     adj = sample_network(cell.spec, cell.n, seed=seed)
     pipes = {}

@@ -34,7 +34,13 @@ projections (U and V are derived there, once) -> S_hat.  It takes a census
 bundle: an observed network's is `full_census(adj)`, counted once per
 adjacency and cached on it, so every analysis of one network shares one
 count.  Its Edgeworth coefficients are formed only when first read, so a
-bootstrap replicate's census needs no pairs.
+bootstrap replicate's census needs no pairs.  The pipeline of each target
+is kept on the observed bundle (`CensusBundle.pipelines`), so every
+analysis of one network also shares one studentization per target: one
+set of projections, one variance check and one set of coefficients, for
+six length-n float arrays per target read while the adjacency lives.  A
+replicate's census, without pairs, keeps none; a degenerate target is not
+kept and raises on every call.
 `Pipeline.coefficients` is the one place a method name is checked and its
 terms chosen (its own for edgeworth, zero for normal), beside the one list
 of those names, `EXPANSION_METHODS`; the census checks target names.
@@ -364,9 +370,18 @@ class Pipeline:
 
 def _pipeline(bundle, target):
     """The pipeline of the network counted in `bundle`: an observed network's
-    `full_census(adj)`, or a bootstrap replicate's census without pairs."""
-    proj = projections(bundle.census, bundle.node, bundle.pair, target)
-    return Pipeline(proj=proj, S_hat=variance_estimator(proj))
+    `full_census(adj)`, or a bootstrap replicate's census without pairs.
+
+    A bundle with pairs keeps each target's pipeline, Edgeworth coefficients
+    included once read, so later calls return it; a degenerate target is
+    not kept and raises again.  A bundle without pairs neither reads nor
+    fills the memo."""
+    memo = bundle.pipelines if bundle.pair is not None else {}
+    pipe = memo.get(target)
+    if pipe is None:
+        proj = projections(bundle.census, bundle.node, bundle.pair, target)
+        pipe = memo[target] = Pipeline(proj=proj, S_hat=variance_estimator(proj))
+    return pipe
 
 
 def check_level(level):

@@ -562,6 +562,18 @@ def test_row_shuffled_sparse_census_equals_enumeration(data):
     _assert_listing_matches_encoded(storage, np.array(w, dtype=np.int64))
 
 
+@pytest.mark.parametrize("n", [1, 7, 64, 301])
+def test_dense_square_by_syrk_equals_gemm(n):
+    # x @ x.T of one buffer goes to BLAS syrk; y a copy keeps the GEMM
+    rng = np.random.default_rng(n)
+    full = np.triu(rng.choice([-1.0, 1.0], size=(n, n)).astype(np.float32), 1)
+    for a in (full + full.T, random_signed_matrix(rng, n).astype(np.float32)):
+        for x in (a, abs(a)):
+            gemm = x @ x.copy()
+            np.testing.assert_array_equal(census_module._masked(np.ones_like(x), x, x), gemm)
+            np.testing.assert_array_equal(census_module._masked(abs(a), x, x), abs(a) * gemm)
+
+
 # ------------------------------------------------------------ exactness guard
 
 

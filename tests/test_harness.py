@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from signed_balance.errors import ConfigError, DegenerateError
+from signed_balance.graph import SignedAdjacency
 from signed_balance.graphon import spec_from_json
 from signed_balance.harness import (
     _GRAPHON_FIELDS,
@@ -350,9 +351,23 @@ def test_run_timing_records(monkeypatch):
     real = census_module._census
     monkeypatch.setattr(census_module, "_census",
                         lambda a, n, draw=None: counts.append(n) or real(a, n, draw))
+    fresh = []
+
+    class Recorded(SignedAdjacency):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            fresh.append(self)
+
+    monkeypatch.setattr(harness_module, "SignedAdjacency", Recorded)
     recs = run_timing(tiny_config(replications=2))
     # every timed analysis counts its network: none reads another's cached census
     assert counts == [12] * (2 * 2)
+    # nor another's studentization or edge counts
+    assert len(fresh) == 2 * 2
+    assert len({id(adj._bundle.pipelines["balanced"]) for adj in fresh}) == len(fresh)
+    assert all(adj._edges is not None and adj._negatives is not None for adj in fresh)
     assert len(recs) == 2
     for rec in recs:
         assert rec["seconds_per_analysis"] > 0

@@ -35,6 +35,7 @@ from _reference import densify, on_storage, random_signed_matrix, ref_inference
 
 # the package's `census` attribute is the function of that name
 census_module = importlib.import_module("signed_balance.census")
+inference_module = importlib.import_module("signed_balance.inference")
 
 Z975 = norm.ppf(0.975)
 
@@ -248,6 +249,103 @@ def test_analyses_of_one_adjacency_share_one_census(path, monkeypatch):
     fresh = analyses(lambda: on_storage(mat, path))
     assert calls.count(True) == 7
     assert shared == fresh
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named inference function so it counts its calls; the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(inference_module, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(inference_module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_analyses_of_one_adjacency_share_one_studentization(path, monkeypatch):
+    calls = _count_calls(monkeypatch,
+                         ("projections", "variance_estimator", "edgeworth_coefficients"))
+    adj = on_storage(random_signed_matrix(np.random.default_rng(47), 30), path)
+    confidence_interval(adj)
+    assert calls == dict.fromkeys(calls, 1)
+    confidence_interval(adj, level=0.8, method="normal")
+    balance_test(adj, 0.5)
+    balance_test(adj, 0.2, alternative="less", method="normal")
+    assert calls == dict.fromkeys(calls, 1)
+    balance_test(adj, 0.2, target="type3")  # another target is studentized once more
+    assert calls == dict.fromkeys(calls, 2)
+    assert set(full_census(adj).pipelines) == {"balanced", "type3"}
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_memoized_reports_equal_fresh_reports(path):
+    mat = random_signed_matrix(np.random.default_rng(53), 30)
+    adj = on_storage(mat, path)
+
+    def reports(adj_of):
+        """Every target's reports, each from `adj_of()`, as JSON bytes."""
+        return [json.dumps(r.to_dict()).encode() for target in census_module.TARGETS for r in (
+            confidence_interval(adj_of(), target=target),
+            confidence_interval(adj_of(), level=0.8, target=target, method="normal"),
+            balance_test(adj_of(), 0.3, alternative="two-sided", target=target),
+        )]
+
+    first = reports(lambda: adj)
+    assert first == reports(lambda: adj) == reports(lambda: on_storage(mat, path))
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+def test_census_without_pairs_neither_reads_nor_fills_the_memo(path):
+    mat = random_signed_matrix(np.random.default_rng(59), 30)
+    adj = on_storage(mat, path)
+    bare = full_census(adj, with_pairs=False)
+    inference_module._pipeline(bare, "balanced")
+    assert bare.pipelines == {} and full_census(adj).pipelines == {}
+    rep = confidence_interval(adj)
+    want = confidence_interval(on_storage(mat, path))
+    assert (rep.a_hat, rep.b_hat, rep.c_hat) == (want.a_hat, want.b_hat, want.c_hat)
+    # the memo is full now, yet a census without pairs still builds its own
+    with pytest.raises(ConfigError, match="pair projection"):
+        inference_module._pipeline(full_census(adj, with_pairs=False), "balanced").coef
+
+
+@pytest.mark.parametrize("path", ["dense", "sparse"])
+@pytest.mark.parametrize("case", ["no-triangle", "zero-variance"])
+def test_degenerate_network_raises_on_every_call(case, path, monkeypatch):
+    calls = _count_calls(monkeypatch, ("projections",))
+    if case == "no-triangle":
+        mat, error = np.zeros((6, 6), dtype=np.int8), NoTriangleError
+    else:
+        mat, error = np.ones((6, 6), dtype=np.int8), DegenerateVarianceError
+        np.fill_diagonal(mat, 0)
+    adj = on_storage(mat, path)
+    for k in range(1, 4):
+        with pytest.raises(error):
+            confidence_interval(adj)
+        with pytest.raises(error):
+            balance_test(adj, 0.5)
+        assert calls["projections"] == 2 * k
+    assert full_census(adj).pipelines == {}
+
+
+def test_bootstrap_studentizes_the_observed_network_once(monkeypatch):
+    observed = []
+    real = inference_module.projections
+
+    def counting(census, node, pair, target="balanced"):
+        observed.append(pair is not None)  # a replicate's census has no pairs
+        return real(census, node, pair, target)
+
+    monkeypatch.setattr(inference_module, "projections", counting)
+    adj = SignedAdjacency(random_signed_matrix(np.random.default_rng(61), 30))
+    bootstrap_ci(adj, B=100, seed=2)
+    assert observed.count(True) == 1 and observed.count(False) == 100
+    confidence_interval(adj)
+    assert observed.count(True) == 1
 
 
 # --------------------------------------------------------------- CDF/quantile
