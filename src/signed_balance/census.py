@@ -36,7 +36,9 @@ CSR matrix L and forms L o (L L) in int32: its nonzeros are the closed
 pairs, the lowest and highest ranked nodes of each triangle, and its sum is
 the triangle count T.  This costs the oriented wedges, which the rank order
 keeps small (Chiba & Nishizeki, SIAM J. Comput. 1985; Latapy, TCS 2008).
-Then, with m edges:
+Its row blocks stop once their running count passes the m edges, so a
+triangle-rich network forms at most one block more than it needs to find
+T > m.  Then:
 
 - T <= m, the sparse regime: the triangles are listed (`_Triangles`).  The
   middle nodes of a closed pair (u, x) are the common entries of row u of L
@@ -50,16 +52,20 @@ Then, with m edges:
 
 Sparse storage comes in with sorted rows (`SignedAdjacency` sorts them, and
 a bootstrap submatrix on sorted nodes keeps them sorted); the listing reads
-L and the edge ids straight off that order.  It writes each row of its
-products falling (`_on_support`), as scipy's elementwise multiply writes a
-masked product whose rows are not sorted already, and so is the third
-product's sum written.  The row order fixes the order of each float sum
-over a pair matrix (`PairProjection.quadratic`), so the listing's reports
-equal the encoded product's byte for byte and the T <= m split moves no
-output byte; in A's rising order, most listed networks with more than a few
-triangles report other last bits.  Every reduction runs in int64 or
-float64; the type counts and node arrays are checked to be exact multiples
-of their divisors (CensusExactnessError otherwise).
+L straight off that order, with each edge's id and sign in L's data.  It
+writes its two products on the distinct edges of the listed triangles
+alone, at most 3T of them, placed through L's indptr and indices
+(`_on_edges`), so past L they cost O(T) and no array over every edge.
+Each row is written falling, as scipy's elementwise multiply writes a
+masked product whose rows are not sorted already, and the third product's
+sum is written in that order too (`_on_support`).  The row order fixes the
+order of each float sum over a pair matrix (`PairProjection.quadratic`), so
+the listing's reports equal the encoded product's byte for byte and the
+T <= m split moves no output byte; in A's rising order, most listed
+networks with more than a few triangles report other last bits.  Every
+reduction runs in int64 or float64; the type counts and node arrays are
+checked to be exact multiples of their divisors (CensusExactnessError
+otherwise).
 
 A bootstrap replicate is counted with multiplicities instead
 (`_resampled_bundle`).  A node draw idx fixes the resampled network
@@ -175,7 +181,7 @@ def _sparse_squares(a, w=None):
     diag(w), the identity when w is None.  The triangles are listed when
     there are no more of them than edges; otherwise the encoded product
     forms both."""
-    triangles = _Triangles(a)
+    triangles = _Triangles(a, bounded=True)
     if triangles.count > triangles.edges:
         return _encoded_squares(a, w)
     return triangles.squares(w)
@@ -221,62 +227,83 @@ class _Triangles:
     the rank order (degree, then node index).
 
     L holds each edge once, from its lower to its higher ranked end, in
-    sorted CSR; an edge's id is its place in L, stored in L as id + 1.
-    `count` is the sum of L o (L L), and `u`, `x` its nonzeros, the closed
-    pairs."""
+    sorted CSR; an edge's id is its place in L, stored in L as its sign
+    times (id + 1).  `count` is the sum of L o (L L), the triangle count T,
+    and `u`, `x` its nonzeros, the closed pairs.  The product is formed one
+    row block at a time; when `bounded`, the blocks stop once the count
+    passes the edge count `edges`, where the census forms the encoded
+    product instead and reads nothing more of the listing."""
 
-    def __init__(self, a):
+    def __init__(self, a, bounded=False):
         import scipy.sparse as sp
 
-        self.a = a
         n = a.shape[0]
         degree = np.diff(a.indptr)
         rank = np.empty(n, dtype=np.int64)
         rank[np.argsort(degree, kind="stable")] = np.arange(n)
-        rows = np.repeat(np.arange(n), degree)
-        up = rank[rows] < rank[a.indices]
+        up = np.repeat(rank, degree) < rank[a.indices]
         self.edges = int(np.count_nonzero(up))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[up], minlength=n))))
-        self.l = sp.csr_array((np.arange(1, self.edges + 1), a.indices[up], indptr), shape=a.shape)
-        self.lt = self.l.T.tocsr()
-        # A's rows are sorted, so its entries against the rank order are those
-        # of L^T in order: that gives the edge id at every place of A.
-        self.edge = np.empty(a.nnz, dtype=np.int64)
-        self.edge[up] = self.l.data - 1
-        self.edge[~up] = self.lt.data - 1
+        indptr = np.concatenate(([0], np.cumsum(up)))[a.indptr]
+        ids = np.arange(1, self.edges + 1) * a.data[up]
+        self.l = sp.csr_array((ids, a.indices[up], indptr), shape=a.shape)
+        del up, ids
         ones = _pattern(self.l, np.int32)
-        closed = _masked(ones, ones, ones)
-        self.count = int(closed.data.sum(dtype=np.int64))
+        self.count, closed = 0, []
+        for block in _blocks(ones, ones, ones):
+            self.count += int(block.data.sum(dtype=np.int64))
+            if bounded and self.count > self.edges:
+                return
+            closed.append(block)
+        closed = sp.vstack(closed, format="csr")
         self.u, self.x = np.repeat(np.arange(n), np.diff(closed.indptr)), closed.indices
 
     def squares(self, w=None):
-        """M o (M W M) and A o (A W A), each row in falling column order.
+        """M o (M W M) and A o (A W A), written on the edges of the listed
+        triangles alone, each row in falling column order (`_on_edges`).
 
         The middle nodes v of a closed pair (u, x) are the common entries of
         row u of L and row x of L^T; both rows are sorted, so the two masks
-        below list them in the same order.  Edge (u, v) gains w_x, (v, x)
-        gains w_u and (u, x) gains w_v in M W M, times the triangle's sign
-        product in A W A.  The sums are float64 bincounts of integers below
-        2^53, so exact."""
-        a = self.a
-        n = a.shape[0]
-        out, into = self.l[self.u], self.lt[self.x]
-        uv = out * _pattern(into)  # data: id(u, v) + 1 at (pair, v)
-        vx = _pattern(out) * into  # data: id(v, x) + 1, in the same places
-        pair = np.repeat(np.arange(len(self.u)), np.diff(uv.indptr))
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(self.l.indptr)) + self.l.indices
-        ux = np.searchsorted(keys, self.u * n + self.x)[pair]
-        ids = np.concatenate((uv.data - 1, vx.data - 1, ux))  # the edges each triangle adds to
-        sign = np.empty(self.edges, dtype=np.int64)
-        sign[self.edge] = a.data
-        product = np.tile(sign[uv.data - 1] * sign[vx.data - 1] * sign[ux], 3)
+        below list them in the same order, and row u of L holds (u, x).
+        Edge (u, v) gains w_x, (v, x) gains w_u and (u, x) gains w_v in
+        M W M, times the triangle's sign product in A W A.  The sums are
+        float64 bincounts of integers below 2^53, so exact."""
+        import scipy.sparse as sp
+
+        l = self.l
+        pairs = len(self.u)
+        out, into = l[self.u], l.T.tocsr()[self.x]
+        uv = out * _pattern(into)  # data: signed id(u, v) + 1 at (pair, v)
+        vx = _pattern(out) * into  # data: signed id(v, x) + 1, in the same places
+        pick = sp.csr_array((np.ones(pairs, dtype=np.int64), self.x, np.arange(pairs + 1)),
+                            shape=out.shape)
+        pair = np.repeat(np.arange(pairs), np.diff(uv.indptr))
+        ux = (out * pick).data[pair]  # signed id(u, x) + 1, one per pair, at each triangle
+        signed = np.concatenate((uv.data, vx.data, ux))  # the edges each triangle adds to
+        edge, at = np.unique(np.abs(signed) - 1, return_inverse=True)
+        product = np.tile(np.sign(uv.data) * np.sign(vx.data) * np.sign(ux), 3)
         if w is None:
-            weight = np.ones(len(ids))
+            weight = np.ones(len(signed))
         else:
             weight = w[np.concatenate((self.x[pair], self.u[pair], uv.indices))].astype(np.float64)
-        mm = np.bincount(ids, weight, minlength=self.edges).astype(np.int64)
-        aa = np.bincount(ids, weight * product, minlength=self.edges).astype(np.int64)
-        return _on_support(a, mm[self.edge]), _on_support(a, aa[self.edge])
+        mm = np.bincount(at, weight, minlength=len(edge)).astype(np.int64)
+        aa = np.bincount(at, weight * product, minlength=len(edge)).astype(np.int64)
+        row = np.searchsorted(l.indptr, edge, side="right") - 1
+        col = l.indices[edge]
+        return _on_edges(row, col, mm, l.shape), _on_edges(row, col, aa, l.shape)
+
+
+def _on_edges(row, col, values, shape):
+    """The symmetric CSR matrix with `values` at (row, col) and (col, row),
+    each row in falling column order with the zeros dropped: the order
+    `_on_support` writes a masked product in."""
+    import scipy.sparse as sp
+
+    keep = values != 0
+    rows = np.concatenate((row[keep], col[keep]))
+    cols = np.concatenate((col[keep], row[keep]))
+    order = np.lexsort((-cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+    return sp.csr_array((np.tile(values[keep], 2)[order], cols[order], indptr), shape=shape)
 
 
 def _on_support(a, values):
@@ -304,7 +331,8 @@ def _scale_rows(w, y):
 
 def _masked(mask, x, y, w=None):
     """mask o (x W y), W = diag(w) (the identity when w is None): one product
-    when dense, and when sparse one block of _BLOCK_ROWS rows at a time.
+    when dense, and when sparse one block of _BLOCK_ROWS rows at a time
+    (`_blocks`).
 
     A dense square x x of the symmetric storage is formed as x x^T, which
     numpy hands to BLAS syrk (half the flops of a GEMM); its integer sums
@@ -315,9 +343,14 @@ def _masked(mask, x, y, w=None):
         return mask * (x @ (x.T if x is y else y))
     import scipy.sparse as sp
 
-    starts = range(0, max(mask.shape[0], 1), _BLOCK_ROWS)  # one empty block when n = 0
-    return sp.vstack([mask[r:r + _BLOCK_ROWS] * (x[r:r + _BLOCK_ROWS] @ y) for r in starts],
-                     format="csr")
+    return sp.vstack(list(_blocks(mask, x, y)), format="csr")
+
+
+def _blocks(mask, x, y):
+    """mask o (x y) of sparse matrices, one block of _BLOCK_ROWS rows at a
+    time; one empty block when there are no rows."""
+    for r in range(0, max(mask.shape[0], 1), _BLOCK_ROWS):
+        yield mask[r:r + _BLOCK_ROWS] * (x[r:r + _BLOCK_ROWS] @ y)
 
 
 def _storage(adj):

@@ -29,16 +29,24 @@ without the directive simply define the node set as the ids that appear.
 A count of more than 18 digits, past what an int64 node count holds, is an
 EdgeListParseError.
 
-Parsing is one bulk pass over the UTF-8 bytes: token bounds from a
-whitespace mask, the labels indexed by one sort of a fixed-width table
-(UTF-8 byte order is code-point order, as `sorted` uses), and the sign
-tokens, self loops, duplicates and conflicts checked on whole arrays.  The
-line loop stays as the reference and as the error locator: an input that
-fails a check is parsed again line by line, which raises the first error
-with its line number, and text the bulk pass does not split the way
-`str.split` would (separators other than space, tab, CR and LF) is parsed
-by the loop alone.  A file that is not UTF-8 raises EdgeListParseError on
-the line of its first bad byte.  The writer orders pairs by label ranks.
+Parsing is one bulk pass over line-aligned chunks of the UTF-8 bytes, each
+at least 1 MiB (`_CHUNK_BYTES`) and ending after a line feed; bytes are
+sliced uncopied, and a str is encoded one chunk at a time.  In each chunk:
+token bounds from a whitespace mask, the chunk's distinct labels indexed by
+one sort of a fixed-width table (UTF-8 byte order is code-point order, as
+`sorted` uses), and the sign tokens and self loops checked on whole arrays.
+One more sort merges the chunks' labels, and duplicates and conflicts are
+checked on the merged, sorted pair keys.  So the parse holds the input, one
+chunk's arrays (about 16 times a chunk), each chunk's distinct labels and
+a few words per edge: a 20.8 MB file of 1.6M edges peaks at about 60 MiB
+traced, against 351 MiB for one pass over the whole file.  The line loop
+stays as the reference and as the error locator: an input that fails a
+check, in a chunk or across chunks, is parsed again whole, line by line,
+which raises the first error with its line number, and text the bulk pass
+does not split the way `str.split` would (separators other than space,
+tab, CR and LF) is parsed by the loop alone.  Bytes that are not UTF-8
+raise EdgeListParseError on the line of the first bad byte.  The writer
+orders pairs by label ranks.
 """
 
 import re
@@ -306,15 +314,21 @@ _KIND[[10, 13]] = 3
 _KIND[[0, 11, 12, 28, 29, 30, 31]] = 4
 # The separators beyond ASCII, also left to the loop.
 _LOOP_ONLY = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
+# The bulk pass runs on pieces of at least this many bytes (characters of a
+# str), each but the last ending after a line feed.
+_CHUNK_BYTES = 1 << 20
 
 
 def parse_edge_list(text):
-    """Parse edge-list text (see module docstring) into a SignedAdjacency."""
+    """Parse edge-list text (see module docstring) into a SignedAdjacency.
+
+    `text` is a str, UTF-8 bytes, or a file object that reads either; bytes
+    that are not UTF-8 raise EdgeListParseError on the line of the first."""
     if hasattr(text, "read"):
         text = text.read()
     edges = _bulk_edges(text)
     if edges is None:
-        edges = _line_edges(text)
+        edges = _line_edges(text if isinstance(text, str) else _decode(text))
     return SignedAdjacency._from_edges(*edges)
 
 
@@ -377,18 +391,97 @@ def _line_edges(text):
 
 
 def _bulk_edges(text):
-    """(names, lo, hi, sign) from array passes over the UTF-8 bytes of the
-    text, or None where the line loop must decide: the text holds a byte of
-    kind 4, a separator beyond ASCII or a lone surrogate; one label is so
-    much longer than the rest that the label table would pass four times the
-    text; or a check fails (the loop then raises at the first bad line)."""
-    if not text.isascii() and _LOOP_ONLY.search(text):
+    """(names, lo, hi, sign) from the bulk pass over the line-aligned chunks
+    of a str or UTF-8 bytes, or None where the line loop must decide: a chunk
+    the pass refuses (`_chunk_edges`), merged labels whose table would pass
+    four times the input, a label outside a ``# nodes:`` directive, or a
+    pair seen with both signs (the loop then raises at the first bad line)."""
+    parts, declared_n, size = [], None, 0
+    for data in _chunks(text):
+        part = _chunk_edges(data)
+        if part is None:
+            return None
+        labels, lo, hi, sign, directive = part
+        parts.append((labels, lo, hi, sign))
+        if directive is not None:
+            declared_n = directive
+        size += len(data)
+
+    # the chunks' distinct labels, NUL-padded to one width, indexed by one sort
+    cols = max((labels.shape[1] for labels, *_ in parts), default=8)
+    rows = np.cumsum([0] + [len(labels) for labels, *_ in parts])
+    if rows[-1] * cols > 4 * size + (1 << 20):
         return None
-    try:
-        data = text.encode("utf-8")
-    except UnicodeEncodeError:
+    table = np.zeros((rows[-1], cols), dtype=np.uint8)
+    for (labels, *_), at in zip(parts, rows):
+        table[at:at + len(labels), :labels.shape[1]] = labels
+    uniq, inv = _unique_rows(table)
+    names = [x.decode("utf-8") for x in table[uniq].view(f"S{cols}").ravel()]
+    del table
+
+    if declared_n is not None:
+        canonical = _canonical_labels(declared_n)
+        index = {name: i for i, name in enumerate(canonical)}
+        where = np.array([index.get(name, -1) for name in names], dtype=np.int64)
+        if (where < 0).any():
+            return None
+        inv, names = where[inv], list(canonical)
+
+    # one sort of the pair keys, the sign in the lowest bit, drops duplicate
+    # rows; a pair left twice was seen with both signs.  Both label indexes
+    # rise with the labels' byte order, so a chunk's lo < hi holds on names.
+    n = len(names)
+    code = np.empty(sum(len(lo) for _, lo, _, _ in parts), dtype=np.int64)
+    end = 0
+    for (_, lo, hi, sign), at, to in zip(parts, rows[:-1], rows[1:]):
+        place = inv[at:to]  # the place in names of each of the chunk's labels
+        code[end:end + len(lo)] = (place[lo] * n + place[hi]) * 2 + sign
+        end += len(lo)
+    del parts
+    code.sort()
+    fresh = np.ones(code.size, dtype=bool)
+    fresh[1:] = code[1:] != code[:-1]
+    code = code[fresh]
+    sign = (code & 1).astype(np.int8) * 2 - 1
+    code >>= 1
+    if (code[1:] == code[:-1]).any():
         return None
+    lo, hi = np.divmod(code, n)
+    return names, lo, hi, sign
+
+
+def _chunks(text):
+    """The UTF-8 bytes of a str or bytes in pieces of at least _CHUNK_BYTES
+    (characters of a str), each but the last ending after a line feed.
+    Bytes are sliced uncopied; a str is encoded one piece at a time, a lone
+    surrogate as bytes that are not UTF-8."""
+    is_str = isinstance(text, str)
+    view = text if is_str else memoryview(text)
+    start = 0
+    while start < len(view):
+        end = text.find("\n" if is_str else b"\n", start + _CHUNK_BYTES - 1) + 1 or len(view)
+        piece = view[start:end]
+        yield piece.encode("utf-8", "surrogatepass") if is_str else piece
+        start = end
+
+
+def _chunk_edges(data):
+    """The bulk pass over one chunk of UTF-8 bytes that starts a line:
+    (labels, lo, hi, sign, declared_n), the chunk's distinct labels as sorted
+    NUL-padded rows of a uint8 table, each edge's lower and higher row, its
+    sign (True for +1) and the count of its last ``# nodes:`` directive.
+    None where the line loop must decide: the chunk is not UTF-8, or holds a
+    byte of kind 4, a separator beyond ASCII, a line other than two labels
+    and a sign token, a bad directive or a self loop; or one label is so
+    much longer than the rest that the label table would pass four times
+    the chunk."""
     buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.size and buf.max() >= 0x80:
+        try:
+            if _LOOP_ONLY.search(str(data, "utf-8")):
+                return None
+        except UnicodeDecodeError:
+            return None
     kind = _KIND[buf]
     if kind.max(initial=0) == 4:
         return None
@@ -411,7 +504,7 @@ def _bulk_edges(text):
 
     declared_n = None
     for h, c in zip(heads[comment], count[comment]):
-        tail = _directive_tail(data[starts[h]:ends[h + c - 1]].decode("utf-8"))
+        tail = _directive_tail(str(data[starts[h]:ends[h + c - 1]], "utf-8"))
         if tail is not None:
             if not tail.isdecimal() or len(tail) > _MAX_COUNT_DIGITS:
                 return None
@@ -442,31 +535,12 @@ def _bulk_edges(text):
         table[:, k] = np.where(width > k, buf[np.minimum(at + k, buf.size - 1)], 0)
     del at, width, starts, ends
     uniq, inv = _unique_rows(table)
-    names = [x.decode("utf-8") for x in table[uniq].view(f"S{cols}").ravel()]
-    del table
-
-    if declared_n is not None:
-        canonical = _canonical_labels(declared_n)
-        index = {name: i for i, name in enumerate(canonical)}
-        where = np.array([index.get(name, -1) for name in names], dtype=np.int64)
-        if (where < 0).any():
-            return None
-        inv, names = where[inv], list(canonical)
     u, v = inv[0::2], inv[1::2]
     if (u == v).any():
         return None
-
-    # one sort of the pair keys, the sign in the lowest bit, drops duplicate
-    # rows; a pair left twice was seen with both signs
-    n = len(names)
-    code = np.sort((np.minimum(u, v) * n + np.maximum(u, v)) * 2 + sign)
-    fresh = np.ones(code.size, dtype=bool)
-    fresh[1:] = code[1:] != code[:-1]
-    code = code[fresh]
-    key = code >> 1
-    if (key[1:] == key[:-1]).any():
-        return None
-    return names, key // n, key % n, np.where(code & 1, 1, -1).astype(np.int8)
+    dtype = np.min_scalar_type(len(uniq))  # the rows are kept until every chunk is read
+    return (table[uniq], np.minimum(u, v).astype(dtype), np.maximum(u, v).astype(dtype), sign,
+            declared_n)
 
 
 def _unique_rows(table):
@@ -484,12 +558,12 @@ def _unique_rows(table):
 
 def read_edge_list(path):
     with open(path, "rb") as fh:
-        return parse_edge_list(_decode(fh.read()))
+        return parse_edge_list(fh.read())
 
 
 def _decode(data):
-    """UTF-8 text of a file's bytes; EdgeListParseError on the line of the
-    first byte that is not UTF-8."""
+    """UTF-8 text of bytes; EdgeListParseError on the line of the first byte
+    that is not UTF-8."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

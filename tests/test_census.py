@@ -437,6 +437,38 @@ def test_sparse_census_lists_triangles_when_they_are_no_more_than_edges(monkeypa
             _assert_same_matrix(got, want)
 
 
+def test_listing_pre_pass_stops_once_the_triangles_pass_the_edges(monkeypatch):
+    # a forced-sparse network with about 15 triangles per edge, in row blocks
+    # of 7: the first block of L o (L L) already counts more triangles than
+    # edges, so the pre-pass forms that block alone, and the encoded product
+    # then forms all ceil(60 / 7) = 9 blocks of its own
+    monkeypatch.setattr(census_module, "_BLOCK_ROWS", 7)
+    real = census_module._blocks
+    formed = []
+
+    def counted(*args):
+        formed.append(0)
+        for block in real(*args):
+            formed[-1] += 1
+            yield block
+
+    mat = random_signed_matrix(np.random.default_rng(6), 60, p_edge=0.9)
+    a = census_module._storage(on_storage(mat, "sparse"))
+    whole = census_module._Triangles(a)
+    assert whole.count > 10 * whole.edges
+    monkeypatch.setattr(census_module, "_blocks", counted)
+    stopped = census_module._Triangles(a, bounded=True)
+    assert formed == [1] and whole.edges < stopped.count < whole.count
+    del formed[:]
+    listed = {target: json.dumps(confidence_interval(on_storage(mat, "sparse"), target=target)
+                                 .to_dict()) for target in ("balanced", "type2")}
+    assert formed[:2] == [1, 9]
+    monkeypatch.setattr(census_module, "_sparse_squares", census_module._encoded_squares)
+    for target, report in listed.items():
+        adj = on_storage(mat, "sparse")
+        assert json.dumps(confidence_interval(adj, target=target).to_dict()) == report
+
+
 # const-cos draws (rho, n, seed) whose triangles are about a quarter of their edges
 LISTED_DRAWS = [(0.05, 300, 1), (0.04, 400, 0)]
 
@@ -613,12 +645,17 @@ def test_cached_census_lives_as_long_as_its_adjacency(path):
     assert ref() is None
 
 
+def _sparse_network_of_270k_edges():
+    adj = SignedAdjacency(_sparse_signed(np.random.default_rng(0), 20000, 1.35e-3))
+    assert not adj.is_dense and 260_000 < adj.edge_count() < 280_000
+    return adj
+
+
 def test_third_product_peak_memory_is_bounded():
     # about 270k edges on 20000 nodes: M A formed whole holds about n d^2
     # entries (over 800 MB), while its row blocks keep the peak near the
     # masked result
-    adj = SignedAdjacency(_sparse_signed(np.random.default_rng(0), 20000, 1.35e-3))
-    assert not adj.is_dense and 260_000 < adj.edge_count() < 280_000
+    adj = _sparse_network_of_270k_edges()
     tracemalloc.start()
     try:
         full_census(adj).pair.type_pairs(1)
@@ -626,6 +663,21 @@ def test_third_product_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 200 * 2**20
+
+
+def test_listed_census_peak_memory_is_bounded():
+    # the same network holds about 3300 triangles: the listing writes its two
+    # products on the edges of those triangles, with no array over every edge
+    # or stored entry past the ones that orient the edges
+    adj = _sparse_network_of_270k_edges()
+    tracemalloc.start()
+    try:
+        bundle = full_census(adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < bundle.census.total <= adj.edge_count()
+    assert peak <= 40 * 2**20
 
 
 # --------------------------------------------------------------- laziness

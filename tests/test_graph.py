@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,13 +367,127 @@ def test_non_utf8_file_names_the_line(tmp_path):
     assert "0xe9" in str(err.value)
 
 
+def test_parse_reads_utf8_bytes_and_binary_files():
+    text = "# nodes are not canonical\né z 1\nz ä -1\nab é 1\n"
+    want = parse_edge_list(text)
+    data = text.encode("utf-8")
+    for source in (data, bytearray(data), io.BytesIO(data), io.StringIO(text)):
+        got = parse_edge_list(source)
+        assert got == want and got.labels == want.labels
+
+
+def test_parse_of_bytes_that_are_not_utf8_names_the_line():
+    data = b"a b 1\nb c -1\n\xff d 1\n"
+    for source in (data, io.BytesIO(data)):
+        with pytest.raises(EdgeListParseError) as err:
+            parse_edge_list(source)
+        assert err.value.line_no == 3
+        assert "0xff" in str(err.value)
+
+
+# ------------------------------------------------------------ chunked route
+
+
+# (case id, text, which pass decides it) for inputs whose lines, comments,
+# directives, duplicates and conflicts fall in different chunks once the
+# chunks are a few bytes long
+CHUNK_TABLE = [
+    ("crlf-comments-blanks",
+     "a b +1\r\n\r\n  # a comment longer than a chunk\r\n \t \r\nb c -1\r\n# x\r\nc a 1\r\n", "bulk"),
+    ("directive-in-a-later-chunk", "0 1 +1\n1 2 -1\n0 2 1\n2 3 1\n# nodes: 5\n", "bulk"),
+    ("directive-twice-across-chunks", "# nodes: 9\n0 1 +1\n1 2 -1\n0 2 1\n# nodes: 4\n2 3 1\n", "bulk"),
+    ("directive-replaced-across-chunks", "# nodes: 12\n03 11 +1\n04 05 -1\n# nodes: 3\n", "loop"),
+    ("duplicate-across-chunks", "a b 1\nc d 1\ne f -1\ng h 1\nb a +1\n", "bulk"),
+    ("conflict-across-chunks", "a b 1\nc d 1\ne f -1\ng h 1\nb a -1\n", "loop"),
+    ("duplicate-then-conflict-across-chunks", "a b 1\nc d 1\nb a +1\ne f 1\na b -1\n", "loop"),
+    ("self-loop-in-a-later-chunk", "a b 1\nc d 1\ne e 1\n", "loop"),
+    ("labels-widen-across-chunks", "a b 1\nlabel_longer_than_eight_bytes b -1\nb a 1\n", "bulk"),
+    ("bad-line-in-a-later-chunk", "a b 1\nc d 1\ne f g h\n", "loop"),
+    ("no-final-line-feed", "a b 1\nb c -1", "bulk"),
+]
+
+
+@pytest.fixture(params=[1, 7, 64])
+def chunk_bytes(request, monkeypatch):
+    """Chunks of the bulk pass at least this many bytes long, each ending
+    after a line feed: 1 puts each line in a chunk of its own."""
+    monkeypatch.setattr(graph_module, "_CHUNK_BYTES", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("text", [c[1] for c in PARSE_TABLE + CHUNK_TABLE],
+                         ids=[c[0] for c in PARSE_TABLE + CHUNK_TABLE])
+@pytest.mark.parametrize("threshold", [None, 0])
+def test_chunked_bulk_pass_matches_line_loop(text, threshold, chunk_bytes, monkeypatch):
+    # the str and its UTF-8 bytes through the chunked route, against the loop
+    sources = [text]
+    try:
+        sources.append(text.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate
+        pass
+    with dense_up_to(threshold):
+        got = [_outcome(source) for source in sources]
+        monkeypatch.setattr(graph_module, "_bulk_edges", lambda text: None)
+        want = _outcome(text)
+    for outcome in got:
+        assert outcome == want
+        if isinstance(want, SignedAdjacency):
+            assert outcome.labels == want.labels and outcome.is_dense == want.is_dense
+
+
+@pytest.mark.parametrize("text, route", [c[1:] for c in CHUNK_TABLE], ids=[c[0] for c in CHUNK_TABLE])
+def test_chunked_bulk_pass_merges_across_chunks(text, route, chunk_bytes):
+    # duplicates, directives and labels of every width are merged from the
+    # chunks; a conflict, self loop or bad line is left to the loop
+    assert (graph_module._bulk_edges(text) is not None) == (route == "bulk")
+    assert (graph_module._bulk_edges(text.encode("utf-8")) is not None) == (route == "bulk")
+
+
+def test_chunked_bulk_pass_matches_line_loop_on_random_irregular_file(
+        monkeypatch, storage_threshold, chunk_bytes):
+    test_bulk_pass_matches_line_loop_on_random_irregular_file(monkeypatch, storage_threshold)
+
+
+def test_non_utf8_byte_in_a_later_chunk_names_its_file_line(tmp_path, chunk_bytes):
+    # the UTF-8 check comes before any other: line 1 is a self loop
+    data = b"a a 1\r\nb c -1\n# comment\n\nc d 1\ncaf\xe9 a 1\nd e 1\n"
+    path = tmp_path / "latin1.edges"
+    path.write_bytes(data)
+    for read in (lambda: read_edge_list(path), lambda: parse_edge_list(data),
+                 lambda: parse_edge_list(io.BytesIO(data))):
+        with pytest.raises(EdgeListParseError) as err:
+            read()
+        assert err.value.line_no == 6
+        assert str(err.value) == "line 6: byte 0xe9 at offset 34 is not UTF-8"
+
+
+def test_parse_peak_memory_is_bounded(tmp_path):
+    # a 20.8 MB file of 1.6M edges: the bulk pass over the whole file peaked
+    # at about 16 times its size; in chunks it holds the file's bytes, one
+    # chunk's arrays and the edges' codes
+    path = tmp_path / "big.edges"
+    write_edge_list(sample_network(builtin_spec("const-cos"), 2000, seed=3), path)
+    assert 20e6 < path.stat().st_size < 22e6
+    tracemalloc.start()
+    try:
+        adj = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert adj.n == 2000 and adj.edge_count() > 1_500_000
+    assert peak <= 110 * 2**20
+
+
 # ------------------------------------------------------------- storage build
 
 
-@pytest.mark.parametrize("text", [
-    "# nodes: 8\n3 1 +1\n1 3 1\n0 5 -1\n5 0 -1\n2 3 -1\n1 2 +1\n",
-    "bob alice +1\nalice bob 1\ncarol alice -1\nzed bob -1\nalice carol -1\n",
-], ids=["directive-isolated-nodes", "string-labels"])
+STORAGE_TEXTS = {
+    "directive-isolated-nodes": "# nodes: 8\n3 1 +1\n1 3 1\n0 5 -1\n5 0 -1\n2 3 -1\n1 2 +1\n",
+    "string-labels": "bob alice +1\nalice bob 1\ncarol alice -1\nzed bob -1\nalice carol -1\n",
+}
+
+
+@pytest.mark.parametrize("text", STORAGE_TEXTS.values(), ids=STORAGE_TEXTS)
 @pytest.mark.parametrize("route", ["bulk", "loop"])
 @pytest.mark.parametrize("threshold", [None, 0])
 def test_parsed_storage_equals_the_coo_build(text, route, threshold):
@@ -393,6 +509,12 @@ def test_parsed_storage_equals_the_coo_build(text, route, threshold):
     else:
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got.entries, part), getattr(want.entries, part))
+
+
+@pytest.mark.parametrize("text", STORAGE_TEXTS.values(), ids=STORAGE_TEXTS)
+@pytest.mark.parametrize("threshold", [None, 0])
+def test_chunked_storage_equals_the_coo_build(text, threshold, chunk_bytes):
+    test_parsed_storage_equals_the_coo_build(text, "bulk", threshold)
 
 
 SPARSE_FORMATS = [f"{fmt}_{kind}" for fmt in ("coo", "csc", "csr", "lil", "dok")

@@ -51,6 +51,9 @@ DENSE_CASES = {
         "adj = sb.sample_network(sb.builtin_spec('const-cos'), 40, seed=1)\n"
         "sb.confidence_interval(adj)\nsb.balance_test(adj, 0.5)"),
     "ci-edgeworth": lambda d: _cli("ci", "--in", d / "net.edges"),
+    # the file read in chunks of a line or two
+    "ci-chunked": lambda d: "import signed_balance.graph as g\ng._CHUNK_BYTES = 16\n" + _cli(
+        "ci", "--in", d / "net.edges"),
     "ci-bootstrap": lambda d: _cli("ci", "--in", d / "net.edges", "--method", "bootstrap",
                                    "--replicates", 100, "--draws-out", d / "draws.csv"),
     "simulate": lambda d: _cli("simulate", "--spec", d / "spec.json", "--out", d / "sim.edges"),
