@@ -54,11 +54,11 @@ Sparse storage comes in with sorted rows (`SignedAdjacency` sorts them, and
 a bootstrap submatrix on sorted nodes keeps them sorted); the listing reads
 L straight off that order, with each edge's id and sign in L's data.  It
 writes its two products on the distinct edges of the listed triangles
-alone, at most 3T of them, placed through L's indptr and indices
-(`_on_edges`), so past L they cost O(T) and no array over every edge.
-Each row is written falling, as scipy's elementwise multiply writes a
-masked product whose rows are not sorted already, and the third product's
-sum is written in that order too (`_on_support`).  The row order fixes the
+alone, at most 3T of them, placed through L's indptr and indices, so
+past L they cost O(T) and no array over every edge.  Each row is written
+falling (`_on_support`), as scipy's elementwise multiply writes a masked
+product whose rows are not sorted already, and the third product's sum
+is written in that order too.  The row order fixes the
 order of each float sum over a pair matrix (`PairProjection.quadratic`), so
 the listing's reports equal the encoded product's byte for byte and the
 T <= m split moves no output byte; in A's rising order, most listed
@@ -181,7 +181,7 @@ def _sparse_squares(a, w=None):
     diag(w), the identity when w is None.  The triangles are listed when
     there are no more of them than edges; otherwise the encoded product
     forms both."""
-    triangles = _Triangles(a, bounded=True)
+    triangles = _Triangles(a)
     if triangles.count > triangles.edges:
         return _encoded_squares(a, w)
     return triangles.squares(w)
@@ -230,11 +230,12 @@ class _Triangles:
     sorted CSR; an edge's id is its place in L, stored in L as its sign
     times (id + 1).  `count` is the sum of L o (L L), the triangle count T,
     and `u`, `x` its nonzeros, the closed pairs.  The product is formed one
-    row block at a time; when `bounded`, the blocks stop once the count
-    passes the edge count `edges`, where the census forms the encoded
-    product instead and reads nothing more of the listing."""
+    row block at a time, and no further block once the count passes the
+    edge count `edges`, where the census forms the encoded product instead:
+    the count and pairs are whole while the count is at most `edges`, or
+    while n is at most _BLOCK_ROWS."""
 
-    def __init__(self, a, bounded=False):
+    def __init__(self, a):
         import scipy.sparse as sp
 
         n = a.shape[0]
@@ -251,15 +252,16 @@ class _Triangles:
         self.count, closed = 0, []
         for block in _blocks(ones, ones, ones):
             self.count += int(block.data.sum(dtype=np.int64))
-            if bounded and self.count > self.edges:
-                return
             closed.append(block)
+            if self.count > self.edges:
+                break
         closed = sp.vstack(closed, format="csr")
-        self.u, self.x = np.repeat(np.arange(n), np.diff(closed.indptr)), closed.indices
+        rows = np.arange(closed.shape[0])
+        self.u, self.x = np.repeat(rows, np.diff(closed.indptr)), closed.indices
 
     def squares(self, w=None):
         """M o (M W M) and A o (A W A), written on the edges of the listed
-        triangles alone, each row in falling column order (`_on_edges`).
+        triangles alone, each row in falling column order (`_on_support`).
 
         The middle nodes v of a closed pair (u, x) are the common entries of
         row u of L and row x of L^T; both rows are sorted, so the two masks
@@ -289,21 +291,14 @@ class _Triangles:
         aa = np.bincount(at, weight * product, minlength=len(edge)).astype(np.int64)
         row = np.searchsorted(l.indptr, edge, side="right") - 1
         col = l.indices[edge]
-        return _on_edges(row, col, mm, l.shape), _on_edges(row, col, aa, l.shape)
+        place = np.concatenate((row, col)), np.concatenate((col, row))
 
+        def on_edges(values):
+            s = sp.csr_array((np.tile(values, 2), place), shape=l.shape)
+            s.sort_indices()
+            return _on_support(s, s.data)
 
-def _on_edges(row, col, values, shape):
-    """The symmetric CSR matrix with `values` at (row, col) and (col, row),
-    each row in falling column order with the zeros dropped: the order
-    `_on_support` writes a masked product in."""
-    import scipy.sparse as sp
-
-    keep = values != 0
-    rows = np.concatenate((row[keep], col[keep]))
-    cols = np.concatenate((col[keep], row[keep]))
-    order = np.lexsort((-cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
-    return sp.csr_array((np.tile(values[keep], 2)[order], cols[order], indptr), shape=shape)
+        return on_edges(mm), on_edges(aa)
 
 
 def _on_support(a, values):

@@ -454,11 +454,11 @@ def test_listing_pre_pass_stops_once_the_triangles_pass_the_edges(monkeypatch):
 
     mat = random_signed_matrix(np.random.default_rng(6), 60, p_edge=0.9)
     a = census_module._storage(on_storage(mat, "sparse"))
-    whole = census_module._Triangles(a)
-    assert whole.count > 10 * whole.edges
+    edges, count = a.nnz // 2, int(census_module._encoded_squares(a)[0].sum()) // 6
+    assert count > 10 * edges
     monkeypatch.setattr(census_module, "_blocks", counted)
-    stopped = census_module._Triangles(a, bounded=True)
-    assert formed == [1] and whole.edges < stopped.count < whole.count
+    stopped = census_module._Triangles(a)
+    assert formed == [1] and stopped.edges == edges < stopped.count < count
     del formed[:]
     listed = {target: json.dumps(confidence_interval(on_storage(mat, "sparse"), target=target)
                                  .to_dict()) for target in ("balanced", "type2")}

@@ -321,31 +321,71 @@ def _outcome(text):
     return adj
 
 
-@pytest.mark.parametrize("text, route", [c[1:] for c in PARSE_TABLE],
-                         ids=[c[0] for c in PARSE_TABLE])
+# (case id, text, which pass decides it) for inputs whose lines, comments,
+# directives, duplicates and conflicts fall in different chunks once the
+# chunks are a few bytes long
+CHUNK_TABLE = [
+    ("crlf-comments-blanks",
+     "a b +1\r\n\r\n  # a comment longer than a chunk\r\n \t \r\nb c -1\r\n# x\r\nc a 1\r\n", "bulk"),
+    ("directive-in-a-later-chunk", "0 1 +1\n1 2 -1\n0 2 1\n2 3 1\n# nodes: 5\n", "bulk"),
+    ("directive-twice-across-chunks", "# nodes: 9\n0 1 +1\n1 2 -1\n0 2 1\n# nodes: 4\n2 3 1\n", "bulk"),
+    ("directive-replaced-across-chunks", "# nodes: 12\n03 11 +1\n04 05 -1\n# nodes: 3\n", "loop"),
+    ("duplicate-across-chunks", "a b 1\nc d 1\ne f -1\ng h 1\nb a +1\n", "bulk"),
+    ("conflict-across-chunks", "a b 1\nc d 1\ne f -1\ng h 1\nb a -1\n", "loop"),
+    ("duplicate-then-conflict-across-chunks", "a b 1\nc d 1\nb a +1\ne f 1\na b -1\n", "loop"),
+    ("self-loop-in-a-later-chunk", "a b 1\nc d 1\ne e 1\n", "loop"),
+    ("labels-widen-across-chunks", "a b 1\nlabel_longer_than_eight_bytes b -1\nb a 1\n", "bulk"),
+    ("bad-line-in-a-later-chunk", "a b 1\nc d 1\ne f g h\n", "loop"),
+    ("no-final-line-feed", "a b 1\nb c -1", "bulk"),
+]
+
+# Chunks of the bulk pass are at least this many bytes long, each ending
+# after a line feed: the default, then sizes at which lines, comments and
+# directives straddle chunk ends (1 puts each line in a chunk of its own).
+CHUNK_SIZES = [graph_module._CHUNK_BYTES, 1, 7, 64]
+
+
+@pytest.mark.parametrize("text, route", [c[1:] for c in PARSE_TABLE + CHUNK_TABLE],
+                         ids=[c[0] for c in PARSE_TABLE + CHUNK_TABLE])
 @pytest.mark.parametrize("threshold", [None, 0])
 def test_bulk_pass_matches_line_loop(text, route, threshold, monkeypatch):
-    assert (graph_module._bulk_edges(text) is not None) == (route == "bulk")
+    # the str and its UTF-8 bytes, in chunks of every size, against the loop;
+    # what the bulk pass takes whole it takes in chunks, while a refusal may
+    # hang on the chunk (a long label is refused beside many short ones)
+    sources = [text]
+    try:
+        sources.append(text.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate
+        pass
     with dense_up_to(threshold):
-        got = _outcome(text)
-        monkeypatch.setattr(graph_module, "_bulk_edges", lambda text: None)
-        want = _outcome(text)
-    assert got == want
-    if isinstance(want, SignedAdjacency):
-        assert got.labels == want.labels and got.is_dense == want.is_dense
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_module, "_bulk_edges", lambda text: None)
+            want = _outcome(text)
+        for size in CHUNK_SIZES:
+            monkeypatch.setattr(graph_module, "_CHUNK_BYTES", size)
+            for source in sources:
+                if route == "bulk" or size == CHUNK_SIZES[0]:
+                    assert (graph_module._bulk_edges(source) is not None) == (route == "bulk"), size
+                got = _outcome(source)
+                assert got == want, size
+                if isinstance(want, SignedAdjacency):
+                    assert got.labels == want.labels and got.is_dense == want.is_dense
 
 
 def test_bulk_pass_matches_line_loop_on_random_irregular_file(monkeypatch, storage_threshold):
     text = _random_irregular_text(np.random.default_rng(11))
-    assert graph_module._bulk_edges(text) is not None
     storage_threshold(100)
-    got = parse_edge_list(text)
-    monkeypatch.setattr(graph_module, "_bulk_edges", lambda text: None)
-    want = parse_edge_list(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "_bulk_edges", lambda text: None)
+        want = parse_edge_list(text)
     assert want.n == 600 and not want.is_dense
-    assert got == want and got.labels == want.labels
-    for part in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(got.entries, part), getattr(want.entries, part))
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", size)
+        assert graph_module._bulk_edges(text) is not None
+        got = parse_edge_list(text)
+        assert got == want and got.labels == want.labels, size
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got.entries, part), getattr(want.entries, part))
 
 
 def test_bulk_pass_leaves_every_other_separator_to_the_loop():
@@ -385,80 +425,19 @@ def test_parse_of_bytes_that_are_not_utf8_names_the_line():
         assert "0xff" in str(err.value)
 
 
-# ------------------------------------------------------------ chunked route
-
-
-# (case id, text, which pass decides it) for inputs whose lines, comments,
-# directives, duplicates and conflicts fall in different chunks once the
-# chunks are a few bytes long
-CHUNK_TABLE = [
-    ("crlf-comments-blanks",
-     "a b +1\r\n\r\n  # a comment longer than a chunk\r\n \t \r\nb c -1\r\n# x\r\nc a 1\r\n", "bulk"),
-    ("directive-in-a-later-chunk", "0 1 +1\n1 2 -1\n0 2 1\n2 3 1\n# nodes: 5\n", "bulk"),
-    ("directive-twice-across-chunks", "# nodes: 9\n0 1 +1\n1 2 -1\n0 2 1\n# nodes: 4\n2 3 1\n", "bulk"),
-    ("directive-replaced-across-chunks", "# nodes: 12\n03 11 +1\n04 05 -1\n# nodes: 3\n", "loop"),
-    ("duplicate-across-chunks", "a b 1\nc d 1\ne f -1\ng h 1\nb a +1\n", "bulk"),
-    ("conflict-across-chunks", "a b 1\nc d 1\ne f -1\ng h 1\nb a -1\n", "loop"),
-    ("duplicate-then-conflict-across-chunks", "a b 1\nc d 1\nb a +1\ne f 1\na b -1\n", "loop"),
-    ("self-loop-in-a-later-chunk", "a b 1\nc d 1\ne e 1\n", "loop"),
-    ("labels-widen-across-chunks", "a b 1\nlabel_longer_than_eight_bytes b -1\nb a 1\n", "bulk"),
-    ("bad-line-in-a-later-chunk", "a b 1\nc d 1\ne f g h\n", "loop"),
-    ("no-final-line-feed", "a b 1\nb c -1", "bulk"),
-]
-
-
-@pytest.fixture(params=[1, 7, 64])
-def chunk_bytes(request, monkeypatch):
-    """Chunks of the bulk pass at least this many bytes long, each ending
-    after a line feed: 1 puts each line in a chunk of its own."""
-    monkeypatch.setattr(graph_module, "_CHUNK_BYTES", request.param)
-    return request.param
-
-
-@pytest.mark.parametrize("text", [c[1] for c in PARSE_TABLE + CHUNK_TABLE],
-                         ids=[c[0] for c in PARSE_TABLE + CHUNK_TABLE])
-@pytest.mark.parametrize("threshold", [None, 0])
-def test_chunked_bulk_pass_matches_line_loop(text, threshold, chunk_bytes, monkeypatch):
-    # the str and its UTF-8 bytes through the chunked route, against the loop
-    sources = [text]
-    try:
-        sources.append(text.encode("utf-8"))
-    except UnicodeEncodeError:  # a lone surrogate
-        pass
-    with dense_up_to(threshold):
-        got = [_outcome(source) for source in sources]
-        monkeypatch.setattr(graph_module, "_bulk_edges", lambda text: None)
-        want = _outcome(text)
-    for outcome in got:
-        assert outcome == want
-        if isinstance(want, SignedAdjacency):
-            assert outcome.labels == want.labels and outcome.is_dense == want.is_dense
-
-
-@pytest.mark.parametrize("text, route", [c[1:] for c in CHUNK_TABLE], ids=[c[0] for c in CHUNK_TABLE])
-def test_chunked_bulk_pass_merges_across_chunks(text, route, chunk_bytes):
-    # duplicates, directives and labels of every width are merged from the
-    # chunks; a conflict, self loop or bad line is left to the loop
-    assert (graph_module._bulk_edges(text) is not None) == (route == "bulk")
-    assert (graph_module._bulk_edges(text.encode("utf-8")) is not None) == (route == "bulk")
-
-
-def test_chunked_bulk_pass_matches_line_loop_on_random_irregular_file(
-        monkeypatch, storage_threshold, chunk_bytes):
-    test_bulk_pass_matches_line_loop_on_random_irregular_file(monkeypatch, storage_threshold)
-
-
-def test_non_utf8_byte_in_a_later_chunk_names_its_file_line(tmp_path, chunk_bytes):
+def test_non_utf8_byte_in_a_later_chunk_names_its_file_line(tmp_path, monkeypatch):
     # the UTF-8 check comes before any other: line 1 is a self loop
     data = b"a a 1\r\nb c -1\n# comment\n\nc d 1\ncaf\xe9 a 1\nd e 1\n"
     path = tmp_path / "latin1.edges"
     path.write_bytes(data)
-    for read in (lambda: read_edge_list(path), lambda: parse_edge_list(data),
-                 lambda: parse_edge_list(io.BytesIO(data))):
-        with pytest.raises(EdgeListParseError) as err:
-            read()
-        assert err.value.line_no == 6
-        assert str(err.value) == "line 6: byte 0xe9 at offset 34 is not UTF-8"
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", size)
+        for read in (lambda: read_edge_list(path), lambda: parse_edge_list(data),
+                     lambda: parse_edge_list(io.BytesIO(data))):
+            with pytest.raises(EdgeListParseError) as err:
+                read()
+            assert err.value.line_no == 6, size
+            assert str(err.value) == "line 6: byte 0xe9 at offset 34 is not UTF-8"
 
 
 def test_parse_peak_memory_is_bounded(tmp_path):
@@ -490,31 +469,28 @@ STORAGE_TEXTS = {
 @pytest.mark.parametrize("text", STORAGE_TEXTS.values(), ids=STORAGE_TEXTS)
 @pytest.mark.parametrize("route", ["bulk", "loop"])
 @pytest.mark.parametrize("threshold", [None, 0])
-def test_parsed_storage_equals_the_coo_build(text, route, threshold):
+def test_parsed_storage_equals_the_coo_build(text, route, threshold, monkeypatch):
     # duplicate rows in both pair orders; the storage filled from the parsed
-    # edges equals the adjacency of their symmetric COO matrix
-    edges = graph_module._bulk_edges(text) if route == "bulk" else graph_module._line_edges(text)
-    assert edges is not None
-    names, lo, hi, sign = edges
-    n = len(names)
-    coo = sp.coo_matrix((np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-                        shape=(n, n))
-    with dense_up_to(threshold):
-        want = SignedAdjacency(coo, labels=names)
-        got = parse_edge_list(text)
-    assert got == want and got.labels == want.labels and got.is_dense == want.is_dense
-    if got.is_dense:
-        assert got.entries.dtype == np.int8
-        np.testing.assert_array_equal(got.entries, want.entries)
-    else:
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(got.entries, part), getattr(want.entries, part))
-
-
-@pytest.mark.parametrize("text", STORAGE_TEXTS.values(), ids=STORAGE_TEXTS)
-@pytest.mark.parametrize("threshold", [None, 0])
-def test_chunked_storage_equals_the_coo_build(text, threshold, chunk_bytes):
-    test_parsed_storage_equals_the_coo_build(text, "bulk", threshold)
+    # edges, in chunks of every size, equals the adjacency of their
+    # symmetric COO matrix
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(graph_module, "_CHUNK_BYTES", size)
+        edges = graph_module._bulk_edges(text) if route == "bulk" else graph_module._line_edges(text)
+        assert edges is not None
+        names, lo, hi, sign = edges
+        n = len(names)
+        coo = sp.coo_matrix((np.concatenate([sign, sign]),
+                             (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(n, n))
+        with dense_up_to(threshold):
+            want = SignedAdjacency(coo, labels=names)
+            got = parse_edge_list(text)
+        assert got == want and got.labels == want.labels and got.is_dense == want.is_dense, size
+        if got.is_dense:
+            assert got.entries.dtype == np.int8
+            np.testing.assert_array_equal(got.entries, want.entries)
+        else:
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got.entries, part), getattr(want.entries, part))
 
 
 SPARSE_FORMATS = [f"{fmt}_{kind}" for fmt in ("coo", "csc", "csr", "lil", "dok")
