@@ -16,6 +16,10 @@ tr(A^2 M) = sum A o A^2 o A):
     tr(M^2 M)/6 =  c1 + c2 + c3 + c4     tr(M^2 A)/2 = 3c1 + c2 - c3 - 3c4
     tr(A^2 M)/2 = 3c1 - c2 - c3 + 3c4    tr(A^2 A)/6 =  c1 - c2 + c3 - c4
 
+On sparse storage the two sums over o A read A's signs at the stored
+places of M o M^2 and A o A^2 (`PairProjection.signed_total`), so they
+cost those places, not an entrywise product over every edge.
+
 Per-type node and pair counts need P^2 and N^2 apart (P, N the positive and
 negative indicators): P^2 + N^2 = (M^2 + A^2)/2, PN + NP = (M^2 - A^2)/2 and
 P^2 - N^2 = (MA + AM)/2.  That third product runs, as M o (M A) and its
@@ -50,22 +54,27 @@ T > m.  Then:
   A o B^2.  Its entries stay below t^3, so a node of degree 2^21 or more
   raises CensusExactnessError; the listing has no such limit.
 
-Sparse storage comes in with sorted rows (`SignedAdjacency` sorts them, and
-a bootstrap submatrix on sorted nodes keeps them sorted); the listing reads
-L straight off that order, with each edge's id and sign in L's data.  It
-writes its two products on the distinct edges of the listed triangles
-alone, at most 3T of them, placed through L's indptr and indices, so
-past L they cost O(T) and no array over every edge.  Each row is written
-falling (`_on_support`), as scipy's elementwise multiply writes a masked
-product whose rows are not sorted already, and the third product's sum
-is written in that order too.  The row order fixes the
-order of each float sum over a pair matrix (`PairProjection.quadratic`), so
-the listing's reports equal the encoded product's byte for byte and the
-T <= m split moves no output byte; in A's rising order, most listed
-networks with more than a few triangles report other last bits.  Every
-reduction runs in int64 or float64; the type counts and node arrays are
-checked to be exact multiples of their divisors (CensusExactnessError
-otherwise).
+Sparse storage is the adjacency's own int8 CSR matrix, uncopied
+(`_storage`), and comes in with sorted rows (`SignedAdjacency` sorts them,
+and a bootstrap submatrix on sorted nodes keeps them sorted).  The listing
+reads only its signs, indices and indptr: it ranks the nodes and keeps the
+upward entries in int32, and reads L straight off that order, with each
+edge's int32 id and sign in L's data.  M = |A| is formed only when read: by
+the dense squares, the encoded product's weighted degrees and the per-type
+counts.  An integer product widens to int64 where it runs, as int8 would
+wrap: B in the encoded product, A in M o (M A), and the bootstrap weights
+w.  The listing writes its two products on the distinct edges of the
+listed triangles alone, at most 3T of them, placed through L's indptr and
+indices, so past L they cost O(T) and no array over every edge.  Each row
+is written falling (`_on_support`), as scipy's elementwise multiply writes
+a masked product whose rows are not sorted already, and the third
+product's sum is written in that order too.  The row order fixes the order
+of each float sum over a pair matrix (`PairProjection.quadratic`), so the
+listing's reports equal the encoded product's byte for byte and the T <= m
+split moves no output byte; in A's rising order, most listed networks with
+more than a few triangles report other last bits.  Every reduction runs in
+int64 or float64; the type counts and node arrays are checked to be exact
+multiples of their divisors (CensusExactnessError otherwise).
 
 A bootstrap replicate is counted with multiplicities instead
 (`_resampled_bundle`).  A node draw idx fixes the resampled network
@@ -177,8 +186,8 @@ _DIGIT_BITS = 21
 
 
 def _sparse_squares(a, w=None):
-    """M o (M W M) and A o (A W A) of a sparse int64 signed matrix A; W =
-    diag(w), the identity when w is None.  The triangles are listed when
+    """M o (M W M) and A o (A W A) of a sparse signed matrix A; W = diag(w),
+    int64, the identity when w is None.  The triangles are listed when
     there are no more of them than edges; otherwise the encoded product
     forms both."""
     triangles = _Triangles(a)
@@ -188,8 +197,9 @@ def _sparse_squares(a, w=None):
 
 
 def _encoded_squares(a, w=None):
-    """M o (M W M) and A o (A W A) of a sparse int64 signed matrix A, from
-    A o (B W B) for B = P + tN; W = diag(w), the identity when w is None.
+    """M o (M W M) and A o (A W A) of a sparse signed matrix A, from
+    A o (B W B) for B = P + tN in int64; W = diag(w), int64, the identity
+    when w is None.
 
     With t = 2^k above the largest weighted degree max_i sum_{k in N(i)} w_k,
     B W B = P W P + tX + t^2 N W N (X = P W N + N W P) has every digit below
@@ -202,8 +212,8 @@ def _encoded_squares(a, w=None):
     if k > _DIGIT_BITS:
         raise CensusExactnessError(
             f"a node of degree >= 2^{k - 1} is past the int64 range of the encoded sparse product")
-    b = a.copy()
-    b.data = np.where(a.data > 0, 1, 1 << k)
+    b = sp.csr_array((np.where(a.data > 0, np.int64(1), np.int64(1 << k)), a.indices, a.indptr),
+                     shape=a.shape)
     e = _masked(a, b, b, w)
     digit = (1 << k) - 1
     mag = np.abs(e.data)
@@ -240,14 +250,15 @@ class _Triangles:
 
         n = a.shape[0]
         degree = np.diff(a.indptr)
-        rank = np.empty(n, dtype=np.int64)
-        rank[np.argsort(degree, kind="stable")] = np.arange(n)
+        rank = np.empty(n, dtype=np.int32)
+        rank[np.argsort(degree, kind="stable")] = np.arange(n, dtype=np.int32)
         up = np.repeat(rank, degree) < rank[a.indices]
         self.edges = int(np.count_nonzero(up))
-        indptr = np.concatenate(([0], np.cumsum(up)))[a.indptr]
-        ids = np.arange(1, self.edges + 1) * a.data[up]
-        self.l = sp.csr_array((ids, a.indices[up], indptr), shape=a.shape)
-        del up, ids
+        below = np.zeros(len(up) + 1, dtype=np.int32)  # the up entries before each stored entry
+        np.cumsum(up, out=below[1:])
+        ids = np.arange(1, self.edges + 1, dtype=np.int32) * a.data[up]
+        self.l = sp.csr_array((ids, a.indices[up], below[a.indptr]), shape=a.shape)
+        del up, below, ids
         ones = _pattern(self.l, np.int32)
         self.count, closed = 0, []
         for block in _blocks(ones, ones, ones):
@@ -349,12 +360,14 @@ def _blocks(mask, x, y):
 
 
 def _storage(adj):
-    """The matrix the products run on: float32 when dense, int64 CSR when sparse."""
+    """The matrix the products run on: float32 when dense; when sparse, the
+    int8 CSR storage itself as a csr_array, its read-only arrays uncopied
+    (an integer product widens its operands to int64 where it runs)."""
     if adj.is_dense:
         return adj.entries.astype(np.float32)
     import scipy.sparse as sp
 
-    return sp.csr_array(adj.entries, dtype=np.int64)
+    return sp.csr_array(adj.entries)
 
 
 class PairProjection(_Targeted):
@@ -366,17 +379,24 @@ class PairProjection(_Targeted):
     by the multiplicities."""
 
     def __init__(self, a, draw=None):
-        m = abs(a)
         self.a = a
-        self.m = m
         self.draw = draw
-        # the multiplicities in the storage dtype; float32 holds each count (<= n) exactly
-        self._w = None if draw is None else draw.counts.astype(a.dtype)
-        if isinstance(a, np.ndarray):
+        dense = isinstance(a, np.ndarray)
+        # the multiplicities: float32 on dense storage, which holds each count
+        # (<= n) exactly; int64 on sparse, where int8 would wrap at 128
+        self._w = None if draw is None else draw.counts.astype(np.float32 if dense else np.int64)
+        if dense:
+            m = self.m
             self.mm, self.aa = _masked(m, m, m, self._w), _masked(a, a, a, self._w)
         else:
             self.mm, self.aa = _sparse_squares(a, self._w)
         self._types = {}
+
+    @cached_property
+    def m(self):
+        """The support M = |A|, formed on first read: by the dense squares
+        and the per-type counts; the sparse squares read A alone."""
+        return abs(self.a)
 
     def rows(self, x):
         """Row sums of x over the network's nodes, in int64."""
@@ -390,11 +410,26 @@ class PairProjection(_Targeted):
             return x.sum(dtype=np.int64)
         return self.draw.rows(x).sum()
 
+    def signed_total(self, x):
+        """The sum of x o A over the network's pairs, in int64, for x on A's
+        support.  On sparse storage A's signs are read at x's places, so no
+        product runs over every edge and A is not widened."""
+        if isinstance(x, np.ndarray):
+            return self.total(x * self.a)
+        if not x.nnz:  # scipy answers a lookup of no places with a sparse array
+            return 0
+        rows = np.repeat(np.arange(x.shape[0], dtype=x.indices.dtype), np.diff(x.indptr))
+        signed = x.copy()  # a total may sort its operand's rows in place
+        signed.data *= self.a[rows, x.indices]
+        return self.total(signed)
+
     @cached_property
     def _diff(self):
         """2 (P^2 - N^2) on the support: M o (M A) plus its transpose M o (A M),
-        each sparse row falling as in M o (M A + A M) formed whole."""
-        d = _masked(self.m, self.m, self.a, self._w)
+        each sparse row falling as in M o (M A + A M) formed whole.  The
+        sparse product runs in int64: int8 storage would wrap."""
+        a = self.a if isinstance(self.a, np.ndarray) else self.a.astype(np.int64)
+        d = _masked(self.m, self.m, a, self._w)
         d = d + d.T
         if not isinstance(d, np.ndarray):
             d.sort_indices()
@@ -536,7 +571,7 @@ def _census(a, n, draw=None):
     p = PairProjection(a, draw)
     row_m = p.rows(p.mm)
     row_a = p.rows(p.aa)
-    traces = (row_m.sum(), p.total(p.mm * p.a), p.total(p.aa * p.a), row_a.sum())
+    traces = (row_m.sum(), p.signed_total(p.mm), p.signed_total(p.aa), row_a.sum())
     c1, c2, c3, c4 = _type_counts(traces)
     census_ = TriangleCensus(n=n, total=c1 + c2 + c3 + c4, c1=c1, c2=c2, c3=c3, c4=c4)
     node = NodeProjection(p, _exact(row_m, 2), _exact(row_m + row_a, 4))

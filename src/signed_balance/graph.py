@@ -1,14 +1,17 @@
 """Signed adjacency matrices: representation, validation, ingestion, summary.
 
 A signed network is a symmetric matrix over {-1, 0, +1} with zero diagonal.
-Storage is a dense int8 array for n <= DENSE_THRESHOLD and scipy CSR above
-that, so the library stays usable past the sizes where a dense matrix is
-sensible.  CSR storage has sorted rows: each row's column indices rise.
+Storage is a dense int8 array for n <= DENSE_THRESHOLD and int8 scipy CSR
+above that, so the library stays usable past the sizes where a dense matrix
+is sensible.  CSR storage has sorted rows: each row's column indices rise.
 `SignedAdjacency` alone makes that choice and sets that order: the sampler
 hands it one int8 matrix whatever the size, and the parser its checked
-edges (`SignedAdjacency._from_edges`).  scipy.sparse is imported only where
-storage is sparse, so a dense network loads no scipy module; inside the
-package, storage that is not an ndarray is scipy sparse.
+edges (`SignedAdjacency._from_edges`), whose CSR storage is built straight
+from the sorted pairs as U + U^T for the upper triangle U.  A caller's
+matrix is copied; a CSR matrix that package code built and checked is kept
+as it is, and every storage array is read-only.  scipy.sparse is imported
+only where storage is sparse, so a dense network loads no scipy module;
+inside the package, storage that is not an ndarray is scipy sparse.
 
 Edge-list format (UTF-8 text):
 
@@ -88,11 +91,11 @@ class GraphSummary:
 class SignedAdjacency:
     """Immutable symmetric signed adjacency matrix (read-only storage arrays).
 
-    CSR storage is built on a copy of the input, with sorted rows whatever
-    the input's order; the caller's arrays are never written.  The census
-    (`census.full_census`) and the edge and negative-edge counts are formed
-    on first read and kept; the storage is read-only, so they cannot go
-    stale.
+    CSR storage is built on a copy of a caller's input, with sorted rows
+    whatever the input's order; the caller's arrays are never written.  The
+    census (`census.full_census`) and the edge and negative-edge counts are
+    formed on first read and kept; the storage is read-only, so they cannot
+    go stale.
 
     Parameters
     ----------
@@ -108,17 +111,18 @@ class SignedAdjacency:
             raise AlphabetError(f"adjacency must be square, got shape {mat.shape}")
         n = mat.shape[0]
         sparse = not isinstance(mat, np.ndarray)
-        if sparse and not (_validated and n <= DENSE_THRESHOLD):
-            # checked on its own dtype: an int8 cast first would read 0.5 as 0 and 255 as -1
-            mat = mat.tocsr(copy=True)
-            mat.eliminate_zeros()
         if not _validated:
+            if sparse:
+                # checked on its own dtype: an int8 cast first would read 0.5 as 0 and 255 as -1
+                mat = mat.tocsr(copy=True)
+                mat.eliminate_zeros()
             _validate_entries(mat)
         if n > DENSE_THRESHOLD:
-            import scipy.sparse as sp
+            if not (sparse and _validated):  # package code hands over its own checked int8 CSR
+                import scipy.sparse as sp
 
-            mat = sp.csr_matrix(mat, dtype=np.int8)
-            mat.sort_indices()  # in place, on the copy above; a no-op when sorted
+                mat = sp.csr_matrix(mat, dtype=np.int8)
+            mat.sort_indices()  # in place, on a matrix no caller holds; a no-op when sorted
         elif sparse:  # a checked sparse matrix goes to its dense array with no CSR step
             mat = np.asarray(mat.toarray(), np.int8)
         else:  # checked storage is handed over, uncopied, by the package code that made it
@@ -140,9 +144,12 @@ class SignedAdjacency:
 
     @classmethod
     def _from_edges(cls, names, lo, hi, sign):
-        """The adjacency of checked edges, each pair (lo, hi) once with its
-        sign, on nodes labelled `names`: an int8 matrix filled in place up
-        to DENSE_THRESHOLD nodes, a COO matrix to convert above it."""
+        """The adjacency of checked edges on nodes labelled `names`: each
+        pair once, lo < hi, sorted by (lo, hi), with its int8 sign.  Up to
+        DENSE_THRESHOLD nodes an int8 matrix filled in place; above it the
+        upper triangle U in CSR straight from the pairs (row lo holds the
+        run of pairs with that lo, so its columns hi rise), stored as the
+        sorted int8 CSR matrix U + U^T."""
         n = len(names)
         if n <= DENSE_THRESHOLD:
             mat = np.zeros((n, n), dtype=np.int8)
@@ -151,10 +158,11 @@ class SignedAdjacency:
         else:
             import scipy.sparse as sp
 
-            mat = sp.coo_matrix(
-                (np.concatenate([sign, sign]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-                shape=(n, n),
-            )
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(lo, minlength=n), out=indptr[1:])
+            # scipy casts the index arrays to int32 where their values fit
+            upper = sp.csr_matrix((sign, hi, indptr), shape=(n, n))
+            mat = upper + upper.T
         return cls(mat, labels=names, _validated=True)
 
     def __setattr__(self, name, value):  # immutability guard
@@ -196,7 +204,8 @@ class SignedAdjacency:
     def __eq__(self, other):
         if not isinstance(other, SignedAdjacency):
             return NotImplemented
-        if self.n != other.n or self.labels != other.labels:
+        if self.n != other.n or (self.labels or _canonical_labels(self.n)) != (
+                other.labels or _canonical_labels(other.n)):
             return False
         a, b = self._mat, other._mat
         if self.is_dense and other.is_dense:
@@ -341,7 +350,8 @@ def _directive_tail(line):
 
 
 def _line_edges(text):
-    """The line loop: (names, lo, hi, sign), raising at the first bad line."""
+    """The line loop: (names, lo, hi, sign) as `SignedAdjacency._from_edges`
+    takes them, raising at the first bad line."""
     declared_n = None
     edges = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -387,15 +397,17 @@ def _line_edges(text):
     index = {name: i for i, name in enumerate(names)}
     lo = np.array([index[u] for u, _ in edges], dtype=np.int64)
     hi = np.array([index[v] for _, v in edges], dtype=np.int64)
-    return names, lo, hi, np.array(list(edges.values()), dtype=np.int8)
+    order = np.lexsort((hi, lo))  # the pairs as first seen, put in (lo, hi) order
+    return names, lo[order], hi[order], np.array(list(edges.values()), dtype=np.int8)[order]
 
 
 def _bulk_edges(text):
-    """(names, lo, hi, sign) from the bulk pass over the line-aligned chunks
-    of a str or UTF-8 bytes, or None where the line loop must decide: a chunk
-    the pass refuses (`_chunk_edges`), merged labels whose table would pass
-    four times the input, a label outside a ``# nodes:`` directive, or a
-    pair seen with both signs (the loop then raises at the first bad line)."""
+    """(names, lo, hi, sign) as `SignedAdjacency._from_edges` takes them,
+    from the bulk pass over the line-aligned chunks of a str or UTF-8 bytes,
+    or None where the line loop must decide: a chunk the pass refuses
+    (`_chunk_edges`), merged labels whose table would pass four times the
+    input, a label outside a ``# nodes:`` directive (`_canonical_index`), or
+    a pair seen with both signs (the loop then raises at the first bad line)."""
     parts, declared_n, size = [], None, 0
     for data in _chunks(text):
         part = _chunk_edges(data)
@@ -416,16 +428,14 @@ def _bulk_edges(text):
     for (labels, *_), at in zip(parts, rows):
         table[at:at + len(labels), :labels.shape[1]] = labels
     uniq, inv = _unique_rows(table)
-    names = [x.decode("utf-8") for x in table[uniq].view(f"S{cols}").ravel()]
-    del table
-
-    if declared_n is not None:
-        canonical = _canonical_labels(declared_n)
-        index = {name: i for i, name in enumerate(canonical)}
-        where = np.array([index.get(name, -1) for name in names], dtype=np.int64)
-        if (where < 0).any():
+    if declared_n is None:
+        names = [x.decode("utf-8") for x in table[uniq].view(f"S{cols}").ravel()]
+    else:
+        where = _canonical_index(table[uniq], declared_n)
+        if where is None:
             return None
-        inv, names = where[inv], list(canonical)
+        inv, names = where[inv], list(_canonical_labels(declared_n))
+    del table
 
     # one sort of the pair keys, the sign in the lowest bit, drops duplicate
     # rows; a pair left twice was seen with both signs.  Both label indexes
@@ -541,6 +551,25 @@ def _chunk_edges(data):
     dtype = np.min_scalar_type(len(uniq))  # the rows are kept until every chunk is read
     return (table[uniq], np.minimum(u, v).astype(dtype), np.maximum(u, v).astype(dtype), sign,
             declared_n)
+
+
+def _canonical_index(labels, n):
+    """The index among the canonical labels of n nodes of each row of a
+    NUL-padded uint8 label table, or None if a row is not one of them: a
+    canonical label is exactly len(str(n - 1)) ASCII digits, whose value,
+    below n, is its index."""
+    width = len(str(max(n - 1, 0)))  # as in _canonical_labels
+    if not len(labels):
+        return np.zeros(0, dtype=np.int64)
+    if width > labels.shape[1] or labels[:, width:].any():
+        return None
+    value = np.zeros(len(labels), dtype=np.int64)
+    for k in range(width):
+        digit = labels[:, k] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+        if (digit > 9).any():
+            return None
+        value = value * 10 + digit
+    return None if (value >= n).any() else value
 
 
 def _unique_rows(table):

@@ -207,6 +207,20 @@ def test_replicate_census_equals_the_resampled_network(storage):
             _assert_replicate_matches(adj, idx)
 
 
+@pytest.mark.parametrize("p_edge", [0.05, 0.5])
+def test_replicate_census_with_a_node_drawn_128_times(p_edge):
+    # the multiplicities weight every sparse product in int64: in the int8
+    # of the storage a count of 128 or more would wrap; the listing runs on
+    # the triangle-poor network, the encoded product on the other
+    rng = np.random.default_rng(12)
+    n = 200
+    adj = on_storage(random_signed_matrix(rng, n, p_edge=p_edge), "sparse")
+    assert not adj.is_dense and adj.entries.dtype == np.int8
+    idx = rng.integers(0, n, size=n)
+    idx[:130] = np.argmax(full_census(adj).node.triangles)  # a node on triangles, 130 times
+    _assert_replicate_matches(adj, idx)
+
+
 def test_replicate_census_in_small_row_blocks(monkeypatch):
     rng = np.random.default_rng(9)
     adj = on_storage(random_signed_matrix(rng, 40, p_edge=0.5), "sparse")

@@ -668,7 +668,8 @@ def test_third_product_peak_memory_is_bounded():
 def test_listed_census_peak_memory_is_bounded():
     # the same network holds about 3300 triangles: the listing writes its two
     # products on the edges of those triangles, with no array over every edge
-    # or stored entry past the ones that orient the edges
+    # or stored entry past the ones that orient the edges, and the traces
+    # read the signs at those edges, with no int64 copy of the storage
     adj = _sparse_network_of_270k_edges()
     tracemalloc.start()
     try:
@@ -677,7 +678,28 @@ def test_listed_census_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert 0 < bundle.census.total <= adj.edge_count()
-    assert peak <= 40 * 2**20
+    assert peak <= 16 * 2**20
+
+
+def test_sparse_storage_build_peak_memory_is_bounded():
+    # the same network's edges as the parser hands them over (int64 pairs
+    # in (lo, hi) order, int8 signs): the upper CSR matrix is built straight
+    # from the pairs and stored as U + U^T, with no COO matrix or int64 copy
+    adj = _sparse_network_of_270k_edges()
+    upper = sp.triu(adj.entries, k=1, format="csr")
+    lo = np.repeat(np.arange(adj.n, dtype=np.int64), np.diff(upper.indptr))
+    hi, sign = upper.indices.astype(np.int64), upper.data.astype(np.int8)
+    names = [str(i) for i in range(adj.n)]
+    del upper
+    tracemalloc.start()
+    try:
+        got = SignedAdjacency._from_edges(names, lo, hi, sign)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not got.is_dense and got.edge_count() == adj.edge_count()
+    assert (got.entries != adj.entries).nnz == 0
+    assert peak <= 9 * 2**20
 
 
 # --------------------------------------------------------------- laziness

@@ -260,6 +260,19 @@ def test_eq_rejects_other_types():
     assert adj == parse_edge_list(triangle_text())
 
 
+@pytest.mark.parametrize("threshold", [None, 0])
+def test_unlabeled_network_equals_itself_read_back(threshold):
+    # no labels reads as the canonical labels, which the written text carries
+    with dense_up_to(threshold):
+        adj = sample_network(builtin_spec("const-cos"), 12, seed=1)
+        back = parse_edge_list(adj.to_edge_list_text())
+        named = SignedAdjacency(adj.to_dense(), labels=[f"n{i:02d}" for i in range(12)])
+    assert adj.labels is None and back.labels is not None
+    assert adj.is_dense == back.is_dense == (threshold is None)
+    assert adj == back and back == adj
+    assert adj != named and named != adj
+
+
 # ----------------------------------------------------- bulk pass and line loop
 
 
@@ -303,6 +316,14 @@ PARSE_TABLE = [
     ("empty", "", "bulk"),
     ("comments-only", "# one\n\n  # two\n", "bulk"),
     ("directive-only", "# nodes: 3\n", "bulk"),
+    # labels against the canonical ids of a ``# nodes:`` directive
+    ("directive-canonical-labels", "# nodes: 12\n11 03 -1\n00 10 1\n", "bulk"),
+    ("directive-label-too-narrow", "# nodes: 20000\n5 00007 1\n", "loop"),
+    ("directive-label-too-wide", "# nodes: 12\n012 03 1\n", "loop"),
+    ("directive-label-equal-to-count", "# nodes: 12\n12 03 1\n", "loop"),
+    ("directive-label-not-digits", "# nodes: 12\n0a 03 1\n", "loop"),
+    ("directive-label-below-zero", "# nodes: 12\n0/ 03 1\n", "loop"),
+    ("directive-zero-with-a-label", "# nodes: 0\n0 1 1\n", "loop"),
 ] + [
     (f"separator-{ord(ch):04x}", f"a b 1\nb{ch}c -1\nc d{ch}1{ch}", "loop")
     for ch in "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
@@ -463,7 +484,27 @@ def test_parse_peak_memory_is_bounded(tmp_path):
 STORAGE_TEXTS = {
     "directive-isolated-nodes": "# nodes: 8\n3 1 +1\n1 3 1\n0 5 -1\n5 0 -1\n2 3 -1\n1 2 +1\n",
     "string-labels": "bob alice +1\nalice bob 1\ncarol alice -1\nzed bob -1\nalice carol -1\n",
+    # m = 0 under a node count past the threshold of 0
+    "no-edges": "# nodes: 6\n",
+    # isolated nodes, one edge, on the last node
+    "one-edge-on-the-last-node": "# nodes: 12\n11 03 -1\n",
+    # the line loop sees these pairs first in neither lo nor hi order
+    "pairs-out-of-order": "d e 1\nc e -1\nb c 1\na e -1\nd a 1\nb a -1\ne c -1\n",
 }
+
+
+def _assert_read_only_int8(adj):
+    arrays = (adj.entries,) if adj.is_dense else (
+        adj.entries.data, adj.entries.indices, adj.entries.indptr)
+    assert adj.entries.dtype == np.int8
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
+def _assert_sorted_rows(x):
+    # each row's columns rise strictly: sorted, and no pair stored twice
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    assert (np.diff(x.indices)[np.diff(rows) == 0] > 0).all()
+    assert x.has_sorted_indices and x.has_canonical_format
 
 
 @pytest.mark.parametrize("text", STORAGE_TEXTS.values(), ids=STORAGE_TEXTS)
@@ -479,18 +520,61 @@ def test_parsed_storage_equals_the_coo_build(text, route, threshold, monkeypatch
         assert edges is not None
         names, lo, hi, sign = edges
         n = len(names)
+        # each pair once, lo < hi, in (lo, hi) order: what _from_edges takes
+        assert (lo < hi).all() and sign.dtype == np.int8
+        assert (np.lexsort((hi, lo)) == np.arange(len(lo))).all()
+        assert len(set(zip(lo.tolist(), hi.tolist()))) == len(lo)
         coo = sp.coo_matrix((np.concatenate([sign, sign]),
                              (np.concatenate([lo, hi]), np.concatenate([hi, lo]))), shape=(n, n))
         with dense_up_to(threshold):
             want = SignedAdjacency(coo, labels=names)
             got = parse_edge_list(text)
         assert got == want and got.labels == want.labels and got.is_dense == want.is_dense, size
+        assert got.is_dense == (threshold is None)
+        _assert_read_only_int8(got)
         if got.is_dense:
-            assert got.entries.dtype == np.int8
             np.testing.assert_array_equal(got.entries, want.entries)
         else:
+            _assert_sorted_rows(got.entries)
             for part in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(got.entries, part), getattr(want.entries, part))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+def test_sparse_storage_copies_a_callers_matrix(dtype):
+    # even a sorted int8 CSR matrix, the storage's own layout, is copied:
+    # the caller's arrays are neither shared, written nor made read-only
+    mat = sample_network(builtin_spec("const-cos"), 30, seed=5).to_dense()
+    x = sp.csr_matrix(mat.astype(dtype))
+    assert x.has_sorted_indices
+    before = [arr.copy() for arr in (x.data, x.indices, x.indptr)]
+    with dense_up_to(0):
+        adj = SignedAdjacency(x)
+    assert not adj.is_dense and adj.entries is not x
+    _assert_read_only_int8(adj)
+    _assert_sorted_rows(adj.entries)
+    for arr, was in zip((x.data, x.indices, x.indptr), before):
+        np.testing.assert_array_equal(arr, was)
+        assert arr.flags.writeable
+        assert not any(np.shares_memory(arr, mine) for mine in (
+            adj.entries.data, adj.entries.indices, adj.entries.indptr))
+    np.testing.assert_array_equal(adj.to_dense(), mat)
+
+
+def test_sparse_resample_keeps_its_rows_sorted():
+    # a draw with repeats, out of order: the submatrix's columns come in
+    # draw order, and the resampled storage sorts them on its own arrays
+    mat = sample_network(builtin_spec("const-cos"), 40, seed=6).to_dense()
+    with dense_up_to(0):
+        adj = SignedAdjacency(mat)
+        idx = np.random.default_rng(7).integers(0, 40, size=40)
+        got = resample_network(adj, indices=idx)
+    assert not got.is_dense
+    _assert_read_only_int8(got)
+    _assert_sorted_rows(got.entries)
+    np.testing.assert_array_equal(got.to_dense(), SignedAdjacency(mat[np.ix_(idx, idx)] * (
+        idx[:, None] != idx[None, :])).to_dense())
+    np.testing.assert_array_equal(adj.to_dense(), mat)
 
 
 SPARSE_FORMATS = [f"{fmt}_{kind}" for fmt in ("coo", "csc", "csr", "lil", "dok")

@@ -1,7 +1,9 @@
-"""Dense runs load no scipy module; sparse storage loads scipy.sparse alone.
+"""Dense runs load no scipy module; sparse storage loads scipy.sparse alone;
+the start path loads nothing beyond the standard library, numpy and the
+package.
 
 Each case runs in a fresh interpreter with src/ on PYTHONPATH and reports
-the scipy modules it left in sys.modules.
+the modules it left in sys.modules.
 """
 
 import json
@@ -18,14 +20,19 @@ from signed_balance.graphon import builtin_spec, sample_network
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _scipy_modules(code):
-    """The scipy modules loaded after `code` runs in a fresh interpreter."""
+def _modules(code):
+    """The modules loaded after `code` runs in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    script = code + "\nimport sys, json\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    script = code + "\nimport sys, json\nprint(json.dumps(sorted(sys.modules)))\n"
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _scipy_modules(code):
+    """The scipy modules loaded after `code` runs in a fresh interpreter."""
+    return [m for m in _modules(code) if m.startswith("scipy")]
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +79,19 @@ def test_sparse_run_loads_scipy_sparse_only(files):
     loaded = _scipy_modules(code)
     assert "scipy.sparse" in loaded
     assert not [m for m in loaded if m.startswith("scipy.special")]
+
+
+START_CASES = {
+    "version": lambda d: _cli("version"),
+    "ci-dense": DENSE_CASES["ci-edgeworth"],
+}
+
+
+@pytest.mark.parametrize("case", START_CASES)
+def test_start_path_loads_stdlib_numpy_and_the_package_only(case, files):
+    # every module loaded beyond a bare interpreter's (which, like the case,
+    # then imports sys and json) is standard library, numpy or signed_balance
+    extra = set(_modules(START_CASES[case](files))) - set(_modules(""))
+    allowed = {*sys.stdlib_module_names, "numpy", "signed_balance"}
+    assert "signed_balance.cli" in extra
+    assert sorted(m for m in extra if m.split(".")[0] not in allowed) == []
