@@ -65,16 +65,13 @@ counts.  An integer product widens to int64 where it runs, as int8 would
 wrap: B in the encoded product, A in M o (M A), and the bootstrap weights
 w.  The listing writes its two products on the distinct edges of the
 listed triangles alone, at most 3T of them, placed through L's indptr and
-indices, so past L they cost O(T) and no array over every edge.  Each row
-is written falling (`_on_support`), as scipy's elementwise multiply writes
-a masked product whose rows are not sorted already, and the third
-product's sum is written in that order too.  The row order fixes the order
-of each float sum over a pair matrix (`PairProjection.quadratic`), so the
-listing's reports equal the encoded product's byte for byte and the T <= m
-split moves no output byte; in A's rising order, most listed networks with
-more than a few triangles report other last bits.  Every reduction runs in
-int64 or float64; the type counts and node arrays are checked to be exact
-multiples of their divisors (CensusExactnessError otherwise).
+indices, so past L they cost O(T) and no array over every edge.  Each float
+sum over a sparse pair matrix runs row by row in rising column order
+(`_quad`), whatever order the product that formed it stored, so the
+listing's reports equal the encoded product's byte for byte.  Every
+reduction runs in int64 or float64; the type counts and node arrays are
+checked to be exact multiples of their divisors (CensusExactnessError
+otherwise).
 
 A bootstrap replicate is counted with multiplicities instead
 (`_resampled_bundle`).  A node draw idx fixes the resampled network
@@ -174,8 +171,15 @@ def _type_counts(traces):
 
 
 def _quad(s, x):
-    """x' S x in float64, summed in a fixed order (no BLAS threads involved)."""
-    sx = np.einsum("ij,j->i", s, x) if isinstance(s, np.ndarray) else s @ x
+    """x' S x in float64, summed in a fixed order (no BLAS threads involved).
+    A sparse S is summed row by row in rising column order: read as it is
+    when its rows are sorted, else off a sorted copy, so the sum does not
+    depend on the order the product that formed S stored it in, and S is
+    not written."""
+    if isinstance(s, np.ndarray):
+        sx = np.einsum("ij,j->i", s, x)
+    else:
+        sx = (s if s.has_sorted_indices else s.sorted_indices()) @ x
     return float(np.einsum("i,i->", x, sx))
 
 
@@ -272,7 +276,7 @@ class _Triangles:
 
     def squares(self, w=None):
         """M o (M W M) and A o (A W A), written on the edges of the listed
-        triangles alone, each row in falling column order (`_on_support`).
+        triangles alone, with the zeros of A o (A W A) dropped.
 
         The middle nodes v of a closed pair (u, x) are the common entries of
         row u of L and row x of L^T; both rows are sorted, so the two masks
@@ -306,23 +310,10 @@ class _Triangles:
 
         def on_edges(values):
             s = sp.csr_array((np.tile(values, 2), place), shape=l.shape)
-            s.sort_indices()
-            return _on_support(s, s.data)
+            s.eliminate_zeros()
+            return s
 
         return on_edges(mm), on_edges(aa)
-
-
-def _on_support(a, values):
-    """The CSR matrix with `values` (one per stored entry of A) at A's
-    places, each row in reverse stored order with the zeros dropped."""
-    import scipy.sparse as sp
-
-    order = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, np.diff(a.indptr))
-    order -= np.arange(a.nnz)
-    values = values[order]
-    kept = values != 0
-    indptr = np.concatenate(([0], np.cumsum(kept)))[a.indptr]
-    return sp.csr_array((values[kept], a.indices[order][kept], indptr), shape=a.shape)
 
 
 def _scale_rows(w, y):
@@ -406,9 +397,7 @@ class PairProjection(_Targeted):
 
     def total(self, x):
         """The sum of x over the network's pairs, in int64."""
-        if self.draw is None:
-            return x.sum(dtype=np.int64)
-        return self.draw.rows(x).sum()
+        return self.rows(x).sum()
 
     def signed_total(self, x):
         """The sum of x o A over the network's pairs, in int64, for x on A's
@@ -418,23 +407,19 @@ class PairProjection(_Targeted):
             return self.total(x * self.a)
         if not x.nnz:  # scipy answers a lookup of no places with a sparse array
             return 0
+        import scipy.sparse as sp
+
         rows = np.repeat(np.arange(x.shape[0], dtype=x.indices.dtype), np.diff(x.indptr))
-        signed = x.copy()  # a total may sort its operand's rows in place
-        signed.data *= self.a[rows, x.indices]
-        return self.total(signed)
+        signed = x.data * self.a[rows, x.indices]
+        return self.total(sp.csr_array((signed, x.indices, x.indptr), shape=x.shape))
 
     @cached_property
     def _diff(self):
-        """2 (P^2 - N^2) on the support: M o (M A) plus its transpose M o (A M),
-        each sparse row falling as in M o (M A + A M) formed whole.  The
-        sparse product runs in int64: int8 storage would wrap."""
+        """2 (P^2 - N^2) on the support: M o (M A) plus its transpose M o (A M).
+        The sparse product runs in int64: int8 storage would wrap."""
         a = self.a if isinstance(self.a, np.ndarray) else self.a.astype(np.int64)
         d = _masked(self.m, self.m, a, self._w)
-        d = d + d.T
-        if not isinstance(d, np.ndarray):
-            d.sort_indices()
-            d = _on_support(d, d.data)
-        return d
+        return d + d.T
 
     def _paths(self, k):
         """Third nodes joined to both ends by two edges, k of them negative."""

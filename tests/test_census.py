@@ -233,7 +233,7 @@ def test_two_faction_complete_graph_closed_form(path):
 
 
 def _assert_same_arrays(got, want):
-    """The same CSR arrays, so float sums over them agree."""
+    """The same CSR arrays: the row blocks change nothing the product stores."""
     for part in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
 
@@ -257,9 +257,9 @@ def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
             ma = pairs.m @ (pairs.a if w is None else census_module._scale_rows(w, pairs.a))
             whole = census_module.PairProjection(pairs.a, pairs.draw)
             whole._diff = pairs.m * (ma + ma.T)
-            _assert_same_arrays(pairs._diff, whole._diff)
+            _assert_same_matrix(pairs._diff, whole._diff)
             for k in range(4):
-                _assert_same_arrays(pairs.type_pairs(k), whole.type_pairs(k))
+                _assert_same_matrix(pairs.type_pairs(k), whole.type_pairs(k))
 
 
 def test_encoded_product_refuses_degrees_past_its_digit_width(monkeypatch):
@@ -317,7 +317,6 @@ def _assert_listing_matches_encoded(a, w=None):
     got, want = triangles.squares(w), census_module._encoded_squares(a, w)
     for g, e in zip(got, want):
         _assert_same_matrix(g, e)
-        assert (_row_steps(g) < 0).all()  # the listing writes each row falling
     return triangles
 
 
@@ -396,12 +395,13 @@ def test_listing_matches_the_encoded_product_on_small_networks(name):
     _assert_listing_matches_encoded(a, np.arange(1, n + 1, dtype=np.int64))
 
 
-# Node 3 closes the triangle (1, 2, 3) and holds the pendant node 0.  Its row
-# of B B is reached as 3, 2, 1 and so stored rising: scipy merges a block that
-# holds row 3 and no falling row in rising order, where the listing writes
-# every row falling.  In the second network node 4 takes that place and node
-# 1 holds the pendant node 3, so row 4 is reached as 4, 2, 3, 1: its first
-# node is its largest, yet the row falls.  The values agree in either order.
+# Networks whose rows of the encoded product come out in different orders
+# from one row block size to the next.  Node 3 closes the triangle (1, 2, 3)
+# and holds the pendant node 0: its row of B B is reached as 3, 2, 1, and a
+# block that holds row 3 and no falling row is stored rising.  In the second
+# network node 4 takes that place and node 1 holds the pendant node 3, so row
+# 4 is reached as 4, 2, 3, 1 and stored falling.  The listing's values must
+# equal the product's at every block size, whatever order its rows take.
 ROW_ORDER_NETWORKS = {
     "rising": [(3, 0, 1), (3, 1, 1), (3, 2, -1), (1, 2, 1)],
     "first-largest-falling": [(4, 0, 1), (4, 1, 1), (4, 2, -1), (1, 2, 1), (1, 3, 1)],
@@ -475,12 +475,11 @@ LISTED_DRAWS = [(0.05, 300, 1), (0.04, 400, 0)]
 
 @pytest.mark.parametrize("rho, n, seed", LISTED_DRAWS)
 def test_listed_reports_equal_the_encoded_product_reports(monkeypatch, rho, n, seed):
-    # the listing writes each row falling, the order scipy's elementwise
-    # multiply gives the encoded product; float sums over the pair matrices
-    # then run in one order, so the T <= m split moves no report byte
+    # float sums over the pair matrices run in `_quad`'s one order whichever
+    # kernel formed them, so the T <= m split moves no report byte
     def reports():
         out = {}
-        for target in ("balanced", "type2"):
+        for target in census_module.TARGETS:
             with dense_up_to(10):
                 adj = sample_network(builtin_spec("const-cos", {"rho": rho}), n, seed=seed)
             out[target] = json.dumps(confidence_interval(adj, target=target).to_dict())
@@ -492,6 +491,53 @@ def test_listed_reports_equal_the_encoded_product_reports(monkeypatch, rho, n, s
     listed = reports()
     monkeypatch.setattr(census_module, "_sparse_squares", census_module._encoded_squares)
     assert reports() == listed
+
+
+def _csr_parts(x):
+    return [getattr(x, part).copy() for part in ("indptr", "indices", "data")]
+
+
+def test_sparse_quadratic_form_sums_in_one_row_order(monkeypatch):
+    # x' S x of every pair matrix, listed and from the encoded product, is
+    # the same bits as that of S with each row's entries shuffled, and
+    # neither S nor the shuffled copy is written
+    rng = np.random.default_rng(9)
+    a = census_module._storage(on_storage(_sparse_signed(rng, 500, 0.03), "sparse"))
+    listed = census_module.PairProjection(a)
+    monkeypatch.setattr(census_module, "_sparse_squares", census_module._encoded_squares)
+    encoded = census_module.PairProjection(a)
+    x = rng.standard_normal(a.shape[0])
+    quads = []
+    for pairs in (listed, encoded):
+        for s in (pairs.mm, pairs.aa, *(pairs.type_pairs(k) for k in range(4))):
+            shuffled = _shuffle_rows(s, rng)
+            assert not shuffled.has_sorted_indices
+            before = _csr_parts(s) + _csr_parts(shuffled)
+            quads.append(census_module._quad(s, x))
+            assert census_module._quad(shuffled, x) == quads[-1]
+            for got, want in zip(_csr_parts(s) + _csr_parts(shuffled), before):
+                np.testing.assert_array_equal(got, want)
+    assert quads[:6] == quads[6:]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_pair_totals_leave_an_unsorted_operand_as_it_was(weighted):
+    rng = np.random.default_rng(10)
+    mat = random_signed_matrix(rng, 30, p_edge=0.3)
+    a = census_module._storage(on_storage(sp.csr_matrix(mat), "sparse"))
+    draw, counts = None, np.ones(30, dtype=np.int64)
+    if weighted:
+        draw = census_module._Draw(rng.integers(0, 30, size=30))
+        s = draw.nodes
+        a, mat, counts = a[s][:, s], mat[np.ix_(s, s)], draw.counts
+    pairs = census_module.PairProjection(a, draw)
+    x = sp.csr_array(_shuffle_rows(pairs.mm, rng))
+    assert not x.has_sorted_indices
+    parts, dense = _csr_parts(x), x.toarray()
+    assert pairs.total(x) == counts @ dense @ counts
+    assert pairs.signed_total(x) == counts @ (dense * mat) @ counts
+    for got, want in zip(_csr_parts(x), parts):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -48,7 +48,8 @@ POOR_CASES = (
 )
 
 # a const-cos rho = 0.05 draw with 497 triangles on 2169 edges, also listed:
-# its bytes move if the listing's rows do not fall (see census.py)
+# its pair rows hold enough entries that its bytes move with the order its
+# float sums run in (see census._quad)
 RICH_CASE = ("ci", "edgeworth", "balanced", 0.0)
 
 # both targets have nonzero variance on every truth replicate
@@ -173,17 +174,31 @@ def test_population_truth_bytes_are_pinned(spec, budget):
     assert _digest(_truth(spec, budget)) == _golden()[f"truth {spec} {budget}"]
 
 
+def _pinned():
+    """Each key the tests above read, with a call that makes the object
+    its digest is taken of."""
+    pinned = {}
+    for s in STORAGE:
+        for c in CASES:
+            pinned[_key(s, c)] = lambda s=s, c=c: _report(_network(s), c).to_dict()
+    for c in POOR_CASES:
+        pinned[_key("poor-sparse", c)] = lambda c=c: _report(_network("poor-sparse"), c).to_dict()
+    pinned[_key("rich-sparse", RICH_CASE)] = (
+        lambda: _report(_network("rich-sparse"), RICH_CASE).to_dict())
+    pinned["cdf study"] = lambda: run_cdf_study(CDF_CONFIG).distances_dict()
+    for s, t in DRAW_CASES:
+        pinned[_key("draws " + s, (t,))] = lambda s=s, t=t: _draws(s, t)[1]
+    for spec, budget in TRUTH_CASES:
+        pinned[f"truth {spec} {budget}"] = lambda spec=spec, budget=budget: _truth(spec, budget)
+    return pinned
+
+
+def test_golden_file_holds_exactly_the_keys_the_tests_read():
+    assert sorted(_golden()) == sorted(_pinned())
+
+
 if __name__ == "__main__":
-    digests = {_key(s, c): _digest(_report(_network(s), c).to_dict())
-               for s in STORAGE for c in CASES}
-    digests.update({_key("poor-sparse", c): _digest(_report(_network("poor-sparse"), c).to_dict())
-                    for c in POOR_CASES})
-    digests[_key("rich-sparse", RICH_CASE)] = _digest(_report(_network("rich-sparse"),
-                                                              RICH_CASE).to_dict())
-    digests["cdf study"] = _digest(run_cdf_study(CDF_CONFIG).distances_dict())
-    digests.update({_key("draws " + s, (t,)): _digest(_draws(s, t)[1]) for s, t in DRAW_CASES})
-    digests.update({f"truth {spec} {budget}": _digest(_truth(spec, budget))
-                    for spec, budget in TRUTH_CASES})
+    digests = {key: _digest(make()) for key, make in _pinned().items()}
     print(json.dumps({
         "description": "SHA-256 of json.dumps of each report (see test_reports_golden.py)",
         "digests": digests,
