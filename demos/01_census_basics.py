@@ -33,8 +33,8 @@ print(f"balanced share: {census.balanced}/{census.total}")
 
 # Per-node counts: how many triangles (and balanced ones) touch each node.
 print("\nnode  triangles  balanced")
-for label, t, b in zip(adj.labels, bundle.node.triangles, bundle.node.balanced):
-    print(f"  {label}        {t}         {b}")
+for i, (t, b) in enumerate(zip(bundle.node.triangles, bundle.node.balanced)):
+    print(f"  {adj.label_of(i)}        {t}         {b}")
 
 # Sanity: each triangle is counted at 3 nodes and 3 pairs.
 assert bundle.node.triangles.sum() == 3 * census.total

@@ -329,7 +329,7 @@ def _scale_rows(w, y):
 def _masked(mask, x, y, w=None):
     """mask o (x W y), W = diag(w) (the identity when w is None): one product
     when dense, and when sparse one block of _BLOCK_ROWS rows at a time
-    (`_blocks`).
+    (`_blocks`), the stacked blocks stored with sorted rows.
 
     A dense square x x of the symmetric storage is formed as x x^T, which
     numpy hands to BLAS syrk (half the flops of a GEMM); its integer sums
@@ -340,7 +340,9 @@ def _masked(mask, x, y, w=None):
         return mask * (x @ (x.T if x is y else y))
     import scipy.sparse as sp
 
-    return sp.vstack(list(_blocks(mask, x, y)), format="csr")
+    product = sp.vstack(list(_blocks(mask, x, y)), format="csr")
+    product.sort_indices()  # once, so `_quad` reads it and the matrices formed from it uncopied
+    return product
 
 
 def _blocks(mask, x, y):

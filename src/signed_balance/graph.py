@@ -26,11 +26,16 @@ Identical duplicate rows are tolerated; the same pair with two different
 signs is a hard error.
 
 The optional ``# nodes: N`` directive declares the node count explicitly,
-with canonical zero-padded decimal ids ``0 .. N-1``.  The sampler's writer
-emits it so that isolated nodes survive a write/read round trip; files
-without the directive simply define the node set as the ids that appear.
-A count of more than 18 digits, past what an int64 node count holds, is an
-EdgeListParseError.
+with canonical zero-padded decimal ids ``0 .. N-1``: each exactly
+len(str(N - 1)) ASCII digits, whose value is the node's index.  A network
+read with it has ``labels`` None, as a sampled one does, so no parse builds
+a table of N labels; `SignedAdjacency.label_of` formats one id on demand.
+The last directive in the file rules, and the first edge line, in file
+order, with a label that is not one of its ids is an EdgeListParseError on
+that line.  The writer emits the directive so that isolated nodes survive a
+write/read round trip; files without it simply define the node set as the
+ids that appear.  A count of more than 18 digits, past what an int64 node
+count holds, is an EdgeListParseError.
 
 Parsing is one bulk pass over line-aligned chunks of the UTF-8 bytes, each
 at least 1 MiB (`_CHUNK_BYTES`) and ending after a line feed; bytes are
@@ -100,7 +105,8 @@ class SignedAdjacency:
     Parameters
     ----------
     entries : array-like or scipy sparse, n x n over {-1, 0, +1}
-    labels : optional sequence of node-id strings, length n
+    labels : optional sequence of node-id strings, length n, kept as given;
+        None stands for the canonical zero-padded ids ``0 .. n-1``
     """
 
     __slots__ = ("n", "labels", "_mat", "_bundle", "_edges", "_negatives")
@@ -143,14 +149,14 @@ class SignedAdjacency:
         object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def _from_edges(cls, names, lo, hi, sign):
-        """The adjacency of checked edges on nodes labelled `names`: each
-        pair once, lo < hi, sorted by (lo, hi), with its int8 sign.  Up to
+    def _from_edges(cls, n, names, lo, hi, sign):
+        """The adjacency of checked edges on n nodes labelled `names`, or
+        with the canonical ids where `names` is None: each pair once,
+        lo < hi, sorted by (lo, hi), with its int8 sign.  Up to
         DENSE_THRESHOLD nodes an int8 matrix filled in place; above it the
         upper triangle U in CSR straight from the pairs (row lo holds the
         run of pairs with that lo, so its columns hi rise), stored as the
         sorted int8 CSR matrix U + U^T."""
-        n = len(names)
         if n <= DENSE_THRESHOLD:
             mat = np.zeros((n, n), dtype=np.int8)
             mat[lo, hi] = sign
@@ -197,15 +203,18 @@ class SignedAdjacency:
         return self._negatives
 
     def label_of(self, i):
+        """Node i's label: its zero-padded canonical id when labels is None."""
         if self.labels is not None:
             return self.labels[i]
-        return _canonical_labels(self.n)[i]
+        return str(range(self.n)[i]).zfill(_id_width(self.n))
 
     def __eq__(self, other):
         if not isinstance(other, SignedAdjacency):
             return NotImplemented
-        if self.n != other.n or (self.labels or _canonical_labels(self.n)) != (
-                other.labels or _canonical_labels(other.n)):
+        mine, theirs = self.labels, other.labels
+        if (mine is None) != (theirs is None):  # None reads as the canonical ids
+            mine, theirs = mine or _canonical_labels(self.n), theirs or _canonical_labels(other.n)
+        if self.n != other.n or mine != theirs:
             return False
         a, b = self._mat, other._mat
         if self.is_dense and other.is_dense:
@@ -269,9 +278,26 @@ def _is_scipy_sparse(x):
     return sparse is not None and sparse.issparse(x)
 
 
+def _id_width(n):
+    """The digits of each canonical id of n nodes."""
+    return len(str(max(n - 1, 0)))
+
+
 def _canonical_labels(n):
-    width = len(str(max(n - 1, 0)))
+    width = _id_width(n)
     return tuple(str(i).zfill(width) for i in range(n))
+
+
+def _id_error(label, n):
+    """Why `label` is not a canonical id of n nodes, or None if it is one.
+    A value of more digits than an id is out of range unconverted."""
+    width, value = _id_width(n), label.lstrip("0") or "0"
+    if not (label.isascii() and label.isdigit()) or len(value) > width or int(value) >= n:
+        return f"node id {label!r} outside declared 0..{n - 1}"
+    if len(label) != width:
+        return (f"{label!r} has {len(label)} digit{'s' * (len(label) != 1)}; "
+                f"the ids of {n} nodes have {width}")
+    return None
 
 
 def _upper_nonzero(mat):
@@ -350,10 +376,10 @@ def _directive_tail(line):
 
 
 def _line_edges(text):
-    """The line loop: (names, lo, hi, sign) as `SignedAdjacency._from_edges`
+    """The line loop: (n, names, lo, hi, sign) as `SignedAdjacency._from_edges`
     takes them, raising at the first bad line."""
     declared_n = None
-    edges = {}
+    edges, first_lines = {}, []  # each pair's sign, and the line it was first seen on
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -378,31 +404,33 @@ def _line_edges(text):
             raise SelfLoopError(line_no, f"self loop on node {u!r}")
         sign = _SIGN_TOKENS[s]
         key = (u, v) if u < v else (v, u)
-        if key in edges and edges[key] != sign:
+        if key not in edges:
+            edges[key] = sign
+            first_lines.append(line_no)
+        elif edges[key] != sign:
             raise ConflictingSignError(
                 line_no, f"pair {key} seen with both signs"
             )
-        edges[key] = sign
 
     if declared_n is None:
         names = sorted({u for u, _ in edges} | {v for _, v in edges})
+        n, index = len(names), {name: i for i, name in enumerate(names)}.__getitem__
     else:
-        names = list(_canonical_labels(declared_n))
-        known = set(names)
-        for u, v in edges:
-            if u not in known or v not in known:
-                raise EdgeListParseError(
-                    0, f"node id {u if u not in known else v!r} outside declared 0..{declared_n - 1}"
-                )
-    index = {name: i for i, name in enumerate(names)}
-    lo = np.array([index[u] for u, _ in edges], dtype=np.int64)
-    hi = np.array([index[v] for _, v in edges], dtype=np.int64)
+        # the last directive rules: each label is checked once every line is read
+        n, names, index = declared_n, None, int
+        for key, line_no in zip(edges, first_lines):
+            for label in key:
+                error = _id_error(label, n)
+                if error is not None:
+                    raise EdgeListParseError(line_no, error)
+    lo = np.array([index(u) for u, _ in edges], dtype=np.int64)
+    hi = np.array([index(v) for _, v in edges], dtype=np.int64)
     order = np.lexsort((hi, lo))  # the pairs as first seen, put in (lo, hi) order
-    return names, lo[order], hi[order], np.array(list(edges.values()), dtype=np.int8)[order]
+    return n, names, lo[order], hi[order], np.array(list(edges.values()), dtype=np.int8)[order]
 
 
 def _bulk_edges(text):
-    """(names, lo, hi, sign) as `SignedAdjacency._from_edges` takes them,
+    """(n, names, lo, hi, sign) as `SignedAdjacency._from_edges` takes them,
     from the bulk pass over the line-aligned chunks of a str or UTF-8 bytes,
     or None where the line loop must decide: a chunk the pass refuses
     (`_chunk_edges`), merged labels whose table would pass four times the
@@ -430,17 +458,17 @@ def _bulk_edges(text):
     uniq, inv = _unique_rows(table)
     if declared_n is None:
         names = [x.decode("utf-8") for x in table[uniq].view(f"S{cols}").ravel()]
+        n = len(names)
     else:
         where = _canonical_index(table[uniq], declared_n)
         if where is None:
             return None
-        inv, names = where[inv], list(_canonical_labels(declared_n))
+        inv, n, names = where[inv], declared_n, None
     del table
 
     # one sort of the pair keys, the sign in the lowest bit, drops duplicate
     # rows; a pair left twice was seen with both signs.  Both label indexes
-    # rise with the labels' byte order, so a chunk's lo < hi holds on names.
-    n = len(names)
+    # rise with the labels' byte order, so a chunk's lo < hi holds once merged.
     code = np.empty(sum(len(lo) for _, lo, _, _ in parts), dtype=np.int64)
     end = 0
     for (_, lo, hi, sign), at, to in zip(parts, rows[:-1], rows[1:]):
@@ -457,7 +485,7 @@ def _bulk_edges(text):
     if (code[1:] == code[:-1]).any():
         return None
     lo, hi = np.divmod(code, n)
-    return names, lo, hi, sign
+    return n, names, lo, hi, sign
 
 
 def _chunks(text):
@@ -558,7 +586,7 @@ def _canonical_index(labels, n):
     NUL-padded uint8 label table, or None if a row is not one of them: a
     canonical label is exactly len(str(n - 1)) ASCII digits, whose value,
     below n, is its index."""
-    width = len(str(max(n - 1, 0)))  # as in _canonical_labels
+    width = _id_width(n)
     if not len(labels):
         return np.zeros(0, dtype=np.int64)
     if width > labels.shape[1] or labels[:, width:].any():

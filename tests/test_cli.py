@@ -552,6 +552,16 @@ def test_exit_data_on_overlong_node_count(tmp_path, command, capsys):
     assert err.startswith("error: line 2:") and "5000 digits" in err and out == ""
 
 
+def test_census_of_a_huge_declared_node_set(tmp_path, capsys):
+    # 2M nodes and one edge: the canonical ids are never listed
+    path = tmp_path / "huge.edges"
+    path.write_text("# nodes: 2000000\n0000003 1999999 -1\n")
+    code, out, _ = run_cli(["census", "--in", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"n": 2000000, "total": 0, "c1": 0, "c2": 0, "c3": 0, "c4": 0,
+                               "balanced": 0}
+
+
 def test_exit_data_on_conflicting_edge(tmp_path, capsys):
     bad = tmp_path / "bad.edges"
     bad.write_text("a b +1\nb a -1\n")

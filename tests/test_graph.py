@@ -263,13 +263,16 @@ def test_eq_rejects_other_types():
 @pytest.mark.parametrize("threshold", [None, 0])
 def test_unlabeled_network_equals_itself_read_back(threshold):
     # no labels reads as the canonical labels, which the written text carries
+    # and a read under its ``# nodes:`` directive keeps as no labels
     with dense_up_to(threshold):
         adj = sample_network(builtin_spec("const-cos"), 12, seed=1)
         back = parse_edge_list(adj.to_edge_list_text())
         named = SignedAdjacency(adj.to_dense(), labels=[f"n{i:02d}" for i in range(12)])
-    assert adj.labels is None and back.labels is not None
+        spelled = SignedAdjacency(adj.to_dense(), labels=[f"{i:02d}" for i in range(12)])
+    assert adj.labels is None and back.labels is None
     assert adj.is_dense == back.is_dense == (threshold is None)
     assert adj == back and back == adj
+    assert back == spelled and spelled == back
     assert adj != named and named != adj
 
 
@@ -324,6 +327,10 @@ PARSE_TABLE = [
     ("directive-label-not-digits", "# nodes: 12\n0a 03 1\n", "loop"),
     ("directive-label-below-zero", "# nodes: 12\n0/ 03 1\n", "loop"),
     ("directive-zero-with-a-label", "# nodes: 0\n0 1 1\n", "loop"),
+    ("directive-label-in-range-too-narrow", "# nodes: 12\n0 1 1\n", "loop"),
+    ("directive-label-in-range-too-wide", "# nodes: 12\n003 04 1\n", "loop"),
+    ("directive-after-a-bad-label", "0 1 +1\n# nodes: 12\n03 04 1\n", "loop"),
+    ("directive-bad-label-after-a-duplicate", "# nodes: 12\n05 06 1\n7 08 -1\n06 05 1\n", "loop"),
 ] + [
     (f"separator-{ord(ch):04x}", f"a b 1\nb{ch}c -1\nc d{ch}1{ch}", "loop")
     for ch in "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
@@ -332,6 +339,32 @@ PARSE_TABLE = [
     ("lone-surrogate", "a\udc80 b 1\n", "loop"),
     ("one-long-label", "a b 1\n" * 200 + "x" * 10_000 + " b 1\n", "loop"),
 ]
+
+
+# (error class, message, line number) of the cases whose labels are not the
+# ids of the last ``# nodes:`` directive: the first such edge line in file
+# order, its width named when the label's value is in range
+LABEL_ERRORS = {
+    "directive-replaced": (EdgeListParseError, "line 2: node id '03' outside declared 0..2", 2),
+    "directive-label-too-narrow": (
+        EdgeListParseError, "line 2: '5' has 1 digit; the ids of 20000 nodes have 5", 2),
+    "directive-label-too-wide": (EdgeListParseError, "line 2: node id '012' outside declared 0..11", 2),
+    "directive-label-equal-to-count": (
+        EdgeListParseError, "line 2: node id '12' outside declared 0..11", 2),
+    "directive-label-not-digits": (EdgeListParseError, "line 2: node id '0a' outside declared 0..11", 2),
+    "directive-label-below-zero": (EdgeListParseError, "line 2: node id '0/' outside declared 0..11", 2),
+    "directive-zero-with-a-label": (EdgeListParseError, "line 2: node id '0' outside declared 0..-1", 2),
+    "directive-label-in-range-too-narrow": (
+        EdgeListParseError, "line 2: '0' has 1 digit; the ids of 12 nodes have 2", 2),
+    "directive-label-in-range-too-wide": (
+        EdgeListParseError, "line 2: '003' has 3 digits; the ids of 12 nodes have 2", 2),
+    "directive-after-a-bad-label": (
+        EdgeListParseError, "line 1: '0' has 1 digit; the ids of 12 nodes have 2", 1),
+    "directive-bad-label-after-a-duplicate": (
+        EdgeListParseError, "line 3: '7' has 1 digit; the ids of 12 nodes have 2", 3),
+    "directive-replaced-across-chunks": (
+        EdgeListParseError, "line 2: node id '03' outside declared 0..2", 2),
+}
 
 
 def _outcome(text):
@@ -366,10 +399,10 @@ CHUNK_TABLE = [
 CHUNK_SIZES = [graph_module._CHUNK_BYTES, 1, 7, 64]
 
 
-@pytest.mark.parametrize("text, route", [c[1:] for c in PARSE_TABLE + CHUNK_TABLE],
+@pytest.mark.parametrize("case, text, route", PARSE_TABLE + CHUNK_TABLE,
                          ids=[c[0] for c in PARSE_TABLE + CHUNK_TABLE])
 @pytest.mark.parametrize("threshold", [None, 0])
-def test_bulk_pass_matches_line_loop(text, route, threshold, monkeypatch):
+def test_bulk_pass_matches_line_loop(case, text, route, threshold, monkeypatch):
     # the str and its UTF-8 bytes, in chunks of every size, against the loop;
     # what the bulk pass takes whole it takes in chunks, while a refusal may
     # hang on the chunk (a long label is refused beside many short ones)
@@ -382,6 +415,8 @@ def test_bulk_pass_matches_line_loop(text, route, threshold, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(graph_module, "_bulk_edges", lambda text: None)
             want = _outcome(text)
+        if case in LABEL_ERRORS:
+            assert want == LABEL_ERRORS[case]
         for size in CHUNK_SIZES:
             monkeypatch.setattr(graph_module, "_CHUNK_BYTES", size)
             for source in sources:
@@ -478,6 +513,31 @@ def test_parse_peak_memory_is_bounded(tmp_path):
     assert peak <= 110 * 2**20
 
 
+# a 2M-node network of one edge, read under its ``# nodes:`` directive
+HUGE_DECLARED = "# nodes: 2000000\n0000003 1999999 -1\n"
+
+
+@pytest.mark.parametrize("route", ["bulk", "loop"])
+def test_huge_declared_node_set_builds_no_label_table(route, monkeypatch):
+    # the canonical ids stay implicit on both passes: a table of the 2M
+    # labels and their set peaked at 264 MiB on the bulk pass and 311 MiB
+    # on the loop; the sparse storage's n-long arrays remain
+    assert graph_module._bulk_edges(HUGE_DECLARED) is not None
+    if route == "loop":
+        monkeypatch.setattr(graph_module, "_bulk_edges", lambda text: None)
+    tracemalloc.start()
+    try:
+        adj = parse_edge_list(HUGE_DECLARED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert adj.n == 2_000_000 and not adj.is_dense
+    assert adj.edge_count() == adj.negative_count() == 1 and adj.entries[3, 1999999] == -1
+    assert adj.labels is None
+    assert adj.label_of(0) == "0000000" and adj.label_of(1999999) == "1999999"
+    assert peak <= 48 * 2**20
+
+
 # ------------------------------------------------------------- storage build
 
 
@@ -518,8 +578,7 @@ def test_parsed_storage_equals_the_coo_build(text, route, threshold, monkeypatch
         monkeypatch.setattr(graph_module, "_CHUNK_BYTES", size)
         edges = graph_module._bulk_edges(text) if route == "bulk" else graph_module._line_edges(text)
         assert edges is not None
-        names, lo, hi, sign = edges
-        n = len(names)
+        n, names, lo, hi, sign = edges
         # each pair once, lo < hi, in (lo, hi) order: what _from_edges takes
         assert (lo < hi).all() and sign.dtype == np.int8
         assert (np.lexsort((hi, lo)) == np.arange(len(lo))).all()
