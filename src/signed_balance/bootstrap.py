@@ -19,7 +19,9 @@ the Edgeworth coefficients).  The observed census, and the storage the
 replicates are counted on, are the census `census.full_census` cached on
 the adjacency, so an adjacency already counted is not counted again, and
 the observed pipeline is the one kept on that census: `bootstrap_ci`
-studentizes the observed network once.
+studentizes the observed network once.  On dense storage that storage is
+the adjacency's own int8 matrix: a replicate takes its int8 submatrix, and
+each product casts it to float32 where it runs.
 Replicates where the ratio or variance is degenerate (no triangles, zero
 variance) are dropped and counted; more than 50% degenerate is a hard
 error.  Replicate r uses the derived stream (seed, r), drawn through one

@@ -29,10 +29,15 @@ quadratic form from the masked products (`PairProjection.quadratic`).
 
 One routine forms every product: `_masked(mask, x, y, w)` is mask o (x W y),
 W = diag(w) for a bootstrap replicate (below), else the identity.  Dense
-storage takes one float32 BLAS product, a symmetric rank-k one (syrk) for
-the unweighted squares M M and A A (each partial sum is an integer of
-size at most n - 2, so float32 is exact while n - 2 < 2^24, and 4(n - 2) <
-2^24 once the per-type sums are formed).  Sparse storage masks one block of
+storage is the adjacency's own int8 matrix, uncopied (`_storage`); each
+product casts its operands to float32 where it runs and masks its float32
+result in place, a symmetric rank-k product (syrk) for the unweighted
+squares M M and A A (each partial sum is an integer of size at most n - 2,
+so float32 is exact while n - 2 < 2^24, and 4(n - 2) < 2^24 once the
+per-type sums are formed).  M o M^2 and A o A^2 are then kept in the
+narrowest signed integer type that holds +-n (int16 below 32768 nodes),
+and every later product or sum of them runs on a float32 cast, as the
+narrow type would wrap.  Sparse storage masks one block of
 _BLOCK_ROWS rows at a time and stacks the blocks, so the unmasked product,
 about n d^2 entries at mean degree d, is never whole.  The sparse census
 first orients each edge up the rank order (degree, then node index) as the
@@ -60,8 +65,7 @@ and a bootstrap submatrix on sorted nodes keeps them sorted).  The listing
 reads only its signs, indices and indptr: it ranks the nodes and keeps the
 upward entries in int32, and reads L straight off that order, with each
 edge's int32 id and sign in L's data.  M = |A| is formed only when read: by
-the dense squares, the encoded product's weighted degrees and the per-type
-counts.  An integer product widens to int64 where it runs, as int8 would
+the encoded product's weighted degrees and the per-type counts.  An integer product widens to int64 where it runs, as int8 would
 wrap: B in the encoded product, A in M o (M A), and the bootstrap weights
 w.  The listing writes its two products on the distinct edges of the
 listed triangles alone, at most 3T of them, placed through L's indptr and
@@ -99,10 +103,11 @@ included, on it; the storage is read-only, so the cache cannot go stale.
 The bundle also keeps the studentized pipeline of each target read
 (`CensusBundle.pipelines`, filled by `inference._pipeline`), so a network
 is counted once and studentized once per target.  While the adjacency
-lives, a dense bundle keeps 16 n^2 bytes (the float32 storage, M, M o M^2
-and A o A^2: 64 MB at n = 2000), plus any per-type pair matrix once read,
-plus O(n) floats per target read.  One census peaks above that anyway;
-`del adj` frees it.
+lives, a dense bundle keeps M o M^2 and A o A^2 beside the adjacency's own
+int8 storage, 4 n^2 bytes in int16 (16 MB at n = 2000), plus any per-type
+pair matrix once read, plus O(n) floats per target read.  One census peaks
+at about 10 n^2 bytes (one float32 product, its float32 operand and the
+int16 square kept before it); `del adj` frees the bundle.
 """
 
 from dataclasses import asdict, dataclass, field, replace
@@ -331,13 +336,18 @@ def _masked(mask, x, y, w=None):
     when dense, and when sparse one block of _BLOCK_ROWS rows at a time
     (`_blocks`), the stacked blocks stored with sorted rows.
 
-    A dense square x x of the symmetric storage is formed as x x^T, which
+    Dense operands are cast to float32 for the product alone, as an int8
+    product would wrap, and the float32 product is masked in place.  A
+    dense square x x of the symmetric storage is formed as x x^T, which
     numpy hands to BLAS syrk (half the flops of a GEMM); its integer sums
     are exact, so it equals x @ x."""
     if w is not None:
         y = _scale_rows(w, y)
     if isinstance(mask, np.ndarray):
-        return mask * (x @ (x.T if x is y else y))
+        f = x.astype(np.float32, copy=False)
+        product = f @ (f.T if y is x else y.astype(np.float32, copy=False))
+        product *= mask
+        return product
     import scipy.sparse as sp
 
     product = sp.vstack(list(_blocks(mask, x, y)), format="csr")
@@ -347,27 +357,51 @@ def _masked(mask, x, y, w=None):
 
 def _blocks(mask, x, y):
     """mask o (x y) of sparse matrices, one block of _BLOCK_ROWS rows at a
-    time; one empty block when there are no rows."""
+    time; one empty block when there are no rows.  A block product costs
+    O(n) whatever its rows hold, so a block whose rows of the mask store
+    nothing is formed empty, in the product's type, with no product."""
+    import scipy.sparse as sp
+
+    dtype = np.result_type(mask.dtype, x.dtype, y.dtype)
     for r in range(0, max(mask.shape[0], 1), _BLOCK_ROWS):
-        yield mask[r:r + _BLOCK_ROWS] * (x[r:r + _BLOCK_ROWS] @ y)
+        end = min(r + _BLOCK_ROWS, mask.shape[0])
+        if mask.indptr[r] == mask.indptr[end]:
+            yield sp.csr_array((end - r, y.shape[1]), dtype=dtype)
+        else:
+            yield mask[r:end] * (x[r:end] @ y)
 
 
 def _storage(adj):
-    """The matrix the products run on: float32 when dense; when sparse, the
-    int8 CSR storage itself as a csr_array, its read-only arrays uncopied
-    (an integer product widens its operands to int64 where it runs)."""
+    """The matrix the products run on: the adjacency's own read-only int8
+    storage, uncopied; a sparse one as a csr_array on its arrays.  A product
+    casts its operands where it runs, as int8 would wrap: to float32 when
+    dense, to int64 when sparse."""
     if adj.is_dense:
-        return adj.entries.astype(np.float32)
+        return adj.entries
     import scipy.sparse as sp
 
     return sp.csr_array(adj.entries)
+
+
+def _count_type(n):
+    """The narrowest signed integer type that holds +-n."""
+    return np.min_scalar_type(-n - 1)
+
+
+def _wide(x):
+    """A dense integer matrix as float32, which holds every pair count
+    exactly (n < 2^24); a sparse one as it is."""
+    return x.astype(np.float32) if isinstance(x, np.ndarray) else x
 
 
 class PairProjection(_Targeted):
     """Per-pair counts over third nodes; entry (i,j) is 0 unless A_ij != 0.
 
     Kept as the masked products M o M^2 and A o A^2 of one network; each
-    count matrix is formed when first read.  Given a `_Draw`, `a` is the
+    count matrix is formed when first read.  On dense storage `a` is int8
+    and M o M^2 and A o A^2 are kept in the narrowest signed integer type
+    that holds +-n (`_count_type`), so every product or sum that could pass
+    it runs on a float32 cast (`_wide`).  Given a `_Draw`, `a` is the
     submatrix on the drawn nodes and every product and row sum is weighted
     by the multiplicities."""
 
@@ -379,16 +413,21 @@ class PairProjection(_Targeted):
         # (<= n) exactly; int64 on sparse, where int8 would wrap at 128
         self._w = None if draw is None else draw.counts.astype(np.float32 if dense else np.int64)
         if dense:
-            m = self.m
-            self.mm, self.aa = _masked(m, m, m, self._w), _masked(a, a, a, self._w)
+            # each entry is at most n in size, n the (resampled) network's node count
+            count = _count_type(len(a) if draw is None else len(draw.where))
+            m = np.abs(a)
+            self.mm = _masked(m, m, m, self._w).astype(count)
+            del m
+            self.aa = _masked(a, a, a, self._w).astype(count)
         else:
             self.mm, self.aa = _sparse_squares(a, self._w)
         self._types = {}
 
     @cached_property
     def m(self):
-        """The support M = |A|, formed on first read: by the dense squares
-        and the per-type counts; the sparse squares read A alone."""
+        """The support M = |A|, formed on first read by the per-type counts;
+        the dense squares form their own and drop it, the sparse ones read
+        A alone."""
         return abs(self.a)
 
     def rows(self, x):
@@ -425,7 +464,7 @@ class PairProjection(_Targeted):
 
     def _paths(self, k):
         """Third nodes joined to both ends by two edges, k of them negative."""
-        a2 = self.a * self.aa  # A^2 on the support
+        a2 = _wide(self.a) * self.aa  # A^2 on the support
         if k == 1:
             return (self.mm - a2) * 0.5
         both = self.mm + a2
@@ -435,8 +474,9 @@ class PairProjection(_Targeted):
         """Pair counts of type k + 1 (k negative edges) on the support, as
         floats; forms only the paths this type needs."""
         if k not in self._types:
-            pos = (self.m + self.a) * 0.5  # the edge (i, j) is positive
-            neg = (self.m - self.a) * 0.5
+            m = _wide(self.m)
+            pos = (m + self.a) * 0.5  # the edge (i, j) is positive
+            neg = (m - self.a) * 0.5
             if k == 0:
                 counts = pos * self._paths(0)
             elif k == 3:
@@ -457,7 +497,7 @@ class PairProjection(_Targeted):
 
     @cached_property
     def balanced(self):
-        return ((self.mm + self.aa) * 0.5).astype(np.int64)
+        return ((_wide(self.mm) + self.aa) * 0.5).astype(np.int64)
 
     @cached_property
     def by_type(self):

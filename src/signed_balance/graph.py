@@ -252,20 +252,27 @@ class SignedAdjacency:
         given or as read back, come with the ``# nodes: N`` directive so
         the node count round-trips even with isolated nodes present.
         """
-        lines = []
-        canonical = _canonical_labels(self.n)
-        labels = canonical if self.labels is None else self.labels
-        if labels == canonical:
-            lines.append(f"{_NODES_DIRECTIVE} {self.n}")
         rows, cols, signs = _upper_nonzero(self._mat)
-        # the pairs in (label_u, label_v) order, by the ranks of the labels
-        by_rank = sorted(range(self.n), key=labels.__getitem__)
-        rank = np.empty(self.n, dtype=np.int64)
-        rank[by_rank] = np.arange(self.n)
-        lo = np.minimum(rank[rows], rank[cols])
-        hi = np.maximum(rank[rows], rank[cols])
+        if self.labels is None:
+            # the canonical ids sort as their indexes: only the ids on an
+            # edge are formatted, and rows < cols already
+            used, rank = np.unique(np.concatenate((rows, cols)), return_inverse=True)
+            lo, hi = rank[:len(rows)], rank[len(rows):]
+            width = _id_width(self.n)
+            names = np.array([str(i).zfill(width) for i in used.tolist()], dtype=object)
+            canonical = True
+        else:
+            labels = self.labels
+            canonical = labels == _canonical_labels(self.n)
+            # the pairs in (label_u, label_v) order, by the ranks of the labels
+            by_rank = sorted(range(self.n), key=labels.__getitem__)
+            rank = np.empty(self.n, dtype=np.int64)
+            rank[by_rank] = np.arange(self.n)
+            lo = np.minimum(rank[rows], rank[cols])
+            hi = np.maximum(rank[rows], rank[cols])
+            names = np.array([labels[i] for i in by_rank], dtype=object)
+        lines = [f"{_NODES_DIRECTIVE} {self.n}"] if canonical else []
         order = np.lexsort((hi, lo))
-        names = np.array([labels[i] for i in by_rank], dtype=object)
         tokens = np.where(signs[order] > 0, "+1", "-1").astype(object)
         lines.extend(map(" ".join, zip(names[lo[order]], names[hi[order]], tokens)))
         return "\n".join(lines) + "\n"
@@ -281,6 +288,11 @@ def _is_scipy_sparse(x):
 def _id_width(n):
     """The digits of each canonical id of n nodes."""
     return len(str(max(n - 1, 0)))
+
+
+def _index_type(n):
+    """The type of the node indexes of the parsed pairs: int32 below 2^31 nodes."""
+    return np.int32 if n < 1 << 31 else np.int64
 
 
 def _canonical_labels(n):
@@ -423,8 +435,8 @@ def _line_edges(text):
                 error = _id_error(label, n)
                 if error is not None:
                     raise EdgeListParseError(line_no, error)
-    lo = np.array([index(u) for u, _ in edges], dtype=np.int64)
-    hi = np.array([index(v) for _, v in edges], dtype=np.int64)
+    lo = np.array([index(u) for u, _ in edges], dtype=_index_type(n))
+    hi = np.array([index(v) for _, v in edges], dtype=_index_type(n))
     order = np.lexsort((hi, lo))  # the pairs as first seen, put in (lo, hi) order
     return n, names, lo[order], hi[order], np.array(list(edges.values()), dtype=np.int8)[order]
 
@@ -484,8 +496,10 @@ def _bulk_edges(text):
     code >>= 1
     if (code[1:] == code[:-1]).any():
         return None
-    lo, hi = np.divmod(code, n)
-    return n, names, lo, hi, sign
+    index = _index_type(n)
+    hi = (code % n).astype(index)
+    code //= n
+    return n, names, code.astype(index), hi, sign
 
 
 def _chunks(text):

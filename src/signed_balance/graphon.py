@@ -20,6 +20,10 @@ one counter-based stream (see rng module), so samples are reproducible
 bit-for-bit from (spec, n, seed).  The pair draws walk the i < j pairs in
 row-major order and fill one int8 matrix through its upper-triangle mask on
 both storages; `SignedAdjacency` converts it to CSR above `DENSE_THRESHOLD`.
+F and G are evaluated, and their range checked, in row blocks of about
+_CHUNK pairs, one pass for the edges and one for the signs; that changes
+neither the draw order nor a byte of the network, and no C(n,2)-long float
+array is formed.
 """
 
 import math
@@ -194,28 +198,67 @@ def spec_from_json(obj):
 
 # ------------------------------------------------------------------- sampler
 
+_CHUNK = 1 << 14  # pairs or triples per elementwise pass, sized so its temporaries stay in cache
+
 
 def sample_network(spec, n, seed, return_latent=False):
-    """Draw one network; deterministic in (spec, n, seed)."""
+    """Draw one network; deterministic in (spec, n, seed).
+
+    The pairs are evaluated in blocks of whole rows of about _CHUNK pairs
+    (`_row_blocks`), in two passes over the same blocks: the first draws
+    the edge uniforms and fills a C(n,2) boolean edge vector, the second
+    draws the sign uniforms and writes each block into the int8 matrix.
+    Chunked draws from one stream equal one draw of the whole length, so
+    the draw order, and the network, do not depend on the block size."""
     if n < 1:
         raise ConfigError(f"need n >= 1 nodes, got n={n}")
     rng = stream(seed)
     x = rng.uniform(size=n)
-    # pair latents for i < j in the row-major order of the boolean upper mask
-    node = np.arange(n)
-    upper = node[:, None] < node
-    xi = np.repeat(x, np.arange(n - 1, -1, -1))
-    xj = np.broadcast_to(x, (n, n))[upper]
-    edge = rng.random(size=xi.size) < spec.edge_probability(xi, xj)
-    neg = rng.random(size=xi.size) < spec.negative_probability(xi, xj)
-    vals = edge.astype(np.int8) - 2 * (edge & neg).astype(np.int8)
+    bounds = _row_blocks(n)
+    # one block (n <= 181) forms its latents once, for both passes
+    once = list(_pair_latents(x, bounds)) if len(bounds) == 2 else None
+    edge = np.empty(n * (n - 1) // 2, dtype=bool)
+    at = 0
+    for _, upper, xi, xj in once or _pair_latents(x, bounds):
+        np.less(rng.random(size=xi.size), spec.edge_probability(xi, xj),
+                out=edge[at:at + xi.size])
+        at += xi.size
     mat = np.zeros((n, n), dtype=np.int8)
-    mat[upper] = vals
+    at = 0
+    for rows, upper, xi, xj in once or _pair_latents(x, bounds):
+        neg = rng.random(size=xi.size) < spec.negative_probability(xi, xj)
+        block = edge[at:at + xi.size]
+        mat[rows][upper] = block.astype(np.int8) - 2 * (block & neg).astype(np.int8)
+        at += xi.size
     mat += mat.T
     adj = SignedAdjacency(mat, _validated=True)
     if return_latent:
         return adj, x
     return adj
+
+
+def _row_blocks(n):
+    """The row bounds of the blocks `sample_network` evaluates: whole rows
+    of the i < j pairs, a cut after the row that reaches each multiple of
+    _CHUNK pairs, so a block holds about _CHUNK pairs (more where one row
+    holds more)."""
+    pairs = n * (n - 1) // 2
+    if pairs <= _CHUNK:
+        return [0, n]
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # the pairs in rows 0..i
+    cuts = np.searchsorted(ends, np.arange(_CHUNK, pairs, _CHUNK)) + 1
+    return np.unique(np.concatenate(([0], cuts, [n]))).tolist()
+
+
+def _pair_latents(x, bounds):
+    """Per row block: its rows as a slice, its upper-triangle mask, and the
+    latents (x_i, x_j) of its pairs i < j in row-major order."""
+    n = len(x)
+    node = np.arange(n)
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        upper = node[r0:r1, None] < node
+        yield (slice(r0, r1), upper, np.repeat(x[r0:r1], np.arange(n - 1 - r0, n - 1 - r1, -1)),
+               np.broadcast_to(x, upper.shape)[upper])
 
 
 # ---------------------------------------------------------- population truth
@@ -240,7 +283,6 @@ class PopulationMoments:
 
 
 _BATCH = 1 << 20  # triples per reduction: sums run over whole batches
-_CHUNK = 1 << 14  # triples per elementwise pass, sized so its temporaries stay in cache
 
 
 def check_budget(budget):

@@ -262,6 +262,43 @@ def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
                 _assert_same_matrix(pairs.type_pairs(k), whole.type_pairs(k))
 
 
+def _count_products(monkeypatch):
+    """The row counts of every sparse product formed from here on."""
+    rows, matmul = [], sp.csr_array.__matmul__
+    monkeypatch.setattr(sp.csr_array, "__matmul__",
+                        lambda x, y: rows.append(x.shape[0]) or matmul(x, y))
+    return rows
+
+
+def test_a_row_block_that_stores_nothing_forms_no_product(monkeypatch):
+    # one edge on 2M nodes: of its 489 row blocks, only the one with the
+    # edge's oriented row holds an entry, and a block product costs O(n)
+    adj = parse_edge_list("# nodes: 2000000\n0000003 1999999 -1\n")
+    assert -(-adj.n // census_module._BLOCK_ROWS) == 489
+    rows = _count_products(monkeypatch)
+    assert full_census(adj).census.total == 0
+    assert rows == [census_module._BLOCK_ROWS]
+
+
+def test_skipped_row_blocks_keep_the_stacked_product(monkeypatch):
+    # edges among nodes 0..5 and 35..39 alone: in blocks of 7 rows, the
+    # four blocks between store nothing and are formed empty
+    rng = np.random.default_rng(8)
+    mat = np.zeros((40, 40), dtype=np.int8)
+    for part in (slice(0, 6), slice(35, 40)):
+        mat[part, part] = random_signed_matrix(rng, 5 if part.start else 6, p_edge=0.9)
+    monkeypatch.setattr(census_module, "_BLOCK_ROWS", 7)
+    a = census_module._storage(on_storage(mat, "sparse"))
+    wide = a.astype(np.int64)
+    rows = _count_products(monkeypatch)
+    got = census_module._masked(a, wide, wide)
+    assert rows == [7, 5]
+    assert got.shape == (40, 40) and got.dtype == np.int64
+    _assert_same_matrix(got, a * (wide @ wide))
+    assert full_census(on_storage(mat, "sparse")).census.to_dict() == {
+        "n": 40, **ref_full(mat)["census"]}
+
+
 def test_encoded_product_refuses_degrees_past_its_digit_width(monkeypatch):
     # degree 4 needs 3-bit digits, so a 2-bit limit refuses the network; K5
     # has as many triangles as edges, so the census would list them, and the
@@ -649,6 +686,50 @@ def test_dense_square_by_syrk_equals_gemm(n):
             gemm = x @ x.copy()
             np.testing.assert_array_equal(census_module._masked(np.ones_like(x), x, x), gemm)
             np.testing.assert_array_equal(census_module._masked(abs(a), x, x), abs(a) * gemm)
+
+
+def test_pair_counts_take_the_narrowest_integer_type_that_holds_n():
+    types = [census_module._count_type(n) for n in (3, 127, 128, 32767, 32768)]
+    assert types == [np.int8, np.int8, np.int16, np.int16, np.int32]
+
+
+@pytest.mark.parametrize("n", [127, 128])
+@pytest.mark.parametrize("sign, slot", [(1, 0), (-1, 3)])
+def test_dense_pair_counts_at_the_edge_of_their_integer_type(n, sign, slot):
+    # M o M^2 and A o A^2 hold +-(n - 2) in int8 up to 127 nodes; the
+    # balanced and per-type counts add two of them, 2(n - 2) = 250 at
+    # n = 127, which int8 would wrap
+    mat = np.full((n, n), sign, dtype=np.int8)
+    np.fill_diagonal(mat, 0)
+    adj = on_storage(mat, "dense")
+    pair = full_census(adj).pair
+    assert pair.a is adj.entries
+    assert pair.mm.dtype == pair.aa.dtype == (np.int8 if n < 128 else np.int16)
+    off = (n - 2) * (1 - np.eye(n, dtype=np.int64))
+    np.testing.assert_array_equal(pair.triangles, off)
+    np.testing.assert_array_equal(pair.balanced, off if sign > 0 else 0 * off)
+    for k in range(4):
+        np.testing.assert_array_equal(pair.by_type[k], off if k == slot else 0 * off)
+    x = np.linspace(-1.0, 1.0, n)
+    total = float(x @ off @ x)
+    assert pair.quadratic("balanced", x) == pytest.approx((total, total if sign > 0 else 0.0))
+
+
+def test_dense_census_peak_memory_is_bounded():
+    # n = 2000: one float32 product and its float32 operand live at a time,
+    # and the bundle keeps M o M^2 and A o A^2 in int16 beside the
+    # adjacency's own int8 storage; float32 copies of the storage, M and
+    # both products peaked at 76.4 MiB and kept 61.1 MiB
+    adj = sample_network(builtin_spec("const-cos", {}), 2000, seed=3)
+    tracemalloc.start()
+    try:
+        bundle = full_census(adj)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bundle.pair.a is adj.entries and bundle.pair.mm.dtype == np.int16
+    assert peak <= 48 * 2**20
+    assert kept <= 20 * 2**20
 
 
 # ------------------------------------------------------------ exactness guard

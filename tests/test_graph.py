@@ -172,6 +172,40 @@ def test_canonical_text_is_sorted_and_stable():
     assert texts[0] == texts[1]
 
 
+def _text_in_label_order(adj):
+    """The edge list the writer documents, built from every node's label:
+    the ``# nodes:`` directive when the labels are the canonical ids, then
+    each pair once, its lines sorted by (label_u, label_v)."""
+    labels = [adj.label_of(i) for i in range(adj.n)]
+    dense = adj.to_dense()
+    rows, cols = np.nonzero(np.triu(dense, 1))
+    pairs = sorted((*sorted((labels[i], labels[j])), "+1" if dense[i, j] > 0 else "-1")
+                   for i, j in zip(rows.tolist(), cols.tolist()))
+    width = len(str(max(adj.n - 1, 0)))
+    head = [f"# nodes: {adj.n}"] if labels == [str(i).zfill(width) for i in range(adj.n)] else []
+    return "\n".join(head + [" ".join(p) for p in pairs]) + "\n"
+
+
+@pytest.mark.parametrize("threshold", [None, 0])
+def test_written_text_follows_the_label_order(threshold):
+    # unlabeled networks (sampled or read under ``# nodes:``) format only the
+    # ids on an edge; string, explicit canonical and unpadded labels sort
+    # every label
+    with dense_up_to(threshold):
+        sampled = sample_network(builtin_spec("const-cos", {"rho": 0.01}), 120, seed=4)
+        read = parse_edge_list(sampled.to_edge_list_text())
+        n = sampled.n
+        cases = [sampled, read,
+                 SignedAdjacency(sampled.entries, labels=[f"v{i}" for i in range(n)]),
+                 SignedAdjacency(sampled.entries, labels=[read.label_of(i) for i in range(n)]),
+                 SignedAdjacency(sampled.entries, labels=[str(i) for i in range(n)])]
+    assert sampled.labels is None and read.labels is None and read == sampled
+    assert (np.count_nonzero(sampled.to_dense(), axis=1) == 0).any()  # isolated nodes
+    for adj in cases:
+        assert adj.is_dense == (threshold is None)
+        assert adj.to_edge_list_text() == _text_in_label_order(adj)
+
+
 def test_summary_values():
     adj = parse_edge_list(triangle_text())
     s = adj.summarize()
@@ -538,6 +572,20 @@ def test_huge_declared_node_set_builds_no_label_table(route, monkeypatch):
     assert peak <= 48 * 2**20
 
 
+def test_writing_a_huge_declared_node_set_formats_only_the_ids_on_an_edge():
+    # labels is None, so the ids sort as their indexes: the writer formats
+    # the two ids on the edge, where a table of the 2M labels took 0.9 s
+    adj = parse_edge_list(HUGE_DECLARED)
+    tracemalloc.start()
+    try:
+        text = adj.to_edge_list_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == HUGE_DECLARED
+    assert peak <= 8 * 2**20
+
+
 # ------------------------------------------------------------- storage build
 
 
@@ -581,6 +629,7 @@ def test_parsed_storage_equals_the_coo_build(text, route, threshold, monkeypatch
         n, names, lo, hi, sign = edges
         # each pair once, lo < hi, in (lo, hi) order: what _from_edges takes
         assert (lo < hi).all() and sign.dtype == np.int8
+        assert lo.dtype == hi.dtype == np.int32  # the node indexes of fewer than 2^31 nodes
         assert (np.lexsort((hi, lo)) == np.arange(len(lo))).all()
         assert len(set(zip(lo.tolist(), hi.tolist()))) == len(lo)
         coo = sp.coo_matrix((np.concatenate([sign, sign]),

@@ -212,6 +212,67 @@ def test_sampler_bytes_are_pinned(case):
     assert _sample_digest(*case) == golden[_case_key(*case)]
 
 
+@pytest.mark.parametrize("chunk", [1, 1000])
+@pytest.mark.parametrize("threshold", [None, 10])
+def test_sampler_draws_the_same_bytes_in_row_blocks(monkeypatch, chunk, threshold):
+    # the pairs are evaluated in row blocks of about _CHUNK pairs; the draw
+    # equals the one-block draw on both storages
+    spec = builtin_spec("logistic-balance", {"alpha": 20.0})
+    with dense_up_to(threshold):
+        for n in (1, 2, 3, 47, 182):
+            monkeypatch.setattr(graphon_module, "_CHUNK", n * n)
+            assert len(graphon_module._row_blocks(n)) == 2  # one block
+            whole, x = sample_network(spec, n, seed=9, return_latent=True)
+            monkeypatch.setattr(graphon_module, "_CHUNK", chunk)
+            blocks = graphon_module._row_blocks(n)
+            assert blocks[0] == 0 and blocks[-1] == n and (np.diff(blocks) > 0).all()
+            got, y = sample_network(spec, n, seed=9, return_latent=True)
+            assert got.is_dense == whole.is_dense == (threshold is None or n <= threshold)
+            assert got == whole and np.array_equal(x, y)
+            np.testing.assert_array_equal(got.to_dense(), whole.to_dense())
+
+
+def _pair_band(x_a, x_b, inside, outside):
+    """A symmetric law that is `inside` only at the latent pair (x_a, x_b),
+    which no probe point hits, and `outside` elsewhere."""
+    def law(x, y):
+        near_a, near_b = np.abs(x - x_a) < 1e-12, np.abs(y - x_b) < 1e-12
+        swap = (np.abs(x - x_b) < 1e-12) & (np.abs(y - x_a) < 1e-12)
+        return np.where((near_a & near_b) | swap, inside, outside)
+
+    return law
+
+
+@pytest.mark.parametrize("which", ["F", "G"])
+def test_sampler_checks_the_range_past_the_first_block(monkeypatch, which):
+    # the latents of nodes 30 and 35 meet in row 30, past the first block
+    monkeypatch.setattr(graphon_module, "_CHUNK", 100)
+    n, seed = 40, 6
+    assert graphon_module._row_blocks(n)[1] <= 30
+    _, x = sample_network(builtin_spec("const-cos"), n, seed=seed, return_latent=True)
+    law = _pair_band(x[30], x[35], 1.5, 0.5)
+    spec = GraphonSpec(F=law if which == "F" else _ones, G=law if which == "G" else _ones,
+                       rho=1.0, s=1.0)
+    label = r"rho\*F" if which == "F" else r"s\*G"
+    with pytest.raises(GraphonRangeError, match=label + r" left \[0,1\] \(range \[0.5, 1.5\]\)"):
+        sample_network(spec, n, seed=seed)
+
+
+def test_sampler_peak_memory_is_bounded():
+    # n = 2000: the boolean edge vector, the int8 matrix and the copy of its
+    # transpose, and one row block's temporaries, where the C(n,2)-long
+    # float64 latents, uniforms and probabilities peaked at 82 MiB
+    spec = builtin_spec("const-cos", {})
+    tracemalloc.start()
+    try:
+        adj = sample_network(spec, 2000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert adj.is_dense and adj.n == 2000
+    assert peak <= 16 * 2**20
+
+
 # ------------------------------------------------------- population moments
 
 
