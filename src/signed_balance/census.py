@@ -85,7 +85,8 @@ drawn node.  Then (R^2)_ab = (A_S W A_S)[inv_a, inv_b], and M^2 and M A
 read the same way.  So the masked products are A_S o (A_S W A_S) and
 M_S o (M_S W M_S) on the |S| x |S| submatrix (|S| is about 0.63 n).  A row
 sum of R is the w-weighted row sum on S, gathered by inv (int64 when sparse;
-float64 when dense, whose integer sums, at most 4n * n, are far below 2^53),
+float64 when dense, whose integer sums, at most 4n * n, are far below 2^53,
+cast a block of rows at a time, so no 8|S|^2-byte float64 copy is formed),
 and the four traces are w-weighted totals.  The float32 bound is unchanged:
 (M_S W M_S)_ij <= sum w = n, so the products are exact while n < 2^24, and
 4n < 2^24 for the per-type sums.  The sparse listing or product is chosen by
@@ -555,6 +556,9 @@ def full_census(adj, with_pairs=True):
     return bundle if with_pairs else replace(bundle, pair=None)
 
 
+_CAST_ENTRIES = 1 << 17  # entries of a dense matrix `_Draw.rows` casts to float64 at once (1 MiB)
+
+
 class _Draw:
     """A draw `idx` of n node indices in [0, n), seen as the distinct nodes S
     it hit (sorted), the count w of each, and the place in S of each drawn
@@ -571,11 +575,18 @@ class _Draw:
         """Row sums over the resampled network of a matrix x on S: the
         w-weighted row sums of x, one per drawn node.  Exact: int64 for
         sparse x; float64 for dense x, whose entries (at most 4n, integers)
-        times sum w = n stay far below 2^53."""
-        if isinstance(x, np.ndarray):
-            sums = x @ self.counts.astype(np.float64)
+        times sum w = n stay far below 2^53, so any summation order gives
+        the same sums.  A dense x is cast to float64 a block of rows at a
+        time, about _CAST_ENTRIES entries each, not as a whole 8|S|^2-byte
+        copy; up to |S| = 362 that is one block."""
+        if not isinstance(x, np.ndarray):
+            return (x @ self.counts).astype(np.int64)[self.where]
+        w = self.counts.astype(np.float64)
+        step = max(_CAST_ENTRIES // max(x.shape[1], 1), 1)
+        if step >= len(x):
+            sums = x @ w
         else:
-            sums = x @ self.counts
+            sums = np.concatenate([x[r:r + step] @ w for r in range(0, len(x), step)])
         return sums.astype(np.int64)[self.where]
 
 

@@ -24,6 +24,13 @@ F and G are evaluated, and their range checked, in row blocks of about
 _CHUNK pairs, one pass for the edges and one for the signs; that changes
 neither the draw order nor a byte of the network, and no C(n,2)-long float
 array is formed.
+
+`population_moments` gives the population truth by Monte Carlo over latent
+triples, in batches of _BATCH triples evaluated _CHUNK at a time.  Each
+chunk's six products are summed as they are formed, in blocks of _BLOCK
+triples, in the order einsum sums a whole batch-length column; so its
+memory is one chunk's buffers, whatever the budget, and its bytes are those
+of summing whole batches.
 """
 
 import math
@@ -85,9 +92,13 @@ class GraphonSpec:
 
 
 def _check_probabilities(p, label):
+    """GraphonRangeError unless every entry of p is in [0,1]: a NaN fails
+    both bounds (min and max propagate it) and an infinity one of them."""
     p = np.asarray(p)
-    if p.size and (not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0):
-        raise GraphonRangeError(f"{label} left [0,1] (range [{p.min()}, {p.max()}])")
+    if p.size:
+        lo, hi = p.min(), p.max()
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise GraphonRangeError(f"{label} left [0,1] (range [{lo}, {hi}])")
 
 
 # ------------------------------------------------------------------ builtins
@@ -282,7 +293,11 @@ class PopulationMoments:
         }
 
 
-_BATCH = 1 << 20  # triples per reduction: sums run over whole batches
+_BATCH = 1 << 20  # triples per reduction: the sums are grouped by whole batches
+# triples per summation step inside a batch; einsum sums a contiguous float64
+# column in steps of this length, in order, so the in-order sum of these
+# blocks equals the sum over the whole batch-length column, byte for byte
+_BLOCK = 1 << 13
 
 
 def check_budget(budget):
@@ -301,12 +316,18 @@ def population_moments(spec, budget=10_000_000, seed=0):
     constant sign law the type split is exact.
 
     The triples come in batches of 2^20.  Within a batch they are drawn from
-    the one stream and evaluated chunk by chunk (2^14 triples at a time), so
-    the draws are those of one call per batch; each chunk's six products fill
-    six batch-length columns, and every sum runs over a whole column.  Memory
-    is about 48 bytes per batch element (about 50 MB at a full batch).  The
-    range of every probability is checked per chunk; a GraphonRangeError
-    gives the range of the chunk where the check fired.
+    the one stream and evaluated chunk by chunk (_CHUNK = 2^14 triples at a
+    time), so the draws are those of one call per batch.  Each chunk's six
+    products (pe, pe*p1..pe*p4, pe*p_bal) fill one reused (6, _CHUNK)
+    buffer, which is summed at once in blocks of _BLOCK = 2^13 triples
+    (_CHUNK is a multiple of _BLOCK): each block's sums, squares and cross
+    sums with pe are added in order into the batch's sums, and those into
+    the totals after each batch.  That is the order einsum sums one whole
+    batch-length column in, so the bytes are those of summing whole
+    batches, while memory is one chunk's buffer and temporaries (a few MB),
+    whatever the budget.  The range of every probability is checked per
+    chunk; a GraphonRangeError gives the range of the chunk where the check
+    fired.
     """
     budget = int(budget)
     check_budget(budget)
@@ -314,35 +335,24 @@ def population_moments(spec, budget=10_000_000, seed=0):
     sums = np.zeros(6)  # x, y1..y4, y_balanced
     sumsq = np.zeros(6)
     cross = np.zeros(5)  # x*y1..x*y4, x*y_bal
-    cols = np.empty((6, min(_BATCH, budget)))  # pe, pe*p1..pe*p4, pe*pbal
+    buf = np.empty((6, min(_CHUNK, budget)))  # pe, pe*p1..pe*p4, pe*pbal of one chunk
+    work = np.empty((11, buf.shape[1]))  # the chunk's pair products, as scratch
     done = 0
     while done < budget:
         b = min(_BATCH, budget - done)
+        batch_sums, batch_sumsq, batch_cross = np.zeros(6), np.zeros(6), np.zeros(5)
         for lo in range(0, b, _CHUNK):
-            lat = rng.uniform(size=(min(_CHUNK, b - lo), 3))
-            x1, x2, x3 = lat[:, 0], lat[:, 1], lat[:, 2]
-            pe = (
-                spec.edge_probability(x1, x2)
-                * spec.edge_probability(x2, x3)
-                * spec.edge_probability(x1, x3)
-            )
-            s1 = spec.negative_probability(x1, x2)
-            s2 = spec.negative_probability(x2, x3)
-            s3 = spec.negative_probability(x1, x3)
-            t1, t2, t3 = 1.0 - s1, 1.0 - s2, 1.0 - s3
-            p1 = t1 * t2 * t3
-            p2 = s1 * t2 * t3 + t1 * s2 * t3 + t1 * t2 * s3
-            p3 = s1 * s2 * t3 + s1 * t2 * s3 + t1 * s2 * s3
-            p4 = s1 * s2 * s3
-            pe_col, *y_cols = cols[:, lo:lo + len(lat)]
-            pe_col[:] = pe
-            for col, p in zip(y_cols, (p1, p2, p3, p4, p1 + p3)):
-                np.multiply(pe, p, out=col)
-        for idx, col in enumerate(cols[:, :b]):
-            sums[idx] += float(np.einsum("i->", col))
-            sumsq[idx] += float(np.einsum("i,i->", col, col))
-            if idx > 0:
-                cross[idx - 1] += float(np.einsum("i,i->", col, cols[0, :b]))
+            m = min(_CHUNK, b - lo)
+            cols = buf[:, :m]
+            _triple_products(spec, rng.uniform(size=(m, 3)), cols, work[:, :m])
+            for k in range(0, m, _BLOCK):
+                block = cols[:, k:k + _BLOCK]
+                batch_sums += np.einsum("ij->i", block)
+                batch_sumsq += np.einsum("ij,ij->i", block, block)
+                batch_cross += np.einsum("ij,j->i", block[1:], block[0])
+        sums += batch_sums
+        sumsq += batch_sumsq
+        cross += batch_cross
         done += b
 
     means = sums / budget
@@ -373,3 +383,32 @@ def population_moments(spec, budget=10_000_000, seed=0):
         "w_t": [ratio_se(i, w_t[i - 1]) for i in range(1, 5)],
     }
     return PopulationMoments(u=u, v=v, w=w, w_t=w_t, mc_se=mc_se)
+
+
+def _triple_products(spec, lat, out, work):
+    """pe, pe*p1..pe*p4 and pe*p_bal of the latent triples `lat`, written
+    into the rows of `out`, with the 11 rows of `work` as scratch, so that a
+    chunk forms no array past those the law's own calls return (fresh
+    chunk-length temporaries, freed together, had the allocator hand their
+    pages back and fault them in again on every chunk).  The
+    probabilities are evaluated, and checked, in the order e12, e23, e13,
+    s12, s23, s13.  Each p_t is summed left to right over products of the
+    shared pair products t1 t2, s1 t2, t1 s2 and s1 s2 with t3 or s3."""
+    x1, x2, x3 = lat[:, 0], lat[:, 1], lat[:, 2]
+    pe, p1, p2, p3, p4, pbal = out
+    s, t, (tt, st, ts, ss, tmp) = work[:3], work[3:6], work[6:]
+    np.multiply(spec.edge_probability(x1, x2), spec.edge_probability(x2, x3), out=pe)
+    pe *= spec.edge_probability(x1, x3)
+    for row, pair in zip(s, ((x1, x2), (x2, x3), (x1, x3))):
+        row[:] = spec.negative_probability(*pair)
+    np.subtract(1.0, s, out=t)
+    (s1, s2, s3), (t1, t2, t3) = s, t
+    for product, a, b in ((tt, t1, t2), (st, s1, t2), (ts, t1, s2), (ss, s1, s2)):
+        np.multiply(a, b, out=product)
+    for p, terms in ((p1, [(tt, t3)]), (p2, [(st, t3), (ts, t3), (tt, s3)]),
+                     (p3, [(ss, t3), (st, s3), (ts, s3)]), (p4, [(ss, s3)])):
+        np.multiply(*terms[0], out=p)
+        for a, b in terms[1:]:
+            p += np.multiply(a, b, out=tmp)
+    np.add(p1, p3, out=pbal)
+    out[1:] *= pe

@@ -1,6 +1,7 @@
 """Node-resampling bootstrap comparator."""
 
 import importlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -227,6 +228,35 @@ def test_replicate_census_in_small_row_blocks(monkeypatch):
     monkeypatch.setattr(census_module, "_BLOCK_ROWS", 7)
     for idx in _draws(40, rng):
         _assert_replicate_matches(adj, idx)
+
+
+@pytest.mark.parametrize("entries", [1, 50])
+def test_replicate_census_in_small_cast_blocks(monkeypatch, entries):
+    # dense row sums cast one row, or two or three rows, to float64 at a time
+    rng = np.random.default_rng(13)
+    adj = on_storage(random_signed_matrix(rng, 30, p_edge=0.5), "dense")
+    monkeypatch.setattr(census_module, "_CAST_ENTRIES", entries)
+    for idx in _draws(30, rng):
+        _assert_replicate_matches(adj, idx)
+
+
+def test_dense_replicate_row_sums_peak_memory_is_bounded():
+    # n = 2000, |S| = 1256: the int16 pair matrix is cast to float64 in row
+    # blocks of about 1 MiB; the whole cast peaked at 12.1 MiB
+    adj = sample_network(builtin_spec("const-cos", {}), 2000, seed=3)
+    draw = census_module._Draw(np.random.default_rng(1).integers(0, 2000, 2000))
+    sub = census_module._storage(adj).take(draw.nodes, axis=0).take(draw.nodes, axis=1)
+    pair = census_module.PairProjection(sub, draw)
+    assert pair.mm.dtype == np.int16 and len(sub) > 1000
+    whole = (pair.mm.astype(np.float64) @ draw.counts).astype(np.int64)[draw.where]
+    tracemalloc.start()
+    try:
+        rows = pair.rows(pair.mm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(rows, whole)
+    assert peak <= 2 * 2**20
 
 
 @pytest.mark.parametrize("threshold", [None, 2])

@@ -328,15 +328,44 @@ def test_population_se_shrinks_with_budget():
 
 
 def test_population_moments_peak_memory_is_bounded():
-    # six batch-length columns (48 MB at 10^6 triples) plus one chunk's temporaries
+    # one chunk's (6, 2^14) product buffer, its scratch rows and the law's
+    # temporaries, whatever the budget: the same at 10^6 triples as at a
+    # budget past two full batches; six batch-length columns peaked at
+    # 48 MiB at 10^6 triples and 50.3 MiB from one full batch on
     spec = builtin_spec("logistic-balance", {"alpha": 20})
-    tracemalloc.start()
-    try:
-        population_moments(spec, budget=10**6, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 2**20
+    peaks = []
+    for budget in (10**6, 2**21 + 24581):
+        tracemalloc.start()
+        try:
+            population_moments(spec, budget=budget, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 6 * 2**20
+    assert peaks[1] <= peaks[0] + 2**18
+
+
+@pytest.mark.parametrize("length", [1, 8191, 8192, 8193, 10**6])
+def test_block_sums_equal_the_whole_column_einsum(length):
+    # population_moments sums each batch in _BLOCK-long blocks, in order,
+    # with the 2D einsum forms below; its bytes are those of the 1D einsum
+    # over each whole batch-length column only while these agree
+    block = graphon_module._BLOCK
+    assert block == 2**13 and _CHUNK % block == 0
+    rng = np.random.default_rng(length)
+    cols = rng.uniform(size=(6, length + 3))[:, 3:]  # rows neither aligned nor adjacent
+    whole_sums = [np.einsum("i->", col) for col in cols]
+    whole_sumsq = [np.einsum("i,i->", col, col) for col in cols]
+    whole_cross = [np.einsum("i,i->", col, cols[0]) for col in cols[1:]]
+    sums, sumsq, cross = np.zeros(6), np.zeros(6), np.zeros(5)
+    for k in range(0, length, block):
+        b = cols[:, k:k + block]
+        sums += np.einsum("ij->i", b)
+        sumsq += np.einsum("ij,ij->i", b, b)
+        cross += np.einsum("ij,j->i", b[1:], b[0])
+    assert sums.tolist() == whole_sums
+    assert sumsq.tolist() == whole_sumsq
+    assert cross.tolist() == whole_cross
 
 
 def _band_sign_law(x, y):
@@ -352,6 +381,29 @@ def test_population_moments_checks_the_range_past_the_first_chunk():
     population_moments(spec, budget=3 * _CHUNK, seed=4)
     with pytest.raises(GraphonRangeError, match=r"s\*G left \[0,1\] \(range \[0.5, 1.5\]\)"):
         population_moments(spec, budget=4 * _CHUNK, seed=4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("which", ["F", "G"])
+@pytest.mark.parametrize("entry", ["sample_network", "population_moments"])
+def test_a_non_finite_probability_is_out_of_range(entry, which, bad):
+    # the law is `bad` only where no probe point reaches: at the latent pair
+    # of nodes 30 and 35 of the sampled network, or in the band of the
+    # triples drawn by the fourth chunk
+    if entry == "sample_network":
+        _, x = sample_network(builtin_spec("const-cos"), 40, seed=6, return_latent=True)
+        law = _pair_band(x[30], x[35], bad, 0.5)
+    else:
+        def law(x, y):
+            return np.where(_band_sign_law(x, y) > 1.0, bad, 0.5)
+    spec = GraphonSpec(F=law if which == "F" else _ones, G=law if which == "G" else _ones,
+                       rho=1.0, s=1.0)
+    label = r"rho\*F" if which == "F" else r"s\*G"
+    with pytest.raises(GraphonRangeError, match=label + r" left \[0,1\]"):
+        if entry == "sample_network":
+            sample_network(spec, 40, seed=6)
+        else:
+            population_moments(spec, budget=4 * _CHUNK, seed=4)
 
 
 def test_balanced_probability_identity():

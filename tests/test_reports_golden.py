@@ -67,8 +67,10 @@ DRAW_CASES = [(storage, target) for storage in STORAGE
     ("small-sparse", "balanced"), ("poor-sparse", "balanced")]
 
 
-# budgets: below, at and above graphon's 2^14-triple chunk, and two batches of
-# 2^20 with a short last one
+# budgets: below, at and above graphon's 2^14-triple chunk, two batches of
+# 2^20 with a short last one, and three batches whose last holds several
+# 2^13-triple blocks and a short one, so that a change to the per-batch
+# grouping of the sums moves bytes
 TRUTH_SPECS = {
     "logistic-balance alpha=0": ("logistic-balance", {"alpha": 0}),
     "logistic-balance alpha=20": ("logistic-balance", {"alpha": 20}),
@@ -77,7 +79,7 @@ TRUTH_SPECS = {
     "sparse-const k=1.5 n=300": ("sparse-const", {"k": 1.5, "n": 300}),
 }
 TRUTH_CASES = [(spec, budget) for spec in TRUTH_SPECS
-               for budget in (1000, 2**14 - 1, 2**14, 2**14 + 1, 2**20 + 7)]
+               for budget in (1000, 2**14 - 1, 2**14, 2**14 + 1, 2**20 + 7, 2**21 + 24581)]
 
 
 def _truth(spec, budget):
