@@ -583,10 +583,9 @@ class _Draw:
             return (x @ self.counts).astype(np.int64)[self.where]
         w = self.counts.astype(np.float64)
         step = max(_CAST_ENTRIES // max(x.shape[1], 1), 1)
-        if step >= len(x):
-            sums = x @ w
-        else:
-            sums = np.concatenate([x[r:r + step] @ w for r in range(0, len(x), step)])
+        sums = np.empty(len(x))
+        for r in range(0, len(x), step):
+            np.matmul(x[r:r + step], w, out=sums[r:r + step])
         return sums.astype(np.int64)[self.where]
 
 

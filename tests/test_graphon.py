@@ -250,12 +250,15 @@ def test_sampler_checks_the_range_past_the_first_block(monkeypatch, which):
     n, seed = 40, 6
     assert graphon_module._row_blocks(n)[1] <= 30
     _, x = sample_network(builtin_spec("const-cos"), n, seed=seed, return_latent=True)
-    law = _pair_band(x[30], x[35], 1.5, 0.5)
-    spec = GraphonSpec(F=law if which == "F" else _ones, G=law if which == "G" else _ones,
-                       rho=1.0, s=1.0)
     label = r"rho\*F" if which == "F" else r"s\*G"
-    with pytest.raises(GraphonRangeError, match=label + r" left \[0,1\] \(range \[0.5, 1.5\]\)"):
-        sample_network(spec, n, seed=seed)
+    for inside, shown in [(1.5, "0.5, 1.5"), (math.nan, "nan, nan"),
+                          (math.inf, "0.5, inf"), (-math.inf, "-inf, 0.5")]:
+        law = _pair_band(x[30], x[35], inside, 0.5)
+        spec = GraphonSpec(F=law if which == "F" else _ones, G=law if which == "G" else _ones,
+                           rho=1.0, s=1.0)
+        with pytest.raises(GraphonRangeError,
+                           match=label + r" left \[0,1\] \(range \[" + shown + r"\]\)"):
+            sample_network(spec, n, seed=seed)
 
 
 def test_sampler_peak_memory_is_bounded():
@@ -328,10 +331,7 @@ def test_population_se_shrinks_with_budget():
 
 
 def test_population_moments_peak_memory_is_bounded():
-    # one chunk's (6, 2^14) product buffer, its scratch rows and the law's
-    # temporaries, whatever the budget: the same at 10^6 triples as at a
-    # budget past two full batches; six batch-length columns peaked at
-    # 48 MiB at 10^6 triples and 50.3 MiB from one full batch on
+    # one chunk's buffers, whatever the budget
     spec = builtin_spec("logistic-balance", {"alpha": 20})
     peaks = []
     for budget in (10**6, 2**21 + 24581):
@@ -385,25 +385,16 @@ def test_population_moments_checks_the_range_past_the_first_chunk():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("which", ["F", "G"])
-@pytest.mark.parametrize("entry", ["sample_network", "population_moments"])
-def test_a_non_finite_probability_is_out_of_range(entry, which, bad):
-    # the law is `bad` only where no probe point reaches: at the latent pair
-    # of nodes 30 and 35 of the sampled network, or in the band of the
-    # triples drawn by the fourth chunk
-    if entry == "sample_network":
-        _, x = sample_network(builtin_spec("const-cos"), 40, seed=6, return_latent=True)
-        law = _pair_band(x[30], x[35], bad, 0.5)
-    else:
-        def law(x, y):
-            return np.where(_band_sign_law(x, y) > 1.0, bad, 0.5)
+def test_population_moments_rejects_a_non_finite_probability(which, bad):
+    # the law is `bad` only in the band of the triples the fourth chunk draws
+    def law(x, y):
+        return np.where(_band_sign_law(x, y) > 1.0, bad, 0.5)
+
     spec = GraphonSpec(F=law if which == "F" else _ones, G=law if which == "G" else _ones,
                        rho=1.0, s=1.0)
     label = r"rho\*F" if which == "F" else r"s\*G"
     with pytest.raises(GraphonRangeError, match=label + r" left \[0,1\]"):
-        if entry == "sample_network":
-            sample_network(spec, 40, seed=6)
-        else:
-            population_moments(spec, budget=4 * _CHUNK, seed=4)
+        population_moments(spec, budget=4 * _CHUNK, seed=4)
 
 
 def test_balanced_probability_identity():
