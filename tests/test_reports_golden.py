@@ -5,11 +5,11 @@ below, taken on one const-cos n = 40 draw on both storage paths, on a
 sparse-const n = 300 draw with far fewer triangles than edges and on a
 sparse const-cos n = 300 draw with a quarter as many, plus the
 distances of a two-target cdf study, the bootstrap draws of every
-per-type target, and the population truth of each builtin graphon at budgets
-around the truth loop's chunk and batch lengths.  A change that keeps every
-output byte
-passes unchanged; one that means to change an output re-records the file
-with `PYTHONPATH=src python tests/test_reports_golden.py > tests/golden/reports_sha256.json`.
+per-type target on the n = 40 and sparse-const draws, and the population
+truth of each builtin graphon at budgets around the truth loop's chunk and
+batch lengths.  A change that keeps every output byte passes unchanged;
+one that means to change an output re-records the file with
+`PYTHONPATH=src python tests/test_reports_golden.py > tests/golden/reports_sha256.json`.
 """
 
 import hashlib
@@ -39,11 +39,12 @@ CASES = (
     + [("bootstrap",)]
 )
 
-# a sparse-const draw with 57 triangles on 1038 edges, counted by listing them
+# a sparse-const draw with 57 triangles on 1038 edges, counted by listing
+# them; every target holds a triangle on it
 POOR_CASES = (
     [("ci", method, target, 0.0)
      for method in ("edgeworth", "normal")
-     for target in ("balanced", "type2")]
+     for target in ("balanced", "type1", "type2", "type3", "type4")]
     + [("test", "two-sided", "edgeworth")]
 )
 
@@ -60,9 +61,10 @@ CDF_CONFIG = ExperimentConfig(
 )
 
 
-# bootstrap draws: each per-type target on the draw above, and a small sparse
+# bootstrap draws: each per-type target on the const-cos n = 40 draw and on
+# the triangle-poor one (weighted listed replicates), and a small sparse
 # network whose replicates partly drop (no triangle or zero variance)
-DRAW_CASES = [(storage, target) for storage in STORAGE
+DRAW_CASES = [(storage, target) for storage in (*STORAGE, "poor-sparse")
               for target in ("type1", "type2", "type3", "type4")] + [
     ("small-sparse", "balanced"), ("poor-sparse", "balanced")]
 
@@ -112,8 +114,6 @@ def _draws(storage, target):
     if storage == "small-sparse":
         with dense_up_to(5):
             adj = sample_network(builtin_spec("const-cos", {}), 12, seed=1)
-    elif storage == "poor-sparse":
-        adj = _network(storage)
     else:
         adj = _network(storage)
     dist = bootstrap_distribution(adj, target=target, B=200, seed=3)
