@@ -20,12 +20,15 @@ On sparse storage the two sums over o A read A's signs at the stored
 places of M o M^2 and A o A^2 (`PairProjection.signed_total`), so they
 cost those places, not an entrywise product over every edge.
 
-Per-type node and pair counts need P^2 and N^2 apart (P, N the positive and
-negative indicators): P^2 + N^2 = (M^2 + A^2)/2, PN + NP = (M^2 - A^2)/2 and
-P^2 - N^2 = (MA + AM)/2.  That third product runs, as M o (M A) and its
-transpose (M is symmetric), only when a per-type count is read.  No n x n
-pair matrix is formed unless a caller reads one: inference takes its
-quadratic form from the masked products (`PairProjection.quadratic`).
+Per-type counts split the third nodes of a pair by how many of their two
+edges are negative, Q_0, Q_1, Q_2 (P, N the positive and negative
+indicators).  Q_0 = M o P^2 is a third masked product, formed only when a
+per-type count is read; as A o A = M, a2 = A o (A o A^2) = M o A^2 gives
+Q_1 = (M o M^2 - a2)/2 and Q_2 = (M o M^2 + a2)/2 - Q_0.  The pair counts
+of type k + 1 are P o Q_k + N o Q_(k-1) (Q_-1 = Q_3 = 0), formed only for
+the type read.  No n x n pair matrix is formed unless a caller reads one:
+inference takes its quadratic form from the masked products
+(`PairProjection.quadratic`).
 
 One routine forms every product: `_masked(mask, x, y, w)` is mask o (x W y),
 W = diag(w) for a bootstrap replicate (below), else the identity.  Dense
@@ -33,7 +36,7 @@ storage is the adjacency's own int8 matrix, uncopied (`_storage`); each
 product casts its operands to float32 where it runs and masks its float32
 result in place, a symmetric rank-k product (syrk) for the unweighted
 squares M M and A A (each partial sum is an integer of size at most n - 2,
-so float32 is exact while n - 2 < 2^24, and 4(n - 2) < 2^24 once the
+so float32 is exact while n - 2 < 2^24, and 2(n - 2) < 2^24 once the
 per-type sums are formed).  M o M^2 and A o A^2 are then kept in the
 narrowest signed integer type that holds +-n (int16 below 32768 nodes),
 and every later product or sum of them runs on a float32 cast, as the
@@ -64,12 +67,13 @@ Sparse storage is the adjacency's own int8 CSR matrix, uncopied
 and a bootstrap submatrix on sorted nodes keeps them sorted).  The listing
 reads only its signs, indices and indptr: it ranks the nodes and keeps the
 upward entries in int32, and reads L straight off that order, with each
-edge's int32 id and sign in L's data.  M = |A| is formed only when read: by
-the encoded product's weighted degrees and the per-type counts.  An integer product widens to int64 where it runs, as int8 would
-wrap: B in the encoded product, A in M o (M A), and the bootstrap weights
-w.  The listing writes its two products on the distinct edges of the
-listed triangles alone, at most 3T of them, placed through L's indptr and
-indices, so past L they cost O(T) and no array over every edge.  Each float
+edge's int32 id and sign in L's data.  M = |A| is formed only for the
+encoded product's weighted degrees and as the mask of Q_0.  A product
+widens where it runs, as int8 would wrap: B in the encoded product and the
+bootstrap weights w to int64, P and N to float64.  The listing writes its
+two products on the distinct edges of the listed triangles alone, at most
+3T of them, placed through L's indptr and indices, so past L they cost
+O(T) and no array over every edge.  Each float
 sum over a sparse pair matrix runs row by row in rising column order
 (`_quad`), whatever order the product that formed it stored, so the
 listing's reports equal the encoded product's byte for byte.  Every
@@ -81,7 +85,7 @@ A bootstrap replicate is counted with multiplicities instead
 (`_resampled_bundle`).  A node draw idx fixes the resampled network
 R_ab = A[idx_a, idx_b]; let S be the distinct drawn nodes, w_k the number
 of times node k of S was drawn, W = diag(w) and inv the place in S of each
-drawn node.  Then (R^2)_ab = (A_S W A_S)[inv_a, inv_b], and M^2 and M A
+drawn node.  Then (R^2)_ab = (A_S W A_S)[inv_a, inv_b], and M^2 and P^2
 read the same way.  So the masked products are A_S o (A_S W A_S) and
 M_S o (M_S W M_S) on the |S| x |S| submatrix (|S| is about 0.63 n).  A row
 sum of R is the w-weighted row sum on S, gathered by inv (int64 when sparse;
@@ -89,7 +93,7 @@ float64 when dense, whose integer sums, at most 4n * n, are far below 2^53,
 cast a block of rows at a time, so no 8|S|^2-byte float64 copy is formed),
 and the four traces are w-weighted totals.  The float32 bound is unchanged:
 (M_S W M_S)_ij <= sum w = n, so the products are exact while n < 2^24, and
-4n < 2^24 for the per-type sums.  The sparse listing or product is chosen by
+2n < 2^24 for the per-type sums.  The sparse listing or product is chosen by
 the triangles of A_S.
 The encoded product's digit width comes from the largest weighted degree,
 max_i sum_{k in N(i)} w_k, and a weighted degree of 2^21 or more raises
@@ -105,8 +109,9 @@ The bundle also keeps the studentized pipeline of each target read
 (`CensusBundle.pipelines`, filled by `inference._pipeline`), so a network
 is counted once and studentized once per target.  While the adjacency
 lives, a dense bundle keeps M o M^2 and A o A^2 beside the adjacency's own
-int8 storage, 4 n^2 bytes in int16 (16 MB at n = 2000), plus any per-type
-pair matrix once read, plus O(n) floats per target read.  One census peaks
+int8 storage, 4 n^2 bytes in int16 (16 MB at n = 2000), plus O(n) floats
+per target read.  Reading a per-type count adds Q_0 in int16 and that
+type's float32 pair counts, 6 n^2 bytes (24 MB at n = 2000).  One census peaks
 at about 10 n^2 bytes (one float32 product, its float32 operand and the
 int16 square kept before it); `del adj` frees the bundle.
 """
@@ -121,15 +126,8 @@ from .errors import CensusExactnessError, ConfigError
 _SIGN_SUMS = np.array([[1, 1, 1, 1], [3, 1, -1, -3], [3, -1, -1, 3], [1, -1, 1, -1]])
 
 
-class _Targeted:
-    def for_target(self, target):
-        """The balanced count, or the count of one triangle type."""
-        k = _type_index(target)
-        return self.balanced if k is None else self.by_type[k]
-
-
 @dataclass(frozen=True)
-class TriangleCensus(_Targeted):
+class TriangleCensus:
     n: int
     total: int
     c1: int
@@ -144,6 +142,11 @@ class TriangleCensus(_Targeted):
     @property
     def by_type(self):
         return (self.c1, self.c2, self.c3, self.c4)
+
+    def for_target(self, target):
+        """The balanced count, or the count of one triangle type."""
+        k = _type_index(target)
+        return self.balanced if k is None else self.by_type[k]
 
     def to_dict(self):
         return {**asdict(self), "balanced": self.balanced}
@@ -395,16 +398,25 @@ def _wide(x):
     return x.astype(np.float32) if isinstance(x, np.ndarray) else x
 
 
-class PairProjection(_Targeted):
+def _signs(a):
+    """The positive and negative indicators P and N of A: bool when dense;
+    new float64 CSR arrays when sparse, as a bool product saturates at 1."""
+    if isinstance(a, np.ndarray):
+        return a > 0, a < 0
+    return (a > 0).astype(np.float64), (a < 0).astype(np.float64)
+
+
+class PairProjection:
     """Per-pair counts over third nodes; entry (i,j) is 0 unless A_ij != 0.
 
-    Kept as the masked products M o M^2 and A o A^2 of one network; each
-    count matrix is formed when first read.  On dense storage `a` is int8
-    and M o M^2 and A o A^2 are kept in the narrowest signed integer type
-    that holds +-n (`_count_type`), so every product or sum that could pass
-    it runs on a float32 cast (`_wide`).  Given a `_Draw`, `a` is the
-    submatrix on the drawn nodes and every product and row sum is weighted
-    by the multiplicities."""
+    Kept as the masked products M o M^2 and A o A^2 of one network, and
+    M o P^2 (`pp`) once a per-type count is read; each count matrix is
+    formed when read, and only a read type's float counts are kept.  On
+    dense storage `a` is int8 and these products are kept in the narrowest
+    signed integer type that holds +-n (`_count_type`), so every product or
+    sum that could pass it runs on a float32 cast (`_wide`).  Given a
+    `_Draw`, `a` is the submatrix on the drawn nodes and every product and
+    row sum is weighted by the multiplicities."""
 
     def __init__(self, a, draw=None):
         self.a = a
@@ -424,18 +436,9 @@ class PairProjection(_Targeted):
             self.mm, self.aa = _sparse_squares(a, self._w)
         self._types = {}
 
-    @cached_property
-    def m(self):
-        """The support M = |A|, formed on first read by the per-type counts;
-        the dense squares form their own and drop it, the sparse ones read
-        A alone."""
-        return abs(self.a)
-
     def rows(self, x):
         """Row sums of x over the network's nodes, in int64."""
-        if self.draw is None:
-            return x.sum(axis=1, dtype=np.int64)
-        return self.draw.rows(x)
+        return x.sum(axis=1, dtype=np.int64) if self.draw is None else self.draw.rows(x)
 
     def total(self, x):
         """The sum of x over the network's pairs, in int64."""
@@ -456,53 +459,47 @@ class PairProjection(_Targeted):
         return self.total(sp.csr_array((signed, x.indices, x.indptr), shape=x.shape))
 
     @cached_property
-    def _diff(self):
-        """2 (P^2 - N^2) on the support: M o (M A) plus its transpose M o (A M).
-        The sparse product runs in int64: int8 storage would wrap."""
-        a = self.a if isinstance(self.a, np.ndarray) else self.a.astype(np.int64)
-        d = _masked(self.m, self.m, a, self._w)
-        return d + d.T
+    def pp(self):
+        """Q_0 = M o (P W P), the third nodes joined to both ends of a pair by
+        two positive edges; a syrk square when dense and unweighted."""
+        pos, _ = _signs(self.a)
+        pp = _masked(abs(self.a), pos, pos, self._w)
+        return pp.astype(self.mm.dtype) if isinstance(pp, np.ndarray) else pp
 
-    def _paths(self, k):
-        """Third nodes joined to both ends by two edges, k of them negative."""
-        a2 = _wide(self.a) * self.aa  # A^2 on the support
-        if k == 1:
-            return (self.mm - a2) * 0.5
-        both = self.mm + a2
-        return (both + self._diff if k == 0 else both - self._diff) * 0.25
+    def _joined(self, j):
+        """Q_j, the third nodes joined to both ends of a pair by two edges, j
+        of them negative: mm = Q_0 + Q_1 + Q_2 and A o aa = Q_0 - Q_1 + Q_2."""
+        pp = _wide(self.pp)
+        if j == 0:
+            return pp
+        a2 = _wide(self.a) * self.aa
+        return (self.mm - a2) * 0.5 if j == 1 else (self.mm + a2) * 0.5 - pp
 
     def type_pairs(self, k):
         """Pair counts of type k + 1 (k negative edges) on the support, as
-        floats; forms only the paths this type needs."""
+        floats: P o Q_k + N o Q_(k-1), with Q_-1 = Q_3 = 0."""
         if k not in self._types:
-            m = _wide(self.m)
-            pos = (m + self.a) * 0.5  # the edge (i, j) is positive
-            neg = (m - self.a) * 0.5
-            if k == 0:
-                counts = pos * self._paths(0)
-            elif k == 3:
-                counts = neg * self._paths(2)
-            else:
-                counts = pos * self._paths(k) + neg * self._paths(k - 1)
-            self._types[k] = counts
+            pos, neg = _signs(self.a)
+            terms = [s * self._joined(j) for s, j in ((pos, k), (neg, k - 1)) if 0 <= j < 3]
+            self._types[k] = terms[0] if len(terms) == 1 else terms[0] + terms[1]
         return self._types[k]
 
-    @cached_property
-    def types(self):
-        """Per-type pair counts, types 1..4, on the support."""
-        return tuple(self.type_pairs(k) for k in range(4))
-
-    @cached_property
+    @property
     def triangles(self):
         return self.mm.astype(np.int64)
 
-    @cached_property
+    @property
     def balanced(self):
         return ((_wide(self.mm) + self.aa) * 0.5).astype(np.int64)
 
-    @cached_property
+    @property
     def by_type(self):
-        return tuple(q.astype(np.int64) for q in self.types)
+        return tuple(self.type_pairs(k).astype(np.int64) for k in range(4))
+
+    def for_target(self, target):
+        """The balanced pair counts, or those of one triangle type alone."""
+        k = _type_index(target)
+        return self.balanced if k is None else self.type_pairs(k).astype(np.int64)
 
     def quadratic(self, target, x):
         """(x' T x, x' B x) for the pair totals T and the target's pair counts B."""
@@ -515,16 +512,16 @@ class PairProjection(_Targeted):
 
 class NodeProjection:
     """Per-node triangle counts: t_i, b_i, and the four per-type arrays,
-    which are formed on first read."""
+    each formed when read."""
 
     def __init__(self, pairs, triangles, balanced):
         self._pairs = pairs
         self.triangles = triangles
         self.balanced = balanced
 
-    @cached_property
+    @property
     def by_type(self):
-        return tuple(_exact(self._pairs.rows(q), 2) for q in self._pairs.types)
+        return tuple(self.for_target(target) for target in TARGETS[1:])
 
     def for_target(self, target):
         k = _type_index(target)

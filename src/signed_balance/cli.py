@@ -158,8 +158,8 @@ def _cmd_simulate(args):
     if n is None:
         raise ConfigError("node count missing: set --n or 'n' in the spec file")
     adj = sample_network(spec, n, seed=args.seed)
+    summary = adj.summarize()  # before the write, so a network it refuses leaves no file
     write_edge_list(adj, args.out)
-    summary = adj.summarize()
     _emit(
         {
             "out": args.out,

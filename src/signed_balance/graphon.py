@@ -144,9 +144,10 @@ BUILTIN_NAMES = tuple(_LAWS)
 
 
 def _convert(kind, value, key):
-    """`kind(value)`, or ConfigError naming the key; int refuses a fractional float."""
+    """`kind(value)`, or ConfigError naming the key; a bool, and for int a
+    fractional float, is refused."""
     try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or kind is int and isinstance(value, float) and value % 1:
             raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError):

@@ -19,7 +19,7 @@ from signed_balance.graph import SignedAdjacency, validate
 from signed_balance.graphon import builtin_spec, sample_network
 from signed_balance.inference import _interval, _p_value
 
-from _reference import dense_up_to, on_storage, random_signed_matrix
+from _reference import dense_up_to, densify, on_storage, random_signed_matrix
 
 # the package's `census` attribute is the function of that name
 census_module = importlib.import_module("signed_balance.census")
@@ -186,7 +186,7 @@ def _draws(n, rng):
 
 def _assert_replicate_matches(adj, idx):
     got = census_module._resampled_bundle(census_module._storage(adj), idx)
-    want = full_census(resample_network(adj, indices=idx), with_pairs=False)
+    want = full_census(resample_network(adj, indices=idx))
     assert got.census.to_dict() == want.census.to_dict()
     assert got.pair is None
     for attr in ("triangles", "balanced"):
@@ -195,6 +195,15 @@ def _assert_replicate_matches(adj, idx):
         np.testing.assert_array_equal(got.node.for_target(f"type{k}"),
                                       want.node.for_target(f"type{k}"))
     np.testing.assert_array_equal(np.array(got.node.by_type), np.array(want.node.by_type))
+    # the weighted per-type pair counts on the drawn nodes, read at each
+    # drawn node's place, are the resampled network's: float32 when dense,
+    # float64 when sparse
+    weighted = got.node._pairs
+    where = np.ix_(weighted.draw.where, weighted.draw.where)
+    for k in range(4):
+        pairs = weighted.type_pairs(k)
+        assert pairs.dtype == (np.float32 if adj.is_dense else np.float64)
+        np.testing.assert_array_equal(densify(pairs)[where], densify(want.pair.type_pairs(k)))
 
 
 @pytest.mark.parametrize("storage", ["dense", "sparse"])
@@ -275,7 +284,6 @@ def test_listed_replicate_census_equals_the_resampled_network(monkeypatch):
     adj = on_storage(mat, "sparse")
     storage = census_module._storage(adj)
     idx = rng.integers(0, 60, size=60)
-    want = full_census(resample_network(adj, indices=idx), with_pairs=False)
     triangles = census_module._Triangles(storage[np.unique(idx)][:, np.unique(idx)])
     assert 0 < triangles.count <= triangles.edges
 
@@ -283,11 +291,7 @@ def test_listed_replicate_census_equals_the_resampled_network(monkeypatch):
         raise AssertionError("the encoded product ran")
 
     monkeypatch.setattr(census_module, "_encoded_squares", refused)
-    got = census_module._resampled_bundle(storage, idx)
-    assert got.census.to_dict() == want.census.to_dict()
-    for attr in ("triangles", "balanced"):
-        np.testing.assert_array_equal(getattr(got.node, attr), getattr(want.node, attr))
-    np.testing.assert_array_equal(np.array(got.node.by_type), np.array(want.node.by_type))
+    _assert_replicate_matches(adj, idx)
 
 
 def test_replicate_digit_width_reads_weighted_degrees(monkeypatch):

@@ -26,8 +26,6 @@ from _reference import (
     random_signed_matrix,
     ref_census,
     ref_full,
-    ref_node_counts,
-    ref_pair_counts,
 )
 
 # the package's `census` attribute is the function of that name
@@ -99,20 +97,35 @@ def test_matrix_census_equals_enumeration(seed):
         want["c1"], want["c2"], want["c3"], want["c4"])
 
 
+# the sparse kernels, each forced; the listing is whole below _BLOCK_ROWS nodes
+SPARSE_KERNELS = {
+    "encoded": census_module._encoded_squares,
+    "listed": lambda a, w=None: census_module._Triangles(a).squares(w),
+}
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_node_and_pair_projections_equal_enumeration(seed):
+def test_node_and_pair_projections_equal_enumeration(monkeypatch, seed):
+    # on dense storage, then on sparse storage by each kernel; the per-type
+    # pair counts are float32 when dense and float64 when sparse
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(5, 12))
     mat = random_signed_matrix(rng, n)
-    bundle = full_census(SignedAdjacency(mat), with_pairs=True)
-
-    np.testing.assert_array_equal(bundle.node.triangles, ref_node_counts(mat, "total"))
-    np.testing.assert_array_equal(bundle.node.balanced, ref_node_counts(mat, "balanced"))
-    np.testing.assert_array_equal(bundle.pair.triangles, ref_pair_counts(mat, "total"))
-    np.testing.assert_array_equal(bundle.pair.balanced, ref_pair_counts(mat, "balanced"))
-    for t in range(4):
-        np.testing.assert_array_equal(bundle.node.by_type[t], ref_node_counts(mat, t))
-        np.testing.assert_array_equal(bundle.pair.by_type[t], ref_pair_counts(mat, t))
+    want = ref_full(mat)
+    for path in ("dense", *SPARSE_KERNELS):
+        if path in SPARSE_KERNELS:
+            monkeypatch.setattr(census_module, "_sparse_squares", SPARSE_KERNELS[path])
+        bundle = full_census(on_storage(mat, "dense" if path == "dense" else "sparse"))
+        for kind in ("total", "balanced"):
+            attr = "triangles" if kind == "total" else kind
+            np.testing.assert_array_equal(getattr(bundle.node, attr), want["node"][kind])
+            np.testing.assert_array_equal(densify(getattr(bundle.pair, attr)), want["pair"][kind])
+        for t in range(4):
+            np.testing.assert_array_equal(bundle.node.by_type[t], want["node"][t])
+            np.testing.assert_array_equal(densify(bundle.pair.by_type[t]), want["pair"][t])
+            pairs = bundle.pair.type_pairs(t)
+            assert pairs.dtype == (np.float32 if path == "dense" else np.float64)
+            np.testing.assert_array_equal(densify(pairs), want["pair"][t])
 
 
 def test_sparse_path_matches_dense():
@@ -250,14 +263,13 @@ def test_sparse_products_are_the_same_in_row_blocks(monkeypatch):
         pairs = census_module.PairProjection(census_module._storage(adj))
         _assert_same_arrays(pairs.mm, (m * (m @ m)).sorted_indices())
         _assert_same_arrays(pairs.aa, (a * (a @ a)).sorted_indices())
-        # the third product against M o (M W A + (M W A)^T) formed whole,
-        # unweighted and for one draw
+        # the third product against M o (P W P) formed whole, unweighted and
+        # for one draw
         for pairs in (pairs, census_module.PairProjection(sub, draw)):
-            w = pairs._w
-            ma = pairs.m @ (pairs.a if w is None else census_module._scale_rows(w, pairs.a))
+            w, pos = pairs._w, (pairs.a > 0).astype(np.float64)
             whole = census_module.PairProjection(pairs.a, pairs.draw)
-            whole._diff = pairs.m * (ma + ma.T)
-            _assert_same_matrix(pairs._diff, whole._diff)
+            whole.pp = abs(pairs.a) * (pos @ (pos if w is None else census_module._scale_rows(w, pos)))
+            _assert_same_arrays(pairs.pp, whole.pp.sorted_indices())
             for k in range(4):
                 _assert_same_matrix(pairs.type_pairs(k), whole.type_pairs(k))
 
@@ -778,9 +790,11 @@ def _sparse_network_of_270k_edges():
 
 
 def test_third_product_peak_memory_is_bounded():
-    # about 270k edges on 20000 nodes: M A formed whole holds about n d^2
-    # entries (over 800 MB), while its row blocks keep the peak near the
-    # masked result
+    # about 270k edges on 20000 nodes: P^2 formed whole holds about n d^2 / 4
+    # entries, while its row blocks keep the peak near the masked result.
+    # The census and type 2's pair counts peak at 43.9 MiB; formed from a
+    # non-square third product M o (M A), quarter-weighted sums of it and
+    # float masks over a cached support, they peaked at 87.5 MiB
     adj = _sparse_network_of_270k_edges()
     tracemalloc.start()
     try:
@@ -788,7 +802,7 @@ def test_third_product_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 200 * 2**20
+    assert peak <= 64 * 2**20
 
 
 def test_listed_census_peak_memory_is_bounded():
@@ -838,7 +852,26 @@ def test_balanced_target_forms_no_pair_matrix(path):
     proj = projections(bundle.census, bundle.node, bundle.pair, "balanced")
     edgeworth_coefficients(proj)
     # neither a third product nor any pair count matrix has been formed
-    assert not {"types", "triangles", "balanced", "by_type"} & set(vars(bundle.pair))
-    # reading a per-type node count runs the third product, once for nodes and pairs
-    bundle.node.by_type
-    assert "types" in vars(bundle.pair) and "by_type" not in vars(bundle.pair)
+    kept = {"a", "draw", "_w", "mm", "aa", "_types"}
+    assert set(vars(bundle.pair)) == kept and not bundle.pair._types
+    # a per-type target forms the third product and its own type's pair
+    # counts alone, once for nodes and pairs, and caches no int64 view
+    assert bundle.node.for_target("type2").dtype == bundle.pair.for_target("type2").dtype == np.int64
+    assert set(vars(bundle.pair)) == kept | {"pp"} and set(bundle.pair._types) == {1}
+
+
+def test_per_type_pair_read_keeps_memory_bounded():
+    # n = 2000: reading type 2's pair counts keeps M o P^2 in int16 and the
+    # type's float32 counts, 6 n^2 bytes (22.9 MiB); forming and caching all
+    # four types in float32 and in int64, with a third product and the
+    # support beside them, kept 202 MiB
+    adj = sample_network(builtin_spec("const-cos", {}), 2000, seed=3)
+    pair = full_census(adj).pair
+    tracemalloc.start()
+    try:
+        pair.for_target("type2")
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pair.pp.dtype == np.int16 and set(pair._types) == {1}
+    assert kept <= 32 * 2**20

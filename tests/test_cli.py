@@ -91,6 +91,16 @@ def test_simulate_bad_json_names_the_file(tmp_path, capsys):
     assert err.startswith(f"error: {spec} is not valid JSON")
 
 
+def test_simulate_refused_summary_writes_no_file(tmp_path, spec_file, capsys):
+    # a 1-node network has no edge proportion: the run fails before --out
+    out = tmp_path / "n.edges"
+    code, stdout, err = run_cli(
+        ["simulate", "--spec", spec_file, "--n", "1", "--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and ">= 2 nodes" in err
+    assert not out.exists()
+
+
 def test_simulate_deterministic(tmp_path, spec_file, capsys):
     a, b = tmp_path / "a.edges", tmp_path / "b.edges"
     run_cli(["simulate", "--spec", spec_file, "--seed", "5", "--out", str(a)], capsys)
@@ -437,6 +447,36 @@ def test_simulate_refuses_non_object_params_and_fractional_integers(tmp_path, sp
         assert code == 1
         assert err.startswith("error:") and repr(key) in err
         assert not (tmp_path / "n.edges").exists()
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"name": "const-cos", "n": True}, "n"),
+    ({"name": "logistic-balance", "params": {"alpha": True}, "n": 12}, "alpha"),
+    ({"name": "const-cos", "rho": True, "n": 12}, "rho"),
+    ({"name": "const-cos", "s": False, "n": 12}, "s"),
+])
+def test_simulate_refuses_a_json_boolean_for_a_number(tmp_path, spec, key, capsys):
+    # JSON true and false are no numbers, though Python's bool is an int
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(
+        ["simulate", "--spec", str(path), "--out", str(tmp_path / "n.edges")], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: config key {key!r} must be")
+    assert not (tmp_path / "n.edges").exists()
+
+
+def test_mc_refuses_a_json_boolean_for_a_number(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    outdir = tmp_path / "results"
+    for key, value in [("replications", True), ("n_grid", [True]), ("seed", False),
+                       ("level", True), ("c_delta", False)]:
+        cfg.write_text(json.dumps({"graphon": {"name": "const-cos"}, "n_grid": [12],
+                                   "replications": 2, "truth_budget": 2000, key: value}))
+        code, out, err = run_cli(["mc", "--config", str(cfg), "--out", str(outdir)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: config key {key!r} must be"), err
+        assert not outdir.exists()
 
 
 @pytest.mark.parametrize("graphon, over, key", [
