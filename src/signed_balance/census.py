@@ -438,7 +438,9 @@ class PairProjection:
 
     def rows(self, x):
         """Row sums of x over the network's nodes, in int64."""
-        return x.sum(axis=1, dtype=np.int64) if self.draw is None else self.draw.rows(x)
+        if self.draw is None:
+            return x.sum(axis=1, dtype=np.int64)
+        return self.draw.rows(x)
 
     def total(self, x):
         """The sum of x over the network's pairs, in int64."""

@@ -144,8 +144,7 @@ BUILTIN_NAMES = tuple(_LAWS)
 
 
 def _convert(kind, value, key):
-    """`kind(value)`, or ConfigError naming the key; a bool, and for int a
-    fractional float, is refused."""
+    """`kind(value)`, or ConfigError naming the key; refuses bools and fractional ints."""
     try:
         if isinstance(value, bool) or kind is int and isinstance(value, float) and value % 1:
             raise ValueError(value)
